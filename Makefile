@@ -24,10 +24,12 @@ race:
 
 # Repeated runs of the purge-vs-in-flight-solve regression tests and the
 # engine-level Reconfigure hammer under the race detector. These are the
-# tests that caught (and now pin) the stale-store cache bug.
+# tests that caught (and now pin) the stale-store cache bug. The extract
+# run pins the pooled per-query EXTRACT scratch against cross-call sharing.
 race-hammer:
 	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace'
 	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure'
+	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
 
 # Scrape /metrics through the real admin mux and fail on malformed
 # Prometheus exposition (plus the engine-level metric assertions).

@@ -25,6 +25,10 @@ func BenchmarkExtractBudgets(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyPathDP times one key path toward a mid-ranked destination:
+// "first" as a query's first path from its source (heap build, order
+// extension and uphill lists included), "reuse" as a later path of the same
+// query that finds the order already deep enough.
 func BenchmarkKeyPathDP(b *testing.B) {
 	g := randomGraph(b, 5000, 20000, 1)
 	queries := []int{3}
@@ -39,11 +43,21 @@ func BenchmarkKeyPathDP(b *testing.B) {
 			pd, bestScore = v, combined[v]
 		}
 	}
-	dp := newPathDP(g, g.N())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := dp.keyPath(R[0], combined, 3, pd, inH, 20, false); !ok {
-			b.Fatal("no path")
+	sc := new(scratch)
+	b.Run("first", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sc.reset(g, R, combined, inH)
+			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
+				b.Fatal("no path")
+			}
 		}
-	}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		sc.reset(g, R, combined, inH)
+		for i := 0; i < b.N; i++ {
+			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
+				b.Fatal("no path")
+			}
+		}
+	})
 }

@@ -14,13 +14,24 @@
 // makes paths prefer to travel through nodes that are already part of H —
 // exactly the sharing behaviour the paper wants from a budget-limited
 // display.
+//
+// A query's key paths share their structure instead of rebuilding it per
+// (source, destination) pair. Destinations come from a max-heap over
+// r(Q, ·) built once per query. Each active source keeps one node order by
+// descending r(i, ·), extended only as deep as the lowest destination
+// score asked of it: an O(n) scan each time a destination lies below all
+// earlier ones, and over the query one sort of the deepest candidate
+// prefix. An ordered node's uphill neighbours are kept as a rank list,
+// built the first time a key path needs it, so a key path toward pd runs
+// Table 3's DP over the prefix ending at pd, filling only pd's ancestors,
+// in O(Σ uphill-degree × (maxNew+1)).
 package extract
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
 	"ceps/internal/fault"
 	"ceps/internal/graph"
@@ -87,6 +98,10 @@ type Provenance struct {
 	Path []int
 }
 
+// scratchPool recycles per-query scratch across ExtractCtx calls; a scratch
+// serves one call at a time and drops its input references on return.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Extract runs the EXTRACT algorithm of Table 4.
 func Extract(in Input) (*Result, error) {
 	return ExtractCtx(context.Background(), in)
@@ -110,7 +125,12 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		maxLen = 1
 	}
 
-	inH := make([]bool, n)
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		sc.release()
+		scratchPool.Put(sc)
+	}()
+	inH, excluded := sc.flags(n)
 	sub := &graph.Subgraph{}
 	addNode := func(u int) bool {
 		if inH[u] {
@@ -124,11 +144,9 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		addNode(qi)
 	}
 
-	excluded := make([]bool, n) // destinations proven unreachable
 	newNodes := 0
 	res := &Result{Provenance: make(map[int]Provenance)}
-
-	dp := newPathDP(in.G, n)
+	sc.reset(in.G, in.R, in.Combined, inH)
 	// Destination events are gated on Recording so untraced extraction
 	// never builds attribute slices.
 	span := obs.SpanFromContext(ctx)
@@ -137,7 +155,7 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 		if err := fault.FromContext(ctx); err != nil {
 			return nil, err
 		}
-		pd := pickDestination(in.Combined, inH, excluded)
+		pd := sc.nextDestination(inH, excluded)
 		if pd < 0 {
 			break // nothing promising remains
 		}
@@ -156,7 +174,7 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 			if budgetCap > remaining {
 				budgetCap = remaining
 			}
-			path, ok := dp.keyPath(in.R[src], in.Combined, in.Queries[src], pd, inH, budgetCap, in.NoSharing)
+			path, ok := sc.keyPath(src, in.Queries[src], pd, inH, budgetCap, in.NoSharing)
 			if !ok {
 				continue
 			}
@@ -239,22 +257,6 @@ func validate(in *Input) error {
 	return nil
 }
 
-// pickDestination implements Eq. 11: the highest combined score among nodes
-// outside H that have not been proven unreachable. Nodes with zero combined
-// score are never picked — they contribute nothing to g(H).
-func pickDestination(combined []float64, inH, excluded []bool) int {
-	best, bestScore := -1, 0.0
-	for j, s := range combined {
-		if inH[j] || excluded[j] || s <= 0 {
-			continue
-		}
-		if s > bestScore {
-			best, bestScore = j, s
-		}
-	}
-	return best
-}
-
 // activeSources returns the indices (into R) of the k sources with the
 // largest individual score at pd, i.e. the sources q_i with
 // r(i, pd) ≥ r^(k)(i, pd). Ties resolve by source order, so exactly k
@@ -286,131 +288,4 @@ func dedupePathEdges(sub *graph.Subgraph) {
 		}
 	}
 	sub.PathEdges = out
-}
-
-// pathDP holds the reusable scratch buffers for the Table 3 dynamic
-// program, so repeated key-path discoveries do not reallocate.
-type pathDP struct {
-	g *graph.Graph
-	// cand[v] is v's index in the candidate ordering, or -1.
-	cand []int
-	// order lists candidate nodes in descending score (topological for the
-	// downhill DAG).
-	order []int
-	stamp []int // generation marks to avoid clearing cand each call
-	gen   int
-}
-
-func newPathDP(g *graph.Graph, n int) *pathDP {
-	d := &pathDP{g: g, cand: make([]int, n), stamp: make([]int, n)}
-	return d
-}
-
-// keyPath discovers the best downhill path from source src to destination
-// pd (Table 3): among all "specified prefix paths" that start at src,
-// strictly descend r(i, ·), and end at pd, it returns the one maximizing
-// (Σ_{v on path} r(Q, v)) / s where s is the number of nodes not already in
-// H, subject to s ≤ maxNew. The returned path runs source→…→pd. ok is
-// false when pd is unreachable by a downhill path within the budget.
-func (d *pathDP) keyPath(ri, combined []float64, src, pd int, inH []bool, maxNew int, noSharing bool) ([]int, bool) {
-	scorePd := ri[pd]
-	if ri[src] <= scorePd {
-		return nil, false // source not uphill of destination: no downhill path
-	}
-
-	// Candidate set: every node strictly uphill of pd, plus pd itself.
-	d.gen++
-	d.order = d.order[:0]
-	for v := 0; v < len(ri); v++ {
-		if v == pd || ri[v] > scorePd {
-			d.order = append(d.order, v)
-		}
-	}
-	sort.SliceStable(d.order, func(a, b int) bool {
-		return ri[d.order[a]] > ri[d.order[b]]
-	})
-	for idx, v := range d.order {
-		d.cand[v] = idx
-		d.stamp[v] = d.gen
-	}
-	isCand := func(v int) bool { return d.stamp[v] == d.gen }
-
-	nc := len(d.order)
-	width := maxNew + 1
-	best := make([]float64, nc*width)
-	parent := make([]int32, nc*width) // candidate-index*width+s of predecessor, -1 = none, -2 = unreached
-	for i := range best {
-		best[i] = math.Inf(-1)
-		parent[i] = -2
-	}
-	srcIdx := d.cand[src]
-	srcCost := 0
-	if !inH[src] || noSharing {
-		srcCost = 1 // sources are normally in H already; be safe
-	}
-	if srcCost > maxNew {
-		return nil, false
-	}
-	if srcCost < width {
-		best[srcIdx*width+srcCost] = combined[src]
-		parent[srcIdx*width+srcCost] = -1
-	}
-
-	// Process in descending-score order; every edge we relax goes from a
-	// strictly higher-scored node to the current one, so all predecessor
-	// states are final (Table 3's "fill the extracted matrix C in
-	// topological order").
-	for oi, v := range d.order {
-		if v == src {
-			continue
-		}
-		cost := 1
-		if inH[v] && !noSharing {
-			cost = 0
-		}
-		nbrs, _ := d.g.Neighbors(v)
-		vBase := oi * width
-		for _, u := range nbrs {
-			if !isCand(u) || ri[u] <= ri[v] {
-				continue // not a specified downhill edge u → v
-			}
-			uBase := d.cand[u] * width
-			for s := cost; s < width; s++ {
-				prev := best[uBase+s-cost]
-				if math.IsInf(prev, -1) {
-					continue
-				}
-				if cand := prev + combined[v]; cand > best[vBase+s] {
-					best[vBase+s] = cand
-					parent[vBase+s] = int32(uBase + s - cost)
-				}
-			}
-		}
-	}
-
-	// Output the path maximizing C_s(i, pd)/s with s ≥ 1 (Table 3 step 3).
-	pdBase := d.cand[pd] * width
-	bestS, bestRatio := -1, math.Inf(-1)
-	for s := 1; s < width; s++ {
-		if math.IsInf(best[pdBase+s], -1) {
-			continue
-		}
-		if ratio := best[pdBase+s] / float64(s); ratio > bestRatio {
-			bestRatio, bestS = ratio, s
-		}
-	}
-	if bestS < 0 {
-		return nil, false
-	}
-	// Reconstruct pd → src, then reverse.
-	var rev []int
-	state := int32(pdBase + bestS)
-	for state != -1 {
-		rev = append(rev, d.order[int(state)/width])
-		state = parent[state]
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, true
 }

@@ -8,6 +8,13 @@ import (
 	"ceps/internal/score"
 )
 
+// pickDestination makes one Eq. 11 pick from a fresh destination heap.
+func pickDestination(combined []float64, inH, excluded []bool) int {
+	sc := new(scratch)
+	sc.reset(nil, nil, combined, inH)
+	return sc.nextDestination(inH, excluded)
+}
+
 func TestPickDestination(t *testing.T) {
 	combined := []float64{0.5, 0.9, 0.7, 0, 0.8}
 	inH := []bool{false, true, false, false, false}
@@ -23,6 +30,20 @@ func TestPickDestination(t *testing.T) {
 	// Everything in H → -1.
 	if got := pickDestination([]float64{1, 1}, []bool{true, true}, []bool{false, false}); got != -1 {
 		t.Fatalf("all-in-H pick = %d, want -1", got)
+	}
+	// Successive picks from one heap: ties go to the lowest id, nodes that
+	// joined H or were excluded since the heap was built are skipped.
+	combined = []float64{0.4, 0.7, 0.4, 0.7, 0.9, 0.4}
+	inH = make([]bool, 6)
+	excluded = make([]bool, 6)
+	sc := new(scratch)
+	sc.reset(nil, nil, combined, inH)
+	inH[4] = true
+	excluded[1] = true
+	for _, want := range []int{3, 0, 2, 5, -1} {
+		if got := sc.nextDestination(inH, excluded); got != want {
+			t.Fatalf("successive pick = %d, want %d", got, want)
+		}
 	}
 }
 

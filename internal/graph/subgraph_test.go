@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -98,6 +101,63 @@ func TestSubgraphFillInduced(t *testing.T) {
 	}
 	if s.Size() != 3 {
 		t.Errorf("Size = %d, want 3", s.Size())
+	}
+}
+
+func TestSubgraphFillInducedMatchesMembershipScan(t *testing.T) {
+	// Reference: test every neighbour of every node for membership, then
+	// sort by (U, V). Node lists include hubs, repeats and out-of-order
+	// ids; the edge lists must agree exactly, weights bit for bit.
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 40; iter++ {
+		n := 5 + rng.Intn(120)
+		b := NewBuilder(n)
+		for i := 1; i < n; i++ {
+			b.AddEdge(i, rng.Intn(i), rng.Float64()+0.1)
+		}
+		hub := rng.Intn(n)
+		for v := 0; v < n; v++ {
+			if v != hub && rng.Intn(2) == 0 {
+				b.AddEdge(hub, v, rng.Float64()+0.1)
+			}
+		}
+		g := b.MustBuild()
+		s := &Subgraph{}
+		for k := rng.Intn(n + 5); k > 0; k-- {
+			s.Nodes = append(s.Nodes, rng.Intn(n))
+		}
+		if rng.Intn(2) == 0 {
+			s.Nodes = append(s.Nodes, hub)
+		}
+		in := make(map[int]bool)
+		for _, u := range s.Nodes {
+			in[u] = true
+		}
+		var want []Edge
+		for _, u := range s.Nodes {
+			nbrs, ws := g.Neighbors(u)
+			for i, v := range nbrs {
+				if u < v && in[v] {
+					want = append(want, Edge{U: u, V: v, W: ws[i]})
+				}
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].U != want[j].U {
+				return want[i].U < want[j].U
+			}
+			return want[i].V < want[j].V
+		})
+		s.FillInduced(g)
+		if len(s.InducedEdges) != len(want) {
+			t.Fatalf("iter %d: %d induced edges, want %d", iter, len(s.InducedEdges), len(want))
+		}
+		for i, e := range want {
+			got := s.InducedEdges[i]
+			if got.U != e.U || got.V != e.V || math.Float64bits(got.W) != math.Float64bits(e.W) {
+				t.Fatalf("iter %d: edge %d = %v, want %v", iter, i, got, e)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -21,43 +23,62 @@ type Triple struct {
 	Val      float64
 }
 
-// NewCSR assembles a CSR matrix from coordinate triples. Duplicate
-// coordinates are summed. Zero values are kept (callers may rely on
-// explicit zeros); out-of-range coordinates are an error.
+// NewCSR assembles a CSR matrix from coordinate triples in O(nnz): entries
+// are bucketed by row in input order, and only rows whose columns arrive
+// out of order are stable-sorted. Duplicate coordinates are summed in input
+// order. Zero values are kept (callers may rely on explicit zeros);
+// out-of-range coordinates are an error.
 func NewCSR(rows, cols int, entries []Triple) (*CSR, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("linalg: invalid CSR shape %dx%d", rows, cols)
 	}
+	rowPtr := make([]int, rows+1)
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("linalg: entry (%d,%d) out of %dx%d", e.Row, e.Col, rows, cols)
 		}
-	}
-	sorted := make([]Triple, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	m := &CSR{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
-	for i := 0; i < len(sorted); {
-		j := i
-		val := 0.0
-		for j < len(sorted) && sorted[j].Row == sorted[i].Row && sorted[j].Col == sorted[i].Col {
-			val += sorted[j].Val
-			j++
-		}
-		m.colIdx = append(m.colIdx, sorted[i].Col)
-		m.vals = append(m.vals, val)
-		m.rowPtr[sorted[i].Row+1]++
-		i = j
+		rowPtr[e.Row+1]++
 	}
 	for r := 0; r < rows; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
+		rowPtr[r+1] += rowPtr[r]
 	}
-	return m, nil
+	colIdx := make([]int, len(entries))
+	vals := make([]float64, len(entries))
+	fill := make([]int, rows)
+	copy(fill, rowPtr)
+	for _, e := range entries {
+		k := fill[e.Row]
+		colIdx[k], vals[k] = e.Col, e.Val
+		fill[e.Row]++
+	}
+	// Order each row by column and sum duplicates, compacting in place:
+	// row r's entries move to [out, …), never past where they were read.
+	var tmp []Triple
+	out := 0
+	for r := 0; r < rows; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		rowPtr[r] = out
+		if !slices.IsSorted(colIdx[lo:hi]) {
+			tmp = tmp[:0]
+			for k := lo; k < hi; k++ {
+				tmp = append(tmp, Triple{Col: colIdx[k], Val: vals[k]})
+			}
+			slices.SortStableFunc(tmp, func(a, b Triple) int { return cmp.Compare(a.Col, b.Col) })
+			for i, e := range tmp {
+				colIdx[lo+i], vals[lo+i] = e.Col, e.Val
+			}
+		}
+		for k := lo; k < hi; {
+			c, v := colIdx[k], 0.0
+			for ; k < hi && colIdx[k] == c; k++ {
+				v += vals[k]
+			}
+			colIdx[out], vals[out] = c, v
+			out++
+		}
+	}
+	rowPtr[rows] = out
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx[:out], vals: vals[:out]}, nil
 }
 
 // Rows returns the number of rows.

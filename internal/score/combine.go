@@ -77,6 +77,12 @@ func (s KSoftAND) String() string { return fmt.Sprintf("%d_softAND", s.K) }
 // queries one at a time, it maintains the distribution of "how many of the
 // particles seen so far are at the node".
 func AtLeastK(p []float64, k int) float64 {
+	return atLeastK(p, k, nil)
+}
+
+// atLeastK is AtLeastK running its recursion in buf when buf has room for
+// the k+1 states, so a caller folding many nodes reuses one buffer.
+func atLeastK(p []float64, k int, buf []float64) float64 {
 	q := len(p)
 	if q == 0 {
 		return 0
@@ -90,7 +96,13 @@ func AtLeastK(p []float64, k int) float64 {
 	// f[c] = P[exactly c of the processed particles meet]; only counts up
 	// to k matter, so cap the state at k and accumulate overflow in f[k]
 	// meaning "at least k".
-	f := make([]float64, k+1)
+	var f []float64
+	if cap(buf) > k {
+		f = buf[:k+1]
+		clear(f)
+	} else {
+		f = make([]float64, k+1)
+	}
 	f[0] = 1
 	for _, pi := range p {
 		for c := k; c >= 1; c-- {
@@ -218,11 +230,17 @@ func CombineNodes(R [][]float64, c Combiner) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	p := make([]float64, len(R))
+	combine := c.Combine
+	if s, ok := c.(KSoftAND); ok {
+		// One recursion buffer for every node instead of one per node.
+		buf := make([]float64, len(R)+1)
+		combine = func(p []float64) float64 { return atLeastK(p, s.K, buf) }
+	}
 	for j := 0; j < n; j++ {
 		for i := range R {
 			p[i] = R[i][j]
 		}
-		out[j] = c.Combine(p)
+		out[j] = combine(p)
 	}
 	return out, nil
 }

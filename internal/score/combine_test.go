@@ -208,6 +208,33 @@ func TestCombineNodes(t *testing.T) {
 	}
 }
 
+func TestCombineNodesSoftANDMatchesPerNode(t *testing.T) {
+	// CombineNodes reuses one recursion buffer across nodes; every node
+	// must still get exactly what a fresh AtLeastK call returns.
+	rng := rand.New(rand.NewSource(9))
+	for q := 1; q <= 6; q++ {
+		R := make([][]float64, q)
+		for i := range R {
+			R[i] = randProbs(rng, 50)
+		}
+		for k := 0; k <= q+1; k++ {
+			got, err := CombineNodes(R, KSoftAND{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := make([]float64, q)
+			for j := range got {
+				for i := range R {
+					p[i] = R[i][j]
+				}
+				if want := AtLeastK(p, k); math.Float64bits(got[j]) != math.Float64bits(want) {
+					t.Fatalf("q=%d k=%d node %d: %v, want %v", q, k, j, got[j], want)
+				}
+			}
+		}
+	}
+}
+
 func TestCombinerNames(t *testing.T) {
 	cases := map[string]Combiner{
 		"AND":             AND{},
