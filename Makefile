@@ -1,14 +1,20 @@
 # Tier-1 gate: `make check` is what CI and pre-merge runs. It must stay
-# green — vet, build, the full test suite under the race detector
+# green — gofmt, vet, build, the full test suite under the race detector
 # (including the cache-purge race hammer), and a short fuzz smoke over the
 # text parsers.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
+.PHONY: check fmt vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
 
-check: vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke
+check: fmt vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke
+
+# Fails when any tracked Go file is not gofmt-clean. Listing tracked files
+# only keeps the git-ignored .bench_build/ out of the check.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -24,10 +30,12 @@ race:
 
 # Repeated runs of the purge-vs-in-flight-solve regression tests and the
 # engine-level Reconfigure hammer under the race detector. These are the
-# tests that caught (and now pin) the stale-store cache bug. The extract
-# run pins the pooled per-query EXTRACT scratch against cross-call sharing.
+# tests that caught (and now pin) the stale-store cache bug. The resolver
+# table covers every cache/coalescer/artifact/pool combination of the
+# Step-1 serving path. The extract run pins the pooled per-query EXTRACT
+# scratch against cross-call sharing.
 race-hammer:
-	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace'
+	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable'
 	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure'
 	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
 
@@ -49,13 +57,14 @@ trace-smoke:
 	$(GO) test -race -count=2 . -run 'TestTraceStoreRaceHammer'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestTraceSmoke|TestTraceFlagValidation'
 
-# Short fuzz passes over the graph parsers and the /query request
-# decoder; crashers land in testdata/fuzz and fail `make test` from then
-# on.
+# Short fuzz passes over the graph parsers and the /query and /v1/replace
+# request decoders; crashers land in testdata/fuzz and fail `make test`
+# from then on.
 fuzz-smoke:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME)
 	$(GO) test ./cmd/ceps -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./cmd/ceps -run='^$$' -fuzz=FuzzReplaceRequest -fuzztime=$(FUZZTIME)
 
 # Chaos suite under the race detector: every fault-injection point fires
 # at least once and must surface as a typed error or a Degraded-marked

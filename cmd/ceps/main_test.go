@@ -8,7 +8,7 @@ import (
 	"ceps"
 )
 
-func testGraph(t *testing.T) *ceps.Graph {
+func testGraph(t testing.TB) *ceps.Graph {
 	t.Helper()
 	b := ceps.NewBuilder(0)
 	b.AddNode("Alice")

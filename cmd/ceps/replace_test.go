@@ -53,6 +53,59 @@ func TestDecodeReplaceRequestV1(t *testing.T) {
 	}
 }
 
+// FuzzReplaceRequest drives decodeReplaceRequestV1 with arbitrary bodies:
+// it must never panic, and any body it accepts must resolve to in-range
+// node ids, a known pool strategy, a non-negative timeout, and either both
+// blend weights or neither.
+func FuzzReplaceRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"team_q":"Alice,Bob","departing_q":"Bob","pool":"densest","top_n":3}`,
+		`{`,
+		`{"team":[0],"departing":[0]} {}`,
+		`{"team":[0,1],"departing":[1],"frogs":1}`,
+		`{"departing":[1]}`,
+		`{"team":[0,1]}`,
+		`{"team":[0,1],"team_q":"Alice","departing":[1]}`,
+		`{"team":[0,1],"departing":[1],"departing_q":"Bob"}`,
+		`{"team":[0,99],"departing":[0]}`,
+		`{"team_q":"NoSuchAuthor","departing":[0]}`,
+		`{"team":[0,1],"departing":[1],"candidates":[99]}`,
+		`{"team":[0,1],"departing":[1],"pool":"sparsest"}`,
+		`{"team":[0,1],"departing":[1],"weight_rwr":0.5}`,
+		`{"team":[0,1],"departing":[1],"timeout_ms":-1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	g := testGraph(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxQueryBody {
+			return
+		}
+		req, team, departing, err := decodeReplaceRequestV1(g, body)
+		if err != nil {
+			return
+		}
+		for _, ids := range [][]int{team, departing, req.Candidates} {
+			for _, id := range ids {
+				if id < 0 || id >= g.N() {
+					t.Fatalf("accepted body %q with node id %d outside [0,%d)", body, id, g.N())
+				}
+			}
+		}
+		switch req.Pool {
+		case "", "two_hop", "densest":
+		default:
+			t.Fatalf("accepted body %q with pool %q", body, req.Pool)
+		}
+		if req.TimeoutMS < 0 {
+			t.Fatalf("accepted body %q with timeout_ms %d", body, req.TimeoutMS)
+		}
+		if (req.WeightRWR == nil) != (req.WeightOverlap == nil) {
+			t.Fatalf("accepted body %q with only one blend weight", body)
+		}
+	})
+}
+
 // TestV1Replace: POST /v1/replace answers the documented schema, malformed
 // bodies are 400, wrong methods 405 — the same contracts as /v1/query.
 func TestV1Replace(t *testing.T) {

@@ -134,19 +134,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBlockedSolves selects the Step 1 execution strategy for multi-query
-// sets: BlockAuto (the default) fuses the Q random walks into one blocked
-// SpMM sweep whenever Q ≥ 2, BlockNever forces per-query scalar solves,
-// BlockAlways routes even single queries through the panel kernel. Blocked
-// and scalar execution are bit-identical per score vector, so the knob is
-// purely a performance choice; equivalent to setting Config.Blocked.
-func WithBlockedSolves(m BlockMode) Option {
-	return func(ec *engineConfig) error {
-		ec.cfg.Blocked = m
-		return nil
-	}
-}
-
 // WithCoalescing enables the cross-request solve coalescer: cache misses
 // from concurrent queries join a forming panel — bounded by a latency
 // budget (CoalesceOptions.MaxWait, default 1ms) and a width cap (MaxWidth,

@@ -9,7 +9,6 @@ import (
 	"ceps/internal/graph"
 	"ceps/internal/obs"
 	"ceps/internal/partition"
-	"ceps/internal/rwr"
 )
 
 // Partitioned is the one-time pre-partitioning state of Fast CePS
@@ -89,9 +88,9 @@ func (pt *Partitioned) CePSCtx(ctx context.Context, queries []int, cfg Config) (
 // union's per-source score vectors are resolved through the shared cache
 // (keyed by the partition identity and part set, so repeat queries over
 // the same communities skip their solves) and fresh solves run under the
-// shared pool's concurrency bound. A zero Serving degenerates to plain
-// CePSCtx. The degenerate-union fallback path always re-solves on the full
-// graph uncached — it is the rare path, and its solver is query-local.
+// shared pool's concurrency bound. A zero Serving is plain CePSCtx. The
+// degenerate-union fallback path always re-solves on the full graph
+// uncached — it is the rare path, and its solver is query-local.
 func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Config, sv Serving) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -113,7 +112,7 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 			return nil, err
 		}
 		partSpan.End()
-		res, err := runPipeline(ctx, pt.G, queries, cfg)
+		res, err := runPipeline(ctx, pt.G, queries, cfg, Serving{}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -130,59 +129,9 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 		obs.Int("parts", len(parts)))
 	partSpan.End()
 
-	var res *Result
-	var err error
-	if sv.enabled() {
-		solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-		solveSpan.SetAttr(obs.Str("kernel", cfg.solveKernel(len(workQueries))),
-			obs.Int("queries", len(workQueries)), obs.Int("nodes", work.N()))
-		solveStart := time.Now()
-		var solver *rwr.Solver
-		solver, err = rwr.NewSolver(work, cfg.RWR)
-		if err != nil {
-			solveSpan.SetError(err)
-			solveSpan.End()
-			return nil, err
-		}
-		// parts comes from queryUnion — the same set that induced work — so
-		// the cache key space can never drift from the union it describes.
-		space := unionSpace(cfg.RWR, pt.id, parts)
-		var R [][]float64
-		var diags []rwr.Diagnostics
-		var stats rwr.ServeStats
-		opt := cfg.serveOptions()
-		if !cfg.NoCoalesce {
-			opt.Coalesce = sv.Coalescer
-		}
-		opt.Artifacts = sv.Artifacts
-		R, diags, stats, err = solver.ScoresSetServingOptCtx(solveCtx, workQueries, sv.Cache, space, sv.Pool, opt)
-		solveDur := time.Since(solveStart)
-		if err != nil {
-			solveSpan.SetError(err)
-			solveSpan.End()
-			return nil, err
-		}
-		solveSpan.SetAttr(obs.Int("sweeps", sumSweeps(diags)),
-			obs.Int("cache_hits", stats.Hits), obs.Int("cache_misses", stats.Misses),
-			obs.Int("artifact_hits", stats.ArtifactHits))
-		if stats.CoalescedWidth > 0 {
-			solveSpan.AddEvent("coalesce_wait",
-				obs.Int("panel_width", stats.CoalescedWidth),
-				obs.F64("wait_ms", 1e3*stats.CoalesceWait.Seconds()))
-		}
-		solveSpan.End()
-		res, err = assemblePipeline(ctx, solver, work, workQueries, cfg, R, diags)
-		if err == nil {
-			res.Stages.Solve = solveDur
-			res.Stages.SolveKernel = solveKernelWithArtifacts(cfg.solveKernel(len(workQueries)), stats)
-			res.Stages.CacheHits, res.Stages.CacheMisses = stats.Hits, stats.Misses
-			res.Stages.ArtifactHits = stats.ArtifactHits
-			res.Stages.CoalescePanelWidth = stats.CoalescedWidth
-			res.Stages.CoalesceWait = stats.CoalesceWait
-		}
-	} else {
-		res, err = runPipeline(ctx, work, workQueries, cfg)
-	}
+	// parts comes from queryUnion — the same set that induced work — so the
+	// cache key space can never drift from the union it describes.
+	res, err := runPipeline(ctx, work, workQueries, cfg, sv, unionSpace(cfg.RWR, pt.id, parts))
 	if err != nil {
 		return nil, err
 	}

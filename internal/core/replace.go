@@ -21,7 +21,7 @@ import (
 //
 //   - RWR proximity: the mean random-walk-with-restart score from c to the
 //     remaining members, r(c, m). All candidates solve as ONE blocked
-//     multi-source panel through the same scoresSet funnel every other
+//     multi-source panel through the same solveStep funnel every other
 //     query type uses, so the vectors ride the score cache, the bounded
 //     solve pool, and (when enabled) the cross-request coalescer — and the
 //     answers are bit-identical with those layers on or off.
@@ -382,7 +382,23 @@ func overlapScore(g *graph.Graph, bp *bipartite.Graph, c int, departing []int) f
 // rwr.DefaultPreSolveLimit nodes refuse with ErrBadConfig — the inverse is
 // O(n²) memory and O(n³) to factor, the precompute strategy the paper
 // reserves for small graphs.
-func (r *Runner) exactScoresSet(queries []int) ([][]float64, error) {
+//
+// The read runs under its own solve span and fills st's Solve stage with
+// the kernel "exact".
+func (r *Runner) exactScoresSet(ctx context.Context, queries []int, st *StageTimings) ([][]float64, error) {
+	_, span := obs.StartSpan(ctx, "solve")
+	span.SetAttr(obs.Str("kernel", "exact"), obs.Int("queries", len(queries)), obs.Int("nodes", r.g.N()))
+	start := time.Now()
+	R, err := r.exactRows(queries)
+	st.Solve, st.SolveKernel = time.Since(start), "exact"
+	span.SetError(err)
+	span.End()
+	return R, err
+}
+
+// exactRows reads the exact panel: a bound dense-class artifact when one
+// covers it, the lazily built inverse otherwise.
+func (r *Runner) exactRows(queries []int) ([][]float64, error) {
 	if R, ok := r.exactFromArtifacts(queries); ok {
 		return R, nil
 	}
@@ -451,7 +467,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	start := time.Now()
 
-	poolCtx, poolSpan := obs.StartSpan(ctx, "replace_pool")
+	_, poolSpan := obs.StartSpan(ctx, "replace_pool")
 	poolStart := time.Now()
 	pool, strategy, err := buildReplacePool(r.g, spec, remaining)
 	poolDur := time.Since(poolStart)
@@ -462,41 +478,19 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	poolSpan.SetAttr(obs.Str("strategy", strategy.String()), obs.Int("candidates", len(pool)))
 	poolSpan.End()
-	_ = poolCtx
 
 	// Step 1: one blocked panel over the candidate batch — candidates are
 	// the walk sources, so each cached vector is reusable by any later
 	// query that walks from the same node.
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	kernel := cfg.solveKernel(len(pool))
+	stages := StageTimings{Partition: poolDur}
+	var R [][]float64
 	if spec.Exact {
-		kernel = "exact"
-	}
-	solveSpan.SetAttr(obs.Str("kernel", kernel),
-		obs.Int("queries", len(pool)), obs.Int("nodes", r.g.N()))
-	solveStart := time.Now()
-	var (
-		R     [][]float64
-		diags []rwr.Diagnostics
-		stats rwr.ServeStats
-	)
-	if spec.Exact {
-		R, err = r.exactScoresSet(pool)
+		R, err = r.exactScoresSet(ctx, pool, &stages)
 	} else {
-		R, diags, stats, err = r.scoresSet(solveCtx, pool, cfg)
+		R, _, err = solveStep(ctx, r.solver, pool, cfg, r.sv, r.space, &stages)
 	}
-	solveDur := time.Since(solveStart)
 	if err != nil {
-		solveSpan.SetError(err)
-		solveSpan.End()
 		return nil, err
-	}
-	solveSpan.SetAttr(obs.Int("sweeps", sumSweeps(diags)),
-		obs.Int("cache_hits", stats.Hits), obs.Int("cache_misses", stats.Misses),
-		obs.Int("artifact_hits", stats.ArtifactHits))
-	solveSpan.End()
-	if !spec.Exact {
-		kernel = solveKernelWithArtifacts(kernel, stats)
 	}
 
 	// Step 2: blend the two kernels and rank.
@@ -550,6 +544,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	scoreSpan.SetAttr(obs.Int("ranked", len(reps)))
 	scoreSpan.End()
+	stages.Combine = time.Since(scoreStart)
 
 	return &ReplaceResult{
 		Replacements: reps,
@@ -559,18 +554,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		PoolStrategy: strategy.String(),
 		PoolSize:     len(pool),
 		Exact:        spec.Exact,
-		Stages: StageTimings{
-			Partition:          poolDur,
-			Solve:              solveDur,
-			Combine:            time.Since(scoreStart),
-			CacheHits:          stats.Hits,
-			CacheMisses:        stats.Misses,
-			ArtifactHits:       stats.ArtifactHits,
-			SolveKernel:        kernel,
-			SolveSweeps:        sumSweeps(diags),
-			CoalescePanelWidth: stats.CoalescedWidth,
-			CoalesceWait:       stats.CoalesceWait,
-		},
-		Elapsed: time.Since(start),
+		Stages:       stages,
+		Elapsed:      time.Since(start),
 	}, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"ceps/internal/fault"
 	"ceps/internal/graph"
-	"ceps/internal/obs"
 	"ceps/internal/rwr"
 )
 
@@ -61,37 +60,6 @@ func (r *Runner) Graph() *graph.Graph { return r.g }
 // RWRConfig returns the walk configuration the cached matrix was built for.
 func (r *Runner) RWRConfig() rwr.Config { return r.rwrCfg }
 
-// scoresSet resolves Step 1 for a query set: through the serving layer
-// when one is attached, otherwise with the cfg.Workers/cfg.Blocked
-// strategy of the plain pipeline. All paths return bit-identical matrices;
-// the stats are zero on the plain path (no cache to hit).
-func (r *Runner) scoresSet(ctx context.Context, queries []int, cfg Config) ([][]float64, []rwr.Diagnostics, rwr.ServeStats, error) {
-	if r.sv.enabled() {
-		opt := cfg.serveOptions()
-		if !cfg.NoCoalesce {
-			opt.Coalesce = r.sv.Coalescer
-		}
-		opt.Artifacts = r.sv.Artifacts
-		return r.solver.ScoresSetServingOptCtx(ctx, queries, r.sv.Cache, r.space, r.sv.Pool, opt)
-	}
-	var (
-		R     [][]float64
-		diags []rwr.Diagnostics
-		err   error
-	)
-	switch {
-	case cfg.Blocked.Use(len(queries)):
-		R, diags, err = r.solver.ScoresSetBlockedCtx(ctx, queries, blockedWorkers(cfg.Workers))
-	case cfg.Workers == 0 || cfg.Workers == 1:
-		R, diags, err = r.solver.ScoresSetCtx(ctx, queries)
-	case cfg.Workers < 0:
-		R, diags, err = r.solver.ScoresSetParallelCtx(ctx, queries, 0)
-	default:
-		R, diags, err = r.solver.ScoresSetParallelCtx(ctx, queries, cfg.Workers)
-	}
-	return R, diags, rwr.ServeStats{}, err
-}
-
 // Query answers a CePS query with the cached solver. cfg.RWR must equal
 // the configuration the Runner was built with — the walk parameters are
 // baked into the cached matrix.
@@ -107,37 +75,12 @@ func (r *Runner) QueryCtx(ctx context.Context, queries []int, cfg Config) (*Resu
 		return nil, err
 	}
 	start := time.Now()
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	solveSpan.SetAttr(obs.Str("kernel", cfg.solveKernel(len(queries))),
-		obs.Int("queries", len(queries)), obs.Int("nodes", r.g.N()))
-	R, diags, stats, err := r.scoresSet(solveCtx, queries, cfg)
-	solveDur := time.Since(start)
-	if err != nil {
-		solveSpan.SetError(err)
-		solveSpan.End()
-		return nil, err
-	}
-	solveSpan.SetAttr(obs.Int("sweeps", sumSweeps(diags)),
-		obs.Int("cache_hits", stats.Hits), obs.Int("cache_misses", stats.Misses),
-		obs.Int("artifact_hits", stats.ArtifactHits))
-	if stats.CoalescedWidth > 0 {
-		solveSpan.AddEvent("coalesce_wait",
-			obs.Int("panel_width", stats.CoalescedWidth),
-			obs.F64("wait_ms", 1e3*stats.CoalesceWait.Seconds()))
-	}
-	solveSpan.End()
-	res, err := assemblePipeline(ctx, r.solver, r.g, queries, cfg, R, diags)
+	res, err := runPipelineWith(ctx, r.solver, r.g, queries, cfg, r.sv, r.space)
 	if err != nil {
 		return nil, err
 	}
 	res.Queries = append([]int(nil), queries...)
 	res.WorkQueries = append([]int(nil), queries...)
-	res.Stages.Solve = solveDur
-	res.Stages.SolveKernel = solveKernelWithArtifacts(cfg.solveKernel(len(queries)), stats)
-	res.Stages.CacheHits, res.Stages.CacheMisses = stats.Hits, stats.Misses
-	res.Stages.ArtifactHits = stats.ArtifactHits
-	res.Stages.CoalescePanelWidth = stats.CoalescedWidth
-	res.Stages.CoalesceWait = stats.CoalesceWait
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

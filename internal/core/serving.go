@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
+	"time"
 
+	"ceps/internal/obs"
 	"ceps/internal/rwr"
 )
 
 // Serving bundles the shared serving-layer state an Engine threads through
-// the query paths: the per-source score cache and the bounded solve pool.
-// The zero value disables both (plain solves, unbounded by a pool).
+// the query paths: the per-source score cache, the bounded solve pool, the
+// coalescer and the precompute tier. The zero value is the plain path:
+// every Step 1 is one blocked panel, uncached and unbounded by a pool.
 type Serving struct {
 	// Cache holds per-source RWR score vectors keyed by source node and a
 	// space fingerprint covering the walk config and work-graph identity.
@@ -27,9 +31,40 @@ type Serving struct {
 	Artifacts rwr.ArtifactReader
 }
 
-// enabled reports whether any serving state is attached.
-func (sv Serving) enabled() bool {
-	return sv.Cache != nil || sv.Pool != nil || sv.Artifacts != nil
+// solveStep runs Step 1 for a query set on solver: it opens the solve
+// span, resolves the score matrix through sv — the zero Serving is the
+// plain path, one blocked panel with no cache, pool, coalescer or
+// artifacts — and fills the Step 1 fields of st. space is the cache key
+// space of solver's graph.
+func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings) ([][]float64, []rwr.Diagnostics, error) {
+	solveCtx, span := obs.StartSpan(ctx, "solve")
+	span.SetAttr(obs.Int("queries", len(queries)), obs.Int("nodes", solver.N()))
+	opt := rwr.ServeOptions{Workers: blockedWorkers(cfg.Workers), Artifacts: sv.Artifacts}
+	if !cfg.NoCoalesce {
+		opt.Coalesce = sv.Coalescer
+	}
+	start := time.Now()
+	R, diags, stats, err := solver.ScoresSetServingCtx(solveCtx, queries, sv.Cache, space, sv.Pool, opt)
+	st.Solve = time.Since(start)
+	if err != nil {
+		span.SetError(err)
+		span.End()
+		return nil, nil, err
+	}
+	st.SolveKernel = solveKernel(stats)
+	st.SolveSweeps = sumSweeps(diags)
+	st.CacheHits, st.CacheMisses, st.ArtifactHits = stats.Hits, stats.Misses, stats.ArtifactHits
+	st.CoalescePanelWidth, st.CoalesceWait = stats.CoalescedWidth, stats.CoalesceWait
+	span.SetAttr(obs.Str("kernel", st.SolveKernel), obs.Int("sweeps", st.SolveSweeps),
+		obs.Int("cache_hits", stats.Hits), obs.Int("cache_misses", stats.Misses),
+		obs.Int("artifact_hits", stats.ArtifactHits))
+	if stats.CoalescedWidth > 0 {
+		span.AddEvent("coalesce_wait",
+			obs.Int("panel_width", stats.CoalescedWidth),
+			obs.F64("wait_ms", 1e3*stats.CoalesceWait.Seconds()))
+	}
+	span.End()
+	return R, diags, nil
 }
 
 // partitionedID hands each PrePartition-built state a unique non-zero

@@ -55,7 +55,7 @@ func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Conf
 	if err := r.check(queries, cfg); err != nil {
 		return nil, err
 	}
-	R, _, _, err := r.scoresSet(ctx, queries, cfg)
+	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, new(StageTimings))
 	if err != nil {
 		return nil, err
 	}

@@ -144,15 +144,15 @@ type FlightRecorder struct {
 	capturing  atomic.Bool
 	breakerSig chan Trigger // breaker-open hook → evaluator
 
-	histMu sync.Mutex
-	hists  []*histTrack
-	histLo int // history ring state
-	histN  int
+	histMu  sync.Mutex
+	hists   []*histTrack
+	histLo  int // history ring state
+	histN   int
 	histBuf []HistoryPoint
 
 	// edge-trigger state, owned by the evaluator goroutine
-	breached map[string]bool
-	surging  bool
+	breached  map[string]bool
+	surging   bool
 	collapsed bool
 
 	breachCtr  map[string]*Counter

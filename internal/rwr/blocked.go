@@ -11,58 +11,6 @@ import (
 	"ceps/internal/obs"
 )
 
-// BlockMode selects whether a multi-query solve runs the blocked
-// multi-source kernel (one fused SpMM sweep advancing all Q walks) or Q
-// independent per-query power iterations. The two produce bit-identical
-// score vectors; the knob only trades kernel shape, so it is safe to flip
-// on a live engine and never affects cache keys.
-type BlockMode int
-
-const (
-	// BlockAuto (the zero value) uses the blocked kernel whenever the
-	// query set has at least two members — the fused sweep streams the
-	// transition matrix once instead of Q times, which is a pure win as
-	// soon as there is more than one right-hand side.
-	BlockAuto BlockMode = iota
-	// BlockNever forces per-query scalar solves (the pre-blocking
-	// behavior; useful for A/B measurement and as an escape hatch).
-	BlockNever
-	// BlockAlways routes even single-query sets through the panel kernel
-	// (mainly for testing the blocked path at Q = 1).
-	BlockAlways
-)
-
-// Use reports whether a query set of size q should run blocked under m.
-func (m BlockMode) Use(q int) bool {
-	switch m {
-	case BlockNever:
-		return false
-	case BlockAlways:
-		return q >= 1
-	default:
-		return q >= 2
-	}
-}
-
-// Valid reports whether m is a known mode.
-func (m BlockMode) Valid() bool {
-	return m == BlockAuto || m == BlockNever || m == BlockAlways
-}
-
-// String returns a human-readable mode name.
-func (m BlockMode) String() string {
-	switch m {
-	case BlockAuto:
-		return "auto"
-	case BlockNever:
-		return "never"
-	case BlockAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("BlockMode(%d)", int(m))
-	}
-}
-
 // getVec checks an n-vector out of the solve-buffer pool, allocating when
 // the pool is empty (works for zero-value Solvers built in tests, too).
 func (s *Solver) getVec() *[]float64 {
@@ -124,7 +72,7 @@ func (s *Solver) splitsFor(workers int) []int {
 // matrix once for every query instead of once per query. workers sets the
 // intra-sweep parallelism — the sweep's rows are partitioned by cumulative
 // nonzero count and multiplied on that many goroutines (≤ 0 means
-// GOMAXPROCS, 1 is serial).
+// GOMAXPROCS, 1 is serial; a width-1 panel always sweeps serially).
 //
 // Per column the sweep performs the exact operation sequence of ScoresCtx —
 // multiply in nonzero order, scale by c, add the restart mass, max-norm
@@ -146,6 +94,11 @@ func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if len(queries) == 1 {
+		// A single column is the one shape where row-parallel sweeps lose
+		// to a serial one (BENCH_rwr.json: 0.84x of scalar on 8 workers).
+		workers = 1
 	}
 	splits := s.splitsFor(workers)
 	nq := len(queries)

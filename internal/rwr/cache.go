@@ -274,8 +274,12 @@ func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Di
 // and counted as a stale drop — when a Purge bumped the generation after
 // the flight started: the purge's caller (Reconfigure, SetPartitioned)
 // has already retired this flight's key space, so storing would only park
-// unreadable vectors against the byte budget until LRU eviction.
+// unreadable vectors against the byte budget until LRU eviction. A nil
+// cache has no flights, so finishing on it is a no-op.
 func (c *ScoreCache) finish(space uint64, source int, fl *flight, vec []float64, diag Diagnostics, err error) {
+	if c == nil {
+		return
+	}
 	key := cacheKey{space: space, source: source}
 	if err == nil {
 		stored := make([]float64, len(vec))
@@ -336,74 +340,36 @@ func contextual(err error) bool {
 		errors.Is(err, fault.ErrCanceled) || errors.Is(err, fault.ErrDeadlineExceeded)
 }
 
-// serveOne resolves one source's score vector through the serving layer:
-// cache hit, join of an in-flight solve, a precompute-tier row read, or a
-// fresh pool-bounded solve (stored on success). cache may be nil (consult
-// artifacts, else solve), pool may be nil (unbounded), and art may be nil
-// (no precompute tier). src reports how the vector was obtained.
-func (s *Solver) serveOne(ctx context.Context, cache *ScoreCache, space uint64, q int, pool *Pool, art ArtifactReader) (vec []float64, diag Diagnostics, src serveSource, err error) {
-	if cache == nil {
-		if vec, ok := s.readArtifact(art, space, q); ok {
-			return vec, artifactDiag(), srcArtifact, nil
-		}
-		vec, diag, err = s.solvePooled(ctx, q, pool)
-		return vec, diag, srcSolved, err
+// wait blocks until the flight finishes or ctx fires and returns a private
+// copy of the leader's vector. retry reports a leader that failed on its
+// own context while ctx is still alive: the caller should resolve the
+// source again (and will likely lead the next flight).
+func (fl *flight) wait(ctx context.Context) (vec []float64, diag Diagnostics, retry bool, err error) {
+	select {
+	case <-fl.done:
+	case <-ctx.Done():
+		return nil, Diagnostics{}, false, fault.FromContext(ctx)
 	}
-	for {
-		vec, diag, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
-			return vec, diag, srcCached, nil
-		}
-		if leader {
-			// The artifact tier sits between the cache and the solver: a
-			// covered source is one row read, finished into the flight so
-			// followers inherit it and the LRU stores it like any solve.
-			if vec, ok := s.readArtifact(art, space, q); ok {
-				cache.finish(space, q, fl, vec, artifactDiag(), nil)
-				return vec, artifactDiag(), srcArtifact, nil
-			}
-			vec, diag, err := s.solvePooled(ctx, q, pool)
-			cache.finish(space, q, fl, vec, diag, err)
-			return vec, diag, srcSolved, err
-		}
-		select {
-		case <-fl.done:
-			if fl.err == nil {
-				out := make([]float64, len(fl.vec))
-				copy(out, fl.vec)
-				return out, fl.diag, srcCached, nil
-			}
-			if !contextual(fl.err) {
-				return nil, Diagnostics{}, srcSolved, fl.err
-			}
-			if err := fault.FromContext(ctx); err != nil {
-				return nil, Diagnostics{}, srcSolved, err
-			}
-			// The leader's context died but ours is alive: retry (and
-			// likely become the new leader).
-		case <-ctx.Done():
-			return nil, Diagnostics{}, srcSolved, fault.FromContext(ctx)
-		}
+	switch {
+	case fl.err == nil:
+		out := make([]float64, len(fl.vec))
+		copy(out, fl.vec)
+		return out, fl.diag, false, nil
+	case !contextual(fl.err):
+		return nil, Diagnostics{}, false, fl.err
 	}
-}
-
-// solvePooled runs one solve under the pool's concurrency bound. The slot
-// is held only for the duration of the sweeps.
-func (s *Solver) solvePooled(ctx context.Context, q int, pool *Pool) ([]float64, Diagnostics, error) {
-	if pool != nil {
-		if err := pool.acquire(ctx); err != nil {
-			return nil, Diagnostics{}, err
-		}
-		defer pool.release()
+	if err := fault.FromContext(ctx); err != nil {
+		return nil, Diagnostics{}, false, err
 	}
-	return s.ScoresCtx(ctx, q)
+	return nil, Diagnostics{}, true, nil
 }
 
 // ServeStats reports how one serving-layer call resolved its sources:
 // Hits were served from a stored vector or a joined in-flight solve,
-// Misses required a fresh solve by this caller. Hits+Misses equals the
-// query-set size on success. Unlike CacheStats these are per-call, which
-// is what per-query stage accounting (Result.Stages) reports.
+// Misses were led by this caller (without a cache, every source is a
+// miss). Hits+Misses equals the query-set size on success. Unlike
+// CacheStats these are per-call, which is what per-query stage accounting
+// (Result.Stages) reports.
 type ServeStats struct {
 	Hits, Misses int
 	// ArtifactHits counts the Misses (they are a subset — the cache did
@@ -419,82 +385,66 @@ type ServeStats struct {
 	CoalesceWait time.Duration
 }
 
-// serveSource says how one source's vector was obtained.
-type serveSource int
-
-const (
-	// srcSolved: a fresh iterative solve ran for this caller.
-	srcSolved serveSource = iota
-	// srcCached: a stored vector or another caller's flight served it.
-	srcCached
-	// srcArtifact: a precompute-tier row read served it (counted as a
-	// cache miss plus an artifact hit).
-	srcArtifact
-)
-
-// count folds one resolved source into the per-call stats.
-func (stats *ServeStats) count(src serveSource) {
-	switch src {
-	case srcCached:
-		stats.Hits++
-	case srcArtifact:
-		stats.Misses++
-		stats.ArtifactHits++
-	default:
-		stats.Misses++
-	}
+// add folds the stats of a nested serving call into st.
+func (st *ServeStats) add(o ServeStats) {
+	st.Hits += o.Hits
+	st.Misses += o.Misses
+	st.ArtifactHits += o.ArtifactHits
+	st.CoalescedWidth = max(st.CoalescedWidth, o.CoalescedWidth)
+	st.CoalesceWait = max(st.CoalesceWait, o.CoalesceWait)
 }
 
-// ServeOptions selects the execution strategy of a serving-layer solve.
-// The zero value reproduces the historical behavior (per-query scalar
-// solves). Because blocked and scalar execution are bit-identical, the
-// options never influence cache keys — a vector solved blocked serves a
-// scalar request and vice versa.
+// ServeOptions are the per-call attachments of a serving-layer solve; the
+// zero value solves every miss as one blocked panel. Because the blocked
+// kernel is bit-identical to per-query solves and artifact rows are
+// trusted solutions, the options never influence cache keys or answers —
+// only scheduling.
 type ServeOptions struct {
-	// Blocked selects blocked vs per-query execution (see BlockMode),
-	// tested against the query-set size; the resulting miss set — however
-	// small — is then solved with one blocked kernel call.
-	Blocked BlockMode
-	// Workers bounds the intra-sweep row-parallelism of a blocked solve
-	// (≤ 0 means GOMAXPROCS). Scalar execution ignores it.
+	// Workers bounds the intra-sweep row-parallelism of the blocked panel
+	// (≤ 0 means GOMAXPROCS; a width-1 panel always sweeps serially).
 	Workers int
-	// Coalesce, when non-nil, routes this call's cache misses through a
-	// shared cross-request coalescer: misses join a forming panel (possibly
-	// alongside other callers' misses for the same key space) instead of
-	// solving directly. Requires a cache; ignored without one. Because
-	// panel solves are bit-identical to scalar solves, coalescing never
-	// influences cache keys or answers — only scheduling.
+	// Coalesce, when non-nil, routes this call's misses through a shared
+	// cross-request coalescer: they join a forming panel, possibly
+	// alongside other callers' misses for the same key space, instead of
+	// solving directly. Requires a cache (the fan-out rides the
+	// single-flight entries); ignored without one.
 	Coalesce *Coalescer
-	// Artifacts, when non-nil, is consulted for every cache miss this call
-	// leads, between the cache and the solver: a covered source becomes
-	// one row read (stored into the cache like a solved vector would be)
-	// instead of an iterative solve. Artifact rows are bit-identical to
-	// iterative solves for panel-class artifacts and within documented
-	// tolerance (~1e-9, the solver's own convergence tolerance) for
-	// dense-inverse ones, so artifacts never influence cache keys.
+	// Artifacts, when non-nil, is consulted for every miss this call leads,
+	// between the cache and the solver: a covered source becomes one row
+	// read (stored into the cache like a solved vector would be) instead of
+	// an iterative solve. Artifact rows are bit-identical to iterative
+	// solves for panel-class artifacts and within documented tolerance
+	// (~1e-9, the solver's own convergence tolerance) for dense-inverse
+	// ones.
 	Artifacts ArtifactReader
 }
 
-// ScoresSetServingCtx computes the score matrix for a query set through
-// the serving layer: sources already cached under space are returned
-// without solving, concurrent requests for the same missing source share
-// one solve, and fresh solves for distinct sources run concurrently under
-// the pool's bound. The result is bit-identical to ScoresSetCtx — power
-// iteration is deterministic, and cached vectors are exact copies of what
-// a fresh solve returns.
-func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool) ([][]float64, []Diagnostics, ServeStats, error) {
-	return s.ScoresSetServingOptCtx(ctx, queries, cache, space, pool, ServeOptions{Blocked: BlockNever})
+// pendingFlight is one source a serving call must resolve beyond a cache
+// hit: its position in the query set, the source id, and the flight this
+// caller leads or follows (nil without a cache).
+type pendingFlight struct {
+	idx int
+	q   int
+	fl  *flight
 }
 
-// ScoresSetServingOptCtx is ScoresSetServingCtx with an execution-strategy
-// choice. When opt selects blocked execution, the call first triages every
-// source against the cache, then solves the whole miss set with one
-// ScoresSetBlockedCtx call under a single pool slot — the fused sweep
-// streams the transition matrix once for all cold sources instead of once
-// per source — registering each miss as a flight leader so concurrent
-// requests for the same sources still share the work. Followers and hits
-// behave exactly as in the scalar path.
-func (s *Solver) ScoresSetServingOptCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
+// ScoresSetServingCtx computes the score matrix for a query set through
+// the serving layer, in four steps:
+//
+//  1. Triage each source once: a cached vector is a hit, the first
+//     requester of a missing source leads its flight, and concurrent
+//     requesters follow it. Without a cache every source leads.
+//  2. Each leader the artifact tier covers is answered with a row read.
+//  3. The remaining leaders solve as one blocked panel: through the
+//     coalescer when one is attached, otherwise under one pool slot.
+//  4. Followers wait for their flights. A follower whose leader failed on
+//     its own context, while ours is alive, resolves its source again
+//     through this function.
+//
+// pool may be nil (unbounded). The result is bit-identical to
+// ScoresSetCtx: the blocked kernel is column-wise identical to ScoresCtx,
+// and cached vectors are exact copies of what a fresh solve returns.
+func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
 	var stats ServeStats
 	if len(queries) == 0 {
 		return nil, nil, stats, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
@@ -511,207 +461,138 @@ func (s *Solver) ScoresSetServingOptCtx(ctx context.Context, queries []int, cach
 			}
 		}
 	}
-	if opt.Coalesce != nil && cache != nil {
-		return s.scoresSetServingCoalesced(ctx, queries, cache, space, pool, opt)
-	}
-	if opt.Blocked.Use(len(queries)) {
-		return s.scoresSetServingBlocked(ctx, queries, cache, space, pool, opt)
-	}
-	return s.scoresSetServingScalar(ctx, queries, cache, space, pool, opt.Artifacts)
-}
-
-// scoresSetServingCoalesced is the coalesced miss path: hits and followers
-// behave exactly as in the blocked path, but every miss this call leads is
-// handed to the shared coalescer, where it may ride one blocked panel with
-// misses from concurrent callers. Queries are pre-validated by the caller.
-func (s *Solver) scoresSetServingCoalesced(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
 	R := make([][]float64, len(queries))
 	diags := make([]Diagnostics, len(queries))
+
 	var leaders, followers []pendingFlight
 	for i, q := range queries {
-		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
-			R[i], diags[i] = vec, d
-			stats.Hits++
+		if cache == nil {
+			leaders = append(leaders, pendingFlight{idx: i, q: q})
 			continue
 		}
-		if leader {
+		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
+		switch {
+		case ok:
+			R[i], diags[i] = vec, d
+			stats.Hits++
+		case leader:
 			leaders = append(leaders, pendingFlight{i, q, fl})
-		} else {
+		default:
 			followers = append(followers, pendingFlight{i, q, fl})
 		}
 	}
-	leaders = s.serveLeadersFromArtifacts(cache, space, opt.Artifacts, leaders, R, diags, &stats)
-	var firstErr error
-	if len(leaders) > 0 {
-		entries := make([]panelEntry, len(leaders))
-		for k, p := range leaders {
-			entries[k] = panelEntry{q: p.q, fl: p.fl}
-		}
-		panels := opt.Coalesce.enqueue(s, cache, space, pool, opt.Workers, entries)
-		for k, p := range leaders {
-			if firstErr != nil {
-				// Still release our liveness reference: the panel either
-				// solves for its remaining waiters or aborts cleanly, and
-				// its flights are finished by the panel goroutine either
-				// way — unlike the blocked path, nothing is orphaned here.
-				panels[k].leave()
-				continue
-			}
-			vec, d, err := opt.Coalesce.wait(ctx, panels[k], p.fl)
-			if err != nil && contextual(err) && fault.ShedReason(err) == "" {
-				if ctxErr := fault.FromContext(ctx); ctxErr != nil {
-					err = ctxErr
-				} else {
-					// The panel was abandoned or canceled by other waiters
-					// while our context is alive: solve solo, uncoalesced.
-					vec, d, _, err = s.serveOne(ctx, cache, space, p.q, pool, opt.Artifacts)
-				}
-			}
-			if err != nil {
-				firstErr = err
-				continue
-			}
-			R[p.idx], diags[p.idx] = vec, d
-			stats.Misses++
-			panels[k].noteStats(&stats)
-		}
-	}
-	if firstErr != nil {
-		return nil, nil, stats, firstErr
-	}
-	for _, p := range followers {
-		vec, d, src, err := s.awaitFlight(ctx, cache, space, p.q, p.fl, pool, opt.Artifacts)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		R[p.idx], diags[p.idx] = vec, d
-		stats.count(src)
-	}
-	return R, diags, stats, nil
-}
+	stats.Misses = len(leaders)
 
-// scoresSetServingBlocked is the blocked miss path of the serving layer.
-// Queries are pre-validated by the caller.
-func (s *Solver) scoresSetServingBlocked(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
-	if cache == nil {
-		R := make([][]float64, len(queries))
-		diags := make([]Diagnostics, len(queries))
-		var missIdx []int
-		for i, q := range queries {
-			if vec, ok := s.readArtifact(opt.Artifacts, space, q); ok {
-				R[i], diags[i] = vec, artifactDiag()
-				stats.ArtifactHits++
-				continue
-			}
-			missIdx = append(missIdx, i)
-		}
-		stats.Misses = len(queries)
-		if len(missIdx) > 0 {
-			missQ := make([]int, len(missIdx))
-			for k, i := range missIdx {
-				missQ[k] = queries[i]
-			}
-			mR, mD, err := s.blockedPooled(ctx, missQ, opt.Workers, pool)
-			if err != nil {
-				return nil, nil, stats, err
-			}
-			for k, i := range missIdx {
-				R[i], diags[i] = mR[k], mD[k]
-			}
-		}
-		return R, diags, stats, nil
-	}
-	R := make([][]float64, len(queries))
-	diags := make([]Diagnostics, len(queries))
-	var leaders, followers []pendingFlight
-	for i, q := range queries {
-		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
-		if ok {
-			R[i], diags[i] = vec, d
-			stats.Hits++
-			continue
-		}
-		if leader {
-			leaders = append(leaders, pendingFlight{i, q, fl})
-		} else {
-			followers = append(followers, pendingFlight{i, q, fl})
-		}
-	}
-	leaders = s.serveLeadersFromArtifacts(cache, space, opt.Artifacts, leaders, R, diags, &stats)
-	if len(leaders) > 0 {
-		missQ := make([]int, len(leaders))
-		for k, p := range leaders {
-			missQ[k] = p.q
-		}
-		mR, mD, err := s.blockedPooled(ctx, missQ, opt.Workers, pool)
-		if err != nil {
-			// Every registered flight must be finished, or concurrent
-			// followers of these sources would wait forever.
-			for _, p := range leaders {
-				cache.finish(space, p.q, p.fl, nil, Diagnostics{}, err)
-			}
-			return nil, nil, stats, err
-		}
-		for k, p := range leaders {
-			cache.finish(space, p.q, p.fl, mR[k], mD[k], nil)
-			R[p.idx], diags[p.idx] = mR[k], mD[k]
-			stats.Misses++
-		}
-	}
-	// Our own leaders' flights are finished above, so followers of flights
-	// from this very call never deadlock; followers of external leaders
-	// inherit serveOne's wait-and-retry semantics.
-	for _, p := range followers {
-		vec, d, src, err := s.awaitFlight(ctx, cache, space, p.q, p.fl, pool, opt.Artifacts)
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		R[p.idx], diags[p.idx] = vec, d
-		stats.count(src)
-	}
-	return R, diags, stats, nil
-}
-
-// pendingFlight is one triaged source awaiting resolution in a batch
-// serving path: its position in the query set, the source id, and the
-// flight this caller leads or follows.
-type pendingFlight struct {
-	idx int
-	q   int
-	fl  *flight
-}
-
-// serveLeadersFromArtifacts is the precompute-tier consultation for a
-// batch of flight leaders, run after cache triage and before the
-// iterative solve: each covered source becomes one row read, finished
-// into its flight (so followers inherit it and the LRU stores it exactly
-// as it would a solved vector) and recorded in R/diags/stats. The leaders
-// the tier could not serve are returned for the solve.
-func (s *Solver) serveLeadersFromArtifacts(cache *ScoreCache, space uint64, art ArtifactReader, leaders []pendingFlight, R [][]float64, diags []Diagnostics, stats *ServeStats) []pendingFlight {
-	if art == nil || len(leaders) == 0 {
-		return leaders
-	}
-	kept := leaders[:0]
+	// A covered leader is finished into its flight, so followers inherit
+	// the row and the LRU stores it exactly as it would a solved vector.
+	unsolved := leaders[:0]
 	for _, p := range leaders {
-		vec, ok := s.readArtifact(art, space, p.q)
+		vec, ok := s.readArtifact(opt.Artifacts, space, p.q)
 		if !ok {
-			kept = append(kept, p)
+			unsolved = append(unsolved, p)
 			continue
 		}
 		cache.finish(space, p.q, p.fl, vec, artifactDiag(), nil)
 		R[p.idx], diags[p.idx] = vec, artifactDiag()
-		stats.count(srcArtifact)
+		stats.ArtifactHits++
 	}
-	return kept
+
+	if len(unsolved) > 0 {
+		var err error
+		if opt.Coalesce != nil && cache != nil {
+			err = s.solveCoalesced(ctx, unsolved, cache, space, pool, opt, R, diags, &stats)
+		} else {
+			err = s.solvePanel(ctx, unsolved, cache, space, pool, opt.Workers, R, diags)
+		}
+		if err != nil {
+			return nil, nil, stats, err
+		}
+	}
+
+	// Our own flights are finished above, so a follower of a source this
+	// very call leads (a duplicate in the query set) never deadlocks.
+	for _, p := range followers {
+		vec, d, retry, err := p.fl.wait(ctx)
+		if retry {
+			var again ServeStats
+			vec, d, again, err = s.resolveOne(ctx, p.q, cache, space, pool, opt)
+			stats.add(again)
+		} else if err == nil {
+			stats.Hits++
+		}
+		if err != nil {
+			return nil, nil, stats, err
+		}
+		R[p.idx], diags[p.idx] = vec, d
+	}
+	return R, diags, stats, nil
+}
+
+// resolveOne re-enters the serving path for a single source whose leader
+// failed on its own context.
+func (s *Solver) resolveOne(ctx context.Context, q int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([]float64, Diagnostics, ServeStats, error) {
+	R, diags, stats, err := s.ScoresSetServingCtx(ctx, []int{q}, cache, space, pool, opt)
+	if err != nil {
+		return nil, Diagnostics{}, stats, err
+	}
+	return R[0], diags[0], stats, nil
+}
+
+// solvePanel solves leaders as one blocked panel under a single pool slot
+// — the fused sweep streams the transition matrix once for every cold
+// source instead of once per source — and finishes their flights. Every
+// flight is finished even when the solve fails, or concurrent followers of
+// these sources would wait forever.
+func (s *Solver) solvePanel(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, workers int, R [][]float64, diags []Diagnostics) error {
+	queries := make([]int, len(leaders))
+	for k, p := range leaders {
+		queries[k] = p.q
+	}
+	mR, mD, err := s.blockedPooled(ctx, queries, workers, pool)
+	for k, p := range leaders {
+		if err != nil {
+			cache.finish(space, p.q, p.fl, nil, Diagnostics{}, err)
+			continue
+		}
+		cache.finish(space, p.q, p.fl, mR[k], mD[k], nil)
+		R[p.idx], diags[p.idx] = mR[k], mD[k]
+	}
+	return err
+}
+
+// solveCoalesced hands leaders to the shared coalescer, where they may
+// ride one blocked panel with misses from concurrent callers, and waits
+// for their columns. The panel goroutine finishes every flight.
+func (s *Solver) solveCoalesced(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions, R [][]float64, diags []Diagnostics, stats *ServeStats) error {
+	entries := make([]panelEntry, len(leaders))
+	for k, p := range leaders {
+		entries[k] = panelEntry{q: p.q, fl: p.fl}
+	}
+	panels := opt.Coalesce.enqueue(s, cache, space, pool, opt.Workers, entries)
+	for k, p := range leaders {
+		vec, d, retry, err := opt.Coalesce.wait(ctx, panels[k], p.fl)
+		if retry {
+			vec, d, _, err = s.resolveOne(ctx, p.q, cache, space, pool, opt)
+		} else if err == nil {
+			panels[k].noteStats(stats)
+		}
+		if err != nil {
+			// Release the remaining liveness references: each panel still
+			// solves for its other waiters or aborts, and finishes its
+			// flights either way, so nothing is orphaned.
+			for _, rest := range panels[k+1:] {
+				rest.leave()
+			}
+			return err
+		}
+		R[p.idx], diags[p.idx] = vec, d
+	}
+	return nil
 }
 
 // blockedPooled runs one blocked multi-source solve under a single pool
-// slot: the whole miss set is one kernel invocation whose intra-sweep
-// parallelism is bounded by workers, so it occupies one slot the way one
-// scalar solve does.
+// slot: the whole panel is one kernel invocation whose intra-sweep
+// parallelism is bounded by workers, so it occupies one slot.
 func (s *Solver) blockedPooled(ctx context.Context, queries []int, workers int, pool *Pool) ([][]float64, []Diagnostics, error) {
 	if pool != nil {
 		if err := pool.acquire(ctx); err != nil {
@@ -720,70 +601,4 @@ func (s *Solver) blockedPooled(ctx context.Context, queries []int, workers int, 
 		defer pool.release()
 	}
 	return s.ScoresSetBlockedCtx(ctx, queries, workers)
-}
-
-// awaitFlight waits out another caller's flight for (space, q), with the
-// same semantics as serveOne's follower branch: inherit the result, or on
-// a contextual leader failure with a live context, re-enter the serving
-// path (and possibly become the new leader).
-func (s *Solver) awaitFlight(ctx context.Context, cache *ScoreCache, space uint64, q int, fl *flight, pool *Pool, art ArtifactReader) (vec []float64, diag Diagnostics, src serveSource, err error) {
-	select {
-	case <-fl.done:
-		if fl.err == nil {
-			out := make([]float64, len(fl.vec))
-			copy(out, fl.vec)
-			return out, fl.diag, srcCached, nil
-		}
-		if !contextual(fl.err) {
-			return nil, Diagnostics{}, srcSolved, fl.err
-		}
-		if err := fault.FromContext(ctx); err != nil {
-			return nil, Diagnostics{}, srcSolved, err
-		}
-		return s.serveOne(ctx, cache, space, q, pool, art)
-	case <-ctx.Done():
-		return nil, Diagnostics{}, srcSolved, fault.FromContext(ctx)
-	}
-}
-
-// scoresSetServingScalar is the historical per-query serving path. Queries
-// are pre-validated by the caller.
-func (s *Solver) scoresSetServingScalar(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, art ArtifactReader) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
-	R := make([][]float64, len(queries))
-	diags := make([]Diagnostics, len(queries))
-	if len(queries) == 1 || pool == nil || pool.Size() == 1 {
-		for i, q := range queries {
-			r, d, src, err := s.serveOne(ctx, cache, space, q, pool, art)
-			if err != nil {
-				return nil, nil, stats, err
-			}
-			R[i], diags[i] = r, d
-			stats.count(src)
-		}
-		return R, diags, stats, nil
-	}
-	errs := make([]error, len(queries))
-	srcs := make([]serveSource, len(queries))
-	var wg sync.WaitGroup
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i, q int) {
-			defer wg.Done()
-			R[i], diags[i], srcs[i], errs[i] = s.serveOne(ctx, cache, space, q, pool, art)
-		}(i, q)
-	}
-	wg.Wait()
-	if err := fault.FromContext(ctx); err != nil {
-		return nil, nil, stats, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, stats, err
-		}
-	}
-	for _, src := range srcs {
-		stats.count(src)
-	}
-	return R, diags, stats, nil
 }

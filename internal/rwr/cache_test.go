@@ -2,6 +2,7 @@ package rwr
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -70,7 +71,7 @@ func TestServingBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, diags, _, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(4))
+		got, diags, _, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(4), ServeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +101,13 @@ func TestServingReturnsPrivateCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewScoreCache(1 << 20)
-	first, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil)
+	first, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first[0][5]
 	first[0][5] = math.Inf(1) // caller scribbles on its result
-	second, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil)
+	second, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +130,11 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []int{2, 9, 30, 2} {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil); err != nil {
+		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{2}, cache, 1, nil)
+	got, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{2}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCacheZeroBudgetAlwaysMisses(t *testing.T) {
 	}
 	cache := NewScoreCache(0)
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, 1, nil); err != nil {
+		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +207,7 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{7}, cache, 9, pool)
+			R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{7}, cache, 9, pool, ServeOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -257,7 +258,7 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		_, _, _, leaderErr = s.ScoresSetServingCtx(leaderCtx, []int{3}, cache, 1, nil)
+		_, _, _, leaderErr = s.ScoresSetServingCtx(leaderCtx, []int{3}, cache, 1, nil, ServeOptions{})
 	}()
 	<-started
 	cancelLeader()
@@ -267,7 +268,7 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 		// follower below must succeed.
 		t.Log("leader finished before cancel")
 	}
-	R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{3}, cache, 1, nil)
+	R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{3}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatalf("follower failed after leader cancel: %v", err)
 	}
@@ -399,5 +400,122 @@ func TestPurgeBetweenFlightsNoDeadSpace(t *testing.T) {
 	cache.finish(9, 0, fl, make([]float64, 64), Diagnostics{}, nil)
 	if st := cache.Stats(); st.Entries != 1 || st.BytesUsed == 0 {
 		t.Fatalf("fresh store after purge failed: %+v", st)
+	}
+}
+
+// TestServingResolverTable pins ScoresSetServingCtx against the scalar
+// reference over every combination of its attachments — cache, coalescer,
+// artifact tier, pool — for query sets of 1, 3 and 8 sources (the larger
+// two with a duplicate), under all three normalizations with and without
+// early stopping. Every answer and its Diagnostics must be Float64bits-equal
+// to ScoresSetCtx (artifact-served sources carry the tier's converged,
+// zero-sweep diagnostics instead), the per-call stats must account for
+// every source, and with a cache a repeat call must be all hits.
+func TestServingResolverTable(t *testing.T) {
+	g := randomGraph(t, 60, 150, 91)
+	const space = uint64(77)
+	covered := map[int]bool{17: true, 9: true, 30: true}
+	sets := [][]int{{17}, {5, 17, 5}, {3, 9, 21, 40, 9, 12, 30, 44}}
+	ctx := context.Background()
+
+	for _, norm := range []NormKind{NormColumn, NormDegreePenalized, NormSymmetric} {
+		for _, tol := range []float64{0, 1e-6} {
+			s, err := NewSolver(g, Config{C: 0.5, Iterations: 40, Norm: norm, Alpha: 0.5, Tol: tol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fa := newFakeArtifacts(t, s, space, []int{17, 9, 30})
+			for _, withCache := range []bool{false, true} {
+				for _, withCoalescer := range []bool{false, true} {
+					for _, withArtifacts := range []bool{false, true} {
+						for _, poolSize := range []int{0, 1, 4} {
+							for _, queries := range sets {
+								name := fmt.Sprintf("norm=%v tol=%g cache=%v coalesce=%v artifacts=%v pool=%d Q=%d",
+									norm, tol, withCache, withCoalescer, withArtifacts, poolSize, len(queries))
+								var cache *ScoreCache
+								if withCache {
+									cache = NewScoreCache(1 << 20)
+								}
+								var pool *Pool
+								if poolSize > 0 {
+									pool = NewPool(poolSize)
+								}
+								opt := ServeOptions{Workers: 2}
+								if withCoalescer {
+									opt.Coalesce = NewCoalescer(CoalesceOptions{})
+								}
+								artifactServed := func(q int) bool { return false }
+								if withArtifacts {
+									opt.Artifacts = fa
+									artifactServed = func(q int) bool { return covered[q] }
+								}
+								wantR, wantD, err := s.ScoresSetCtx(ctx, queries)
+								if err != nil {
+									t.Fatal(err)
+								}
+								check := func(round string, R [][]float64, D []Diagnostics) {
+									t.Helper()
+									for i, q := range queries {
+										for j := range wantR[i] {
+											if math.Float64bits(R[i][j]) != math.Float64bits(wantR[i][j]) {
+												t.Fatalf("%s %s: source %d node %d: %v != %v", name, round, q, j, R[i][j], wantR[i][j])
+											}
+										}
+										want := wantD[i]
+										if artifactServed(q) {
+											want = artifactDiag()
+										}
+										if D[i].Sweeps != want.Sweeps || D[i].Converged != want.Converged ||
+											math.Float64bits(D[i].Residual) != math.Float64bits(want.Residual) {
+											t.Fatalf("%s %s: source %d diagnostics %+v != %+v", name, round, q, D[i], want)
+										}
+									}
+								}
+
+								R, D, st, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								check("cold", R, D)
+								// Without a cache every source leads; with one,
+								// a duplicate follows its own call's flight.
+								wantMisses, wantArtifacts := 0, 0
+								seen := map[int]bool{}
+								for _, q := range queries {
+									if withCache && seen[q] {
+										continue
+									}
+									seen[q] = true
+									wantMisses++
+									if artifactServed(q) {
+										wantArtifacts++
+									}
+								}
+								if st.Hits+st.Misses != len(queries) || st.Misses != wantMisses ||
+									st.ArtifactHits != wantArtifacts || st.ArtifactHits > st.Misses {
+									t.Fatalf("%s: cold stats %+v, want %d misses with %d artifact hits over %d queries",
+										name, st, wantMisses, wantArtifacts, len(queries))
+								}
+								if !withCache {
+									continue
+								}
+								reads := fa.reads.Load()
+								R, D, st, err = s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+								if err != nil {
+									t.Fatalf("%s repeat: %v", name, err)
+								}
+								check("repeat", R, D)
+								if st.Hits != len(queries) || st.Misses != 0 || st.ArtifactHits != 0 {
+									t.Fatalf("%s: repeat stats %+v, want all %d hits", name, st, len(queries))
+								}
+								if fa.reads.Load() != reads {
+									t.Fatalf("%s: repeat consulted the artifact tier despite cached vectors", name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

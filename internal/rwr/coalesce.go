@@ -204,33 +204,27 @@ func (co *Coalescer) enqueue(s *Solver, cache *ScoreCache, space uint64, pool *P
 }
 
 // wait blocks until the panel's solve resolves the waiter's flight or the
-// waiter's own context fires. A context death while the panel is still
-// forming is classified as a coalesce_wait shed (ErrOverloaded wrapping the
-// context identity) — the request died queueing for a shared solve, which
-// is load; a death after the solve launched propagates as the plain context
-// error, exactly as an uncoalesced solve would. Either way the waiter's
-// liveness reference is released; when the last waiter leaves, the panel is
-// canceled (see leave).
-func (co *Coalescer) wait(ctx context.Context, p *cpanel, fl *flight) ([]float64, Diagnostics, error) {
+// waiter's own context fires, with flight.wait's retry contract. A context
+// death while the panel is still forming is classified as a coalesce_wait
+// shed (ErrOverloaded wrapping the context identity) — the request died
+// queueing for a shared solve, which is load; a death after the solve
+// launched propagates as the plain context error, exactly as an uncoalesced
+// solve would. Either way the waiter's liveness reference is released; when
+// the last waiter leaves, the panel is canceled (see leave).
+func (co *Coalescer) wait(ctx context.Context, p *cpanel, fl *flight) ([]float64, Diagnostics, bool, error) {
 	defer p.leave()
-	select {
-	case <-fl.done:
-		if fl.err != nil {
-			return nil, Diagnostics{}, fl.err
-		}
-		out := make([]float64, len(fl.vec))
-		copy(out, fl.vec)
-		return out, fl.diag, nil
-	case <-ctx.Done():
-		cause := fault.FromContext(ctx)
+	vec, diag, retry, err := fl.wait(ctx)
+	if err != nil {
+		// A panel seals before it finishes any flight, so an error while it
+		// is still forming can only be the waiter's own context.
 		co.mu.Lock()
 		forming := !p.sealed
 		co.mu.Unlock()
 		if forming {
-			return nil, Diagnostics{}, fault.Overload("coalesce_wait", 0, cause)
+			return nil, Diagnostics{}, false, fault.Overload("coalesce_wait", 0, err)
 		}
-		return nil, Diagnostics{}, cause
 	}
+	return vec, diag, retry, err
 }
 
 // leave releases one waiter's interest in the panel. The last leaver

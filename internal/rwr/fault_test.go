@@ -3,7 +3,6 @@ package rwr
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -145,65 +144,5 @@ func TestDiagnosticsConvergedVerdict(t *testing.T) {
 	}
 	if diag.Sweeps >= 500 || !diag.Converged {
 		t.Errorf("Tol run: %d sweeps, converged %v; want early stop with Converged", diag.Sweeps, diag.Converged)
-	}
-}
-
-// TestScoresSetParallelCtxCancelNoLeak cancels a parallel score-set solve
-// mid-flight and checks (a) the call reports cancellation and (b) every
-// worker goroutine exits — cancellation must not leak goroutines.
-func TestScoresSetParallelCtxCancelNoLeak(t *testing.T) {
-	g := randomGraph(t, 1000, 2000, 4)
-	cfg := DefaultConfig()
-	cfg.Iterations = 1 << 30
-	s, err := NewSolver(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]int, 64)
-	for i := range queries {
-		queries[i] = i
-	}
-	before := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	timer := time.AfterFunc(10*time.Millisecond, cancel)
-	defer timer.Stop()
-	defer cancel()
-	_, _, err = s.ScoresSetParallelCtx(ctx, queries, 4)
-	if !errors.Is(err, fault.ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
-	}
-
-	// The call joins its workers before returning, so the count should be
-	// back immediately; allow a short settle for unrelated runtime noise.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after cancellation", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestScoresSetParallelCtxPreCanceled: a context canceled before the call
-// must fail fast without computing anything.
-func TestScoresSetParallelCtxPreCanceled(t *testing.T) {
-	g := randomGraph(t, 100, 100, 5)
-	s, err := NewSolver(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	_, _, err = s.ScoresSetParallelCtx(ctx, []int{0, 1, 2, 3, 4, 5, 6, 7}, 4)
-	if !errors.Is(err, fault.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("pre-canceled call took %v", elapsed)
 	}
 }

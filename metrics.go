@@ -27,7 +27,7 @@ import (
 //	ceps_slow_queries_total
 //	ceps_panics_recovered_total
 //	ceps_workers                                     (gauge)
-//	ceps_solves_total{kernel="blocked"|"scalar"|"artifact"}
+//	ceps_solves_total{kernel="blocked"|"artifact"}
 //	ceps_solve_rows_total
 //	ceps_artifact_{hits,misses,fallbacks,rebinds}_total
 //	ceps_artifacts_loaded                            (gauge)
@@ -90,12 +90,12 @@ type engineMetrics struct {
 	panics   *obs.Counter
 	slow     *obs.Counter
 
-	// Step 1 kernel accounting: solves by execution strategy — "artifact"
-	// means every miss of the call was served by a precomputed row read —
-	// plus the total matrix rows swept (sweeps × work-graph nodes), whose
-	// ratio to the solve-stage seconds is the rows/s throughput gauge.
-	solvesBlocked, solvesScalar, solvesArtifact *obs.Counter
-	solveRows                                   *obs.Counter
+	// Step 1 kernel accounting: solves by kernel — "artifact" means every
+	// miss of the call was served by a precomputed row read — plus the
+	// total matrix rows swept (sweeps × work-graph nodes), whose ratio to
+	// the solve-stage seconds is the rows/s throughput gauge.
+	solvesBlocked, solvesArtifact *obs.Counter
+	solveRows                     *obs.Counter
 
 	// Coalescer accounting: panels solved and their width distribution
 	// (fed by the coalescer's OnSolve hook, not the per-query path — one
@@ -160,7 +160,6 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 		panics:          reg.Counter("ceps_panics_recovered_total", "Panics converted to ErrInternal at the Engine boundary."),
 		slow:            reg.Counter("ceps_slow_queries_total", "Queries logged by the slow-query log."),
 		solvesBlocked:   reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "blocked"}),
-		solvesScalar:    reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "scalar"}),
 		solvesArtifact:  reg.Counter("ceps_solves_total", "Step 1 solves, by kernel.", obs.Label{Name: "kernel", Value: "artifact"}),
 		solveRows:       reg.Counter("ceps_solve_rows_total", "Matrix rows swept by Step 1 power iterations (sweeps × work-graph nodes)."),
 		coalescedSolves: reg.Counter("ceps_coalesced_solves_total", "Blocked panels solved by the cross-request coalescer."),
@@ -313,8 +312,6 @@ func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Durati
 		switch st.SolveKernel {
 		case "blocked":
 			m.solvesBlocked.Inc()
-		case "scalar":
-			m.solvesScalar.Inc()
 		case "artifact":
 			m.solvesArtifact.Inc()
 		}
@@ -330,22 +327,7 @@ func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Durati
 			m.degradedFallback.Inc()
 		}
 	}
-	if err != nil {
-		// A pool-wait or coalesce-wait shed is load shedding, not a service
-		// failure: it counts under ceps_shed_total, never the error-kind
-		// series. Splitting by reason keeps the two queueing stages (pool
-		// slot vs forming panel) distinguishable on dashboards, and a
-		// request sheds under exactly one reason — never both.
-		if errors.Is(err, ErrOverloaded) {
-			if ShedReason(err) == "coalesce_wait" {
-				m.shedCoalesceWait.Inc()
-			} else {
-				m.shedPoolWait.Inc()
-			}
-		} else {
-			m.errCounter(err).Inc()
-		}
-	}
+	m.observeErr(err)
 }
 
 // observeReplace folds one finished subteam-replacement query into the
@@ -368,8 +350,6 @@ func (m *engineMetrics) observeReplace(res *core.ReplaceResult, strategy string,
 		switch res.Stages.SolveKernel {
 		case "blocked":
 			m.solvesBlocked.Inc()
-		case "scalar":
-			m.solvesScalar.Inc()
 		case "artifact":
 			m.solvesArtifact.Inc()
 		}
@@ -382,16 +362,25 @@ func (m *engineMetrics) observeReplace(res *core.ReplaceResult, strategy string,
 			}
 		}
 	}
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			if ShedReason(err) == "coalesce_wait" {
-				m.shedCoalesceWait.Inc()
-			} else {
-				m.shedPoolWait.Inc()
-			}
-		} else {
-			m.errCounter(err).Inc()
-		}
+	m.observeErr(err)
+}
+
+// observeErr counts one failed request. A shed is load shedding, not a
+// service failure: it never reaches the error-kind series. The engine
+// counts only its own two shed reasons, by name — a context that died
+// waiting for a solve-pool slot (pool_wait) or queued in a forming
+// coalescer panel (coalesce_wait); admission sheds (queue_full, codel, …)
+// are the resilience controller's to count, so a request sheds under
+// exactly one reason.
+func (m *engineMetrics) observeErr(err error) {
+	switch {
+	case err == nil:
+	case ShedReason(err) == "pool_wait":
+		m.shedPoolWait.Inc()
+	case ShedReason(err) == "coalesce_wait":
+		m.shedCoalesceWait.Inc()
+	case !errors.Is(err, ErrOverloaded):
+		m.errCounter(err).Inc()
 	}
 }
 

@@ -41,7 +41,7 @@ func TestReplaceSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("paper %d: %v", p, err)
 		}
-		if res.Stages.SolveKernel != "blocked" && res.Stages.SolveKernel != "scalar" {
+		if res.Stages.SolveKernel != "blocked" {
 			t.Errorf("paper %d: solve kernel %q", p, res.Stages.SolveKernel)
 		}
 		if res.Stages.CacheHits+res.Stages.CacheMisses < res.PoolSize {

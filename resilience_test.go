@@ -127,6 +127,60 @@ func TestResilienceQueueFullShed(t *testing.T) {
 	}
 }
 
+// TestResilienceReplaceQueueFullShed is TestResilienceQueueFullShed for
+// ReplaceSubteam: an admission shed is the controller's to count, so the
+// one shed request shows up once, under queue_full, and never again as an
+// engine-side pool_wait shed.
+func TestResilienceReplaceQueueFullShed(t *testing.T) {
+	ds := smallDataset(t)
+	inj := fault.NewInjector(fault.Injection{Point: fault.InjectSolveDelay, Delay: 300 * time.Millisecond})
+	restore := fault.SetActiveInjector(inj)
+	defer restore()
+
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithWorkers(1),
+		ceps.WithResilience(ceps.ResilienceOptions{MaxConcurrent: 1, MaxQueue: -1}))
+
+	holderDone := make(chan error, 1)
+	go func() {
+		_, err := eng.QueryCtx(context.Background(), ds.Repository[0][0], ds.Repository[0][1])
+		holderDone <- err
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		st, _ := eng.ResilienceStats()
+		if st.Running >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slot-holding query was never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	team, departed := replaceTeam(ds)
+	_, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+	if !errors.Is(err, ceps.ErrOverloaded) {
+		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if got := ceps.ShedReason(err); got != "queue_full" {
+		t.Errorf("ShedReason = %q, want queue_full", got)
+	}
+	if err := <-holderDone; err != nil {
+		t.Fatalf("slot-holding query failed: %v", err)
+	}
+
+	text := scrape(t, eng)
+	for _, want := range []string{
+		`ceps_shed_total{reason="queue_full"} 1`,
+		`ceps_shed_total{reason="pool_wait"} 0`,
+		`ceps_replace_total{pool="two_hop"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %s:\n%s", want, grepSeries(text, "ceps_shed_total"))
+		}
+	}
+}
+
 // TestPoolWaitShedNoLeak extends the solve-pool cancellation regression
 // to the engine's accounting: a query whose deadline fires while it waits
 // for a pool slot is a shed (typed overload, pool_wait reason, counted

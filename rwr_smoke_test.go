@@ -1,6 +1,7 @@
 package ceps_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -10,6 +11,9 @@ import (
 
 	"ceps"
 	"ceps/internal/experiments"
+	"ceps/internal/extract"
+	"ceps/internal/rwr"
+	"ceps/internal/score"
 )
 
 // rwrKernelReport is the JSON shape `make bench-rwr` writes to
@@ -89,57 +93,78 @@ func TestRWRKernelSmoke(t *testing.T) {
 }
 
 // TestEngineBlockedSolvesBitIdenticalAndMetered pins the engine-level
-// contract of WithBlockedSolves: a BlockAlways engine returns bit-identical
-// score vectors and the same subgraph as a BlockNever engine, reports the
-// kernel it used in Stages.SolveKernel, and meters its solves into the
-// ceps_solves_total{kernel=...} and ceps_solve_rows_total series.
+// contract of the blocked Step 1 kernel: at Q=3 and at Q=1 (a width-1
+// panel) a default engine returns score vectors and diagnostics
+// bit-identical to the scalar reference ScoresSetCtx and the subgraph
+// EXTRACT finds on them, reports the kernel it used in Stages.SolveKernel,
+// and meters its solves into the ceps_solves_total{kernel=...} and
+// ceps_solve_rows_total series.
 func TestEngineBlockedSolvesBitIdenticalAndMetered(t *testing.T) {
 	ds := smallDataset(t)
-	queries := []int{ds.Repository[0][0], ds.Repository[1][0], ds.Repository[2][0]}
-
-	scalar := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithBlockedSolves(ceps.BlockNever))
-	blocked := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithBlockedSolves(ceps.BlockAlways))
-
-	rs, err := scalar.Query(queries...)
+	cfg := quickConfig()
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(cfg))
+	solver, err := rwr.NewSolver(ds.Graph, cfg.RWR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := blocked.Query(queries...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Stages.SolveKernel != "scalar" {
-		t.Errorf("BlockNever SolveKernel = %q, want scalar", rs.Stages.SolveKernel)
-	}
-	if rb.Stages.SolveKernel != "blocked" {
-		t.Errorf("BlockAlways SolveKernel = %q, want blocked", rb.Stages.SolveKernel)
-	}
-	if rs.Stages.SolveSweeps <= 0 || rb.Stages.SolveSweeps != rs.Stages.SolveSweeps {
-		t.Errorf("SolveSweeps scalar %d vs blocked %d, want equal and positive",
-			rs.Stages.SolveSweeps, rb.Stages.SolveSweeps)
-	}
-	for i := range rs.R {
-		for j := range rs.R[i] {
-			if math.Float64bits(rb.R[i][j]) != math.Float64bits(rs.R[i][j]) {
-				t.Fatalf("score R[%d][%d] differs between kernels: %v vs %v", i, j, rb.R[i][j], rs.R[i][j])
+	ctx := context.Background()
+	for _, queries := range [][]int{
+		{ds.Repository[0][0], ds.Repository[1][0], ds.Repository[2][0]},
+		{ds.Repository[0][0]},
+	} {
+		res, err := eng.Query(queries...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantR, wantD, err := solver.ScoresSetCtx(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stages.SolveKernel != "blocked" {
+			t.Errorf("Q=%d SolveKernel = %q, want blocked", len(queries), res.Stages.SolveKernel)
+		}
+		sweeps := 0
+		for i, d := range wantD {
+			sweeps += d.Sweeps
+			if res.RWRDiagnostics[i] != d {
+				t.Errorf("Q=%d diagnostics[%d] = %+v, scalar %+v", len(queries), i, res.RWRDiagnostics[i], d)
+			}
+		}
+		if sweeps <= 0 || res.Stages.SolveSweeps != sweeps {
+			t.Errorf("Q=%d SolveSweeps blocked %d vs scalar %d, want equal and positive",
+				len(queries), res.Stages.SolveSweeps, sweeps)
+		}
+		for i := range wantR {
+			for j := range wantR[i] {
+				if math.Float64bits(res.R[i][j]) != math.Float64bits(wantR[i][j]) {
+					t.Fatalf("Q=%d score R[%d][%d] differs between kernels: %v vs %v", len(queries), i, j, res.R[i][j], wantR[i][j])
+				}
+			}
+		}
+		combined, err := score.CombineNodes(wantR, cfg.Combiner(len(queries)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := extract.ExtractCtx(ctx, extract.Input{
+			G: ds.Graph, Queries: queries, R: wantR, Combined: combined,
+			K: cfg.EffectiveK(len(queries)), Budget: cfg.Budget, MaxPathLen: cfg.MaxPathLen,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Subgraph.Nodes) != len(want.Subgraph.Nodes) {
+			t.Fatalf("Q=%d subgraph sizes differ: %d vs %d", len(queries), len(res.Subgraph.Nodes), len(want.Subgraph.Nodes))
+		}
+		for i := range want.Subgraph.Nodes {
+			if res.Subgraph.Nodes[i] != want.Subgraph.Nodes[i] {
+				t.Fatalf("Q=%d subgraph node %d differs: %d vs %d", len(queries), i, res.Subgraph.Nodes[i], want.Subgraph.Nodes[i])
 			}
 		}
 	}
-	if len(rb.Subgraph.Nodes) != len(rs.Subgraph.Nodes) {
-		t.Fatalf("subgraph sizes differ: %d vs %d", len(rb.Subgraph.Nodes), len(rs.Subgraph.Nodes))
-	}
-	for i := range rs.Subgraph.Nodes {
-		if rb.Subgraph.Nodes[i] != rs.Subgraph.Nodes[i] {
-			t.Fatalf("subgraph node %d differs: %d vs %d", i, rb.Subgraph.Nodes[i], rs.Subgraph.Nodes[i])
-		}
-	}
 
-	if text := scrape(t, scalar); !strings.Contains(text, `ceps_solves_total{kernel="scalar"} 1`) {
-		t.Errorf("scalar engine exposition missing ceps_solves_total{kernel=\"scalar\"} 1\n%s", text)
-	}
-	text := scrape(t, blocked)
-	if !strings.Contains(text, `ceps_solves_total{kernel="blocked"} 1`) {
-		t.Errorf("blocked engine exposition missing ceps_solves_total{kernel=\"blocked\"} 1\n%s", text)
+	text := scrape(t, eng)
+	if !strings.Contains(text, `ceps_solves_total{kernel="blocked"} 2`) {
+		t.Errorf("exposition missing ceps_solves_total{kernel=\"blocked\"} 2\n%s", text)
 	}
 	if !strings.Contains(text, "ceps_solve_rows_total") || !strings.Contains(text, "ceps_solve_rows_per_second") {
 		t.Errorf("exposition missing solve throughput series\n%s", text)

@@ -293,3 +293,84 @@ func TestTracedMetricsExposition(t *testing.T) {
 		t.Errorf("expected exactly one sampled trace in:\n%s", out)
 	}
 }
+
+// TestTraceSolveSpanArtifactKernel: the solve span names the kernel Step 1
+// actually ran, so an artifact-served Fast CePS query's span says
+// "artifact" — the value Stages.SolveKernel reports — not the kernel a
+// solve would have used.
+func TestTraceSolveSpanArtifactKernel(t *testing.T) {
+	ds := smallDataset(t)
+	const parts = 4
+	dir := buildArtifactDir(t, ds.Graph, quickConfig().RWR, parts, 1, 64<<20)
+	eng := tracedEngine(t, ds.Graph, ceps.WithCache(8<<20), ceps.WithArtifactDir(dir),
+		ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
+	defer eng.Close()
+
+	checked := 0
+	for _, repo := range ds.Repository {
+		if len(repo) < 2 {
+			continue
+		}
+		res, err := eng.Do(context.Background(), repo[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stages.SolveKernel != "artifact" {
+			continue
+		}
+		tr, ok := eng.TraceStore().Get(res.TraceID)
+		if !ok {
+			t.Fatalf("trace %s not retained", res.TraceID)
+		}
+		for _, s := range tr.Spans {
+			if s.Name != "solve" {
+				continue
+			}
+			checked++
+			if s.Attrs["kernel"] != res.Stages.SolveKernel {
+				t.Errorf("solve span kernel = %v, stages say %q", s.Attrs["kernel"], res.Stages.SolveKernel)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no query was served entirely from artifacts")
+	}
+}
+
+// TestTraceReplaceCoalesceEvent: a coalesced ReplaceSubteam's solve span
+// carries the same coalesce_wait event CePS solve spans emit, with the
+// panel width the result reports.
+func TestTraceReplaceCoalesceEvent(t *testing.T) {
+	ds := smallDataset(t)
+	eng := tracedEngine(t, ds.Graph, ceps.WithCache(8<<20), ceps.WithCoalescing(ceps.CoalesceOptions{}))
+	team, departed := replaceTeam(ds)
+	res, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stages.CoalescePanelWidth == 0 {
+		t.Fatal("cold candidate panel did not go through the coalescer")
+	}
+	tr, ok := eng.TraceStore().Get(res.TraceID)
+	if !ok {
+		t.Fatalf("trace %s not retained", res.TraceID)
+	}
+	events := 0
+	for _, s := range tr.Spans {
+		if s.Name != "solve" {
+			continue
+		}
+		for _, ev := range s.Events {
+			if ev.Name != "coalesce_wait" {
+				continue
+			}
+			events++
+			if ev.Attrs["panel_width"] != res.Stages.CoalescePanelWidth {
+				t.Errorf("coalesce_wait panel_width = %v, stages say %d", ev.Attrs["panel_width"], res.Stages.CoalescePanelWidth)
+			}
+		}
+	}
+	if events != 1 {
+		t.Errorf("replace solve span carries %d coalesce_wait events, want 1", events)
+	}
+}
