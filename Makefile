@@ -16,8 +16,11 @@ fmt:
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
+# The arm64 pass vets the pure-Go sweep dispatch that builds wherever the
+# amd64 assembly is absent; the amd64 pass runs asmdecl over the assembly.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -33,11 +36,15 @@ race:
 # tests that caught (and now pin) the stale-store cache bug. The resolver
 # table covers every cache/coalescer/artifact/pool combination of the
 # Step-1 serving path. The extract run pins the pooled per-query EXTRACT
-# scratch against cross-call sharing.
+# scratch against cross-call sharing. The linalg run hammers the fused
+# sweep's concurrent row ranges on the Go kernel only: the race detector
+# cannot see memory accesses made by assembly, so the AVX-512 arms would
+# prove nothing here.
 race-hammer:
 	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable'
 	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure'
 	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
+	$(GO) test -race -count=10 ./internal/linalg -run 'TestParMulBitIdenticalAcrossWorkers/go|TestSweepConformance/go|TestSweepLongRanges/go'
 
 # Scrape /metrics through the real admin mux and fail on malformed
 # Prometheus exposition (plus the engine-level metric assertions).

@@ -33,6 +33,13 @@ func TestChaosInjectionPoints(t *testing.T) {
 	t.Run("solve_delay", func(t *testing.T) {
 		inj := arm(t, fault.Injection{Point: fault.InjectSolveDelay, Delay: 200 * time.Millisecond})
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
+		// Build the transition matrix before the clock starts: on a loaded
+		// host that build could eat the whole 20 ms, and a deadline that
+		// has already fired when the solve asks for a pool slot loses the
+		// slot-or-deadline race at random, so the delay would never fire.
+		if err := eng.Prepare(); err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
 		start := time.Now()

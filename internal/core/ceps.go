@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ceps/internal/extract"
@@ -265,6 +266,12 @@ func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, qu
 		obs.Int("paths", ext.PathsFound), obs.Int("subgraph_nodes", len(ext.Subgraph.Nodes)))
 	extractSpan.End()
 	st.Combine, st.Extract = combineDur, time.Since(extractStart)
+	// Step 1's rows may be the serving cache's shared vectors, read in
+	// place above; Result.R is where they leave the package, so the caller
+	// gets its own copies.
+	for i, row := range R {
+		R[i] = slices.Clone(row)
+	}
 	return &Result{
 		Subgraph:       ext.Subgraph,
 		WorkGraph:      g,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // CSR is a sparse matrix in compressed-sparse-row form. Rows index the
@@ -126,148 +125,12 @@ func (m *CSR) MulVecTo(y, x []float64) {
 	if len(x) != m.cols || len(y) != m.rows {
 		panic(fmt.Sprintf("linalg: MulVec shape mismatch: M %dx%d, x %d, y %d", m.rows, m.cols, len(x), len(y)))
 	}
-	m.mulVecRange(y, x, 0, m.rows)
-}
-
-// mulVecRange computes y[lo:hi] = (M x)[lo:hi]. Rows outside [lo, hi) are
-// untouched, so disjoint ranges can run concurrently into the same y.
-func (m *CSR) mulVecRange(y, x []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
+	for r := 0; r < m.rows; r++ {
 		var s float64
 		for i := m.rowPtr[r]; i < m.rowPtr[r+1]; i++ {
 			s += m.vals[i] * x[m.colIdx[i]]
 		}
 		y[r] = s
-	}
-}
-
-// MulMatTo computes Y = M X for row-major panels: each CSR traversal
-// applies every matrix nonzero to a register-blocked group of up to eight
-// right-hand-side columns, so a q-column product streams the matrix
-// ~ceil(q/8) times instead of q times and keeps every partial sum in a
-// register. Per column the accumulation runs in the same operation order
-// as MulVecTo (start from zero, add vals[i]·x[colIdx[i]] in nonzero
-// order), so column j of the result is bit-identical to MulVecTo over
-// column j.
-func (m *CSR) MulMatTo(dst, src *Panel) {
-	if src.rows != m.cols || dst.rows != m.rows || src.cols != dst.cols {
-		panic(fmt.Sprintf("linalg: MulMat shape mismatch: M %dx%d, src %dx%d, dst %dx%d",
-			m.rows, m.cols, src.rows, src.cols, dst.rows, dst.cols))
-	}
-	m.mulMatRange(dst, src, 0, m.rows)
-}
-
-// mulMatRange computes rows [lo, hi) of dst = M·src; other rows are
-// untouched, so disjoint ranges can run concurrently into the same dst.
-// Column groups of eight (then four/two/one for the tail) each walk the
-// nonzeros once, accumulating in registers; an accumulator that
-// round-trips through the destination panel per nonzero would forfeit the
-// fusion win. The width-specific kernels hoist the CSR arrays into locals
-// and slice the panel row with a constant length so the compiler can prove
-// the inner accesses in bounds.
-func (m *CSR) mulMatRange(dst, src *Panel, lo, hi int) {
-	q := dst.cols
-	jj := 0
-	for ; jj+8 <= q; jj += 8 {
-		m.mulMat8(dst, src, lo, hi, jj)
-	}
-	if q-jj >= 4 {
-		m.mulMat4(dst, src, lo, hi, jj)
-		jj += 4
-	}
-	if q-jj >= 2 {
-		m.mulMat2(dst, src, lo, hi, jj)
-		jj += 2
-	}
-	if jj < q {
-		m.mulMat1(dst, src, lo, hi, jj)
-	}
-}
-
-// mulMat8 computes columns [jj, jj+8) of dst = M·src over rows [lo, hi).
-func (m *CSR) mulMat8(dst, src *Panel, lo, hi, jj int) {
-	q := dst.cols
-	vals, colIdx, rowPtr := m.vals, m.colIdx, m.rowPtr
-	sdata, ddata := src.data, dst.data
-	for r := lo; r < hi; r++ {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		end := rowPtr[r+1]
-		for i := rowPtr[r]; i < end; i++ {
-			v := vals[i]
-			b := colIdx[i]*q + jj
-			s := sdata[b : b+8 : b+8]
-			a0 += v * s[0]
-			a1 += v * s[1]
-			a2 += v * s[2]
-			a3 += v * s[3]
-			a4 += v * s[4]
-			a5 += v * s[5]
-			a6 += v * s[6]
-			a7 += v * s[7]
-		}
-		b := r*q + jj
-		d := ddata[b : b+8 : b+8]
-		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = a0, a1, a2, a3, a4, a5, a6, a7
-	}
-}
-
-// mulMat4 computes columns [jj, jj+4) of dst = M·src over rows [lo, hi).
-func (m *CSR) mulMat4(dst, src *Panel, lo, hi, jj int) {
-	q := dst.cols
-	vals, colIdx, rowPtr := m.vals, m.colIdx, m.rowPtr
-	sdata, ddata := src.data, dst.data
-	for r := lo; r < hi; r++ {
-		var a0, a1, a2, a3 float64
-		end := rowPtr[r+1]
-		for i := rowPtr[r]; i < end; i++ {
-			v := vals[i]
-			b := colIdx[i]*q + jj
-			s := sdata[b : b+4 : b+4]
-			a0 += v * s[0]
-			a1 += v * s[1]
-			a2 += v * s[2]
-			a3 += v * s[3]
-		}
-		b := r*q + jj
-		d := ddata[b : b+4 : b+4]
-		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-	}
-}
-
-// mulMat2 computes columns [jj, jj+2) of dst = M·src over rows [lo, hi).
-func (m *CSR) mulMat2(dst, src *Panel, lo, hi, jj int) {
-	q := dst.cols
-	vals, colIdx, rowPtr := m.vals, m.colIdx, m.rowPtr
-	sdata, ddata := src.data, dst.data
-	for r := lo; r < hi; r++ {
-		var a0, a1 float64
-		end := rowPtr[r+1]
-		for i := rowPtr[r]; i < end; i++ {
-			v := vals[i]
-			b := colIdx[i]*q + jj
-			s := sdata[b : b+2 : b+2]
-			a0 += v * s[0]
-			a1 += v * s[1]
-		}
-		b := r*q + jj
-		d := ddata[b : b+2 : b+2]
-		d[0], d[1] = a0, a1
-	}
-}
-
-// mulMat1 computes column jj of dst = M·src over rows [lo, hi); this tail
-// kernel is MulVecTo with strided panel access.
-func (m *CSR) mulMat1(dst, src *Panel, lo, hi, jj int) {
-	q := dst.cols
-	vals, colIdx, rowPtr := m.vals, m.colIdx, m.rowPtr
-	sdata, ddata := src.data, dst.data
-	for r := lo; r < hi; r++ {
-		var a float64
-		end := rowPtr[r+1]
-		for i := rowPtr[r]; i < end; i++ {
-			a += vals[i] * sdata[colIdx[i]*q+jj]
-		}
-		ddata[r*q+jj] = a
 	}
 }
 
@@ -277,8 +140,8 @@ func (m *CSR) mulMat1(dst, src *Panel, lo, hi, jj int) {
 // nonzeros rather than rows keeps hub-heavy ranges from serializing a
 // parallel sweep on skewed graphs. The split points are found by binary
 // search over the cumulative row pointer, so callers precompute them once
-// per (matrix, worker count) and reuse them every sweep with ParMulVecTo /
-// ParMulMatTo at zero per-sweep cost.
+// per (matrix, worker count) and reuse them every sweep (NewSweep) at zero
+// per-sweep cost.
 func (m *CSR) NNZSplits(workers int) []int {
 	if workers < 1 {
 		workers = 1
@@ -301,61 +164,6 @@ func (m *CSR) NNZSplits(workers int) []int {
 		bounds[k] = r
 	}
 	return bounds
-}
-
-// ParMulVecTo is MulVecTo with the row ranges of splits (from NNZSplits)
-// computed on concurrent goroutines. Ranges write disjoint rows and every
-// row is computed exactly as in the serial kernel, so the result is
-// bit-identical to MulVecTo for every split. nil splits — or splits
-// describing a single range — run serially.
-func (m *CSR) ParMulVecTo(y, x []float64, splits []int) {
-	if len(x) != m.cols || len(y) != m.rows {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch: M %dx%d, x %d, y %d", m.rows, m.cols, len(x), len(y)))
-	}
-	if len(splits) <= 2 {
-		m.mulVecRange(y, x, 0, m.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k+1 < len(splits); k++ {
-		lo, hi := splits[k], splits[k+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulVecRange(y, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParMulMatTo is MulMatTo with the row ranges of splits (from NNZSplits)
-// computed on concurrent goroutines; bit-identical to MulMatTo for every
-// split, by the same disjoint-rows argument as ParMulVecTo.
-func (m *CSR) ParMulMatTo(dst, src *Panel, splits []int) {
-	if src.rows != m.cols || dst.rows != m.rows || src.cols != dst.cols {
-		panic(fmt.Sprintf("linalg: MulMat shape mismatch: M %dx%d, src %dx%d, dst %dx%d",
-			m.rows, m.cols, src.rows, src.cols, dst.rows, dst.cols))
-	}
-	if len(splits) <= 2 {
-		m.mulMatRange(dst, src, 0, m.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k+1 < len(splits); k++ {
-		lo, hi := splits[k], splits[k+1]
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulMatRange(dst, src, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // MulVecTransTo computes y = Mᵀ x into y of length Cols (x of length Rows).

@@ -1,15 +1,12 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Panel is a dense row-major n×q block of column vectors: the multi-source
 // iterate of a blocked random-walk solve, where column j is query j's score
 // vector. Row-major layout puts the q values a sparse row-sweep touches for
-// one matrix nonzero next to each other, which is what makes the fused SpMM
-// kernel (CSR.MulMatTo) stream the matrix once for all q right-hand sides.
+// one matrix nonzero next to each other, which is what lets the fused sweep
+// (Sweep) stream the matrix once for all q right-hand sides.
 type Panel struct {
 	rows, cols int
 	data       []float64
@@ -54,22 +51,10 @@ func (p *Panel) At(r, c int) float64 { return p.data[r*p.cols+c] }
 // Set stores v at (r, c).
 func (p *Panel) Set(r, c int, v float64) { p.data[r*p.cols+c] = v }
 
-// Add adds v to the (r, c) entry.
-func (p *Panel) Add(r, c int, v float64) { p.data[r*p.cols+c] += v }
-
 // Zero clears every entry.
 func (p *Panel) Zero() {
 	for i := range p.data {
 		p.data[i] = 0
-	}
-}
-
-// Scale multiplies every entry by a — the blocked analogue of Scale on a
-// vector, applied to all columns at once (per-entry operation order within
-// a column matches the vector version, so columns stay bit-identical).
-func (p *Panel) Scale(a float64) {
-	for i := range p.data {
-		p.data[i] *= a
 	}
 }
 
@@ -102,78 +87,4 @@ func (p *Panel) CopyColFrom(src *Panel, c int) {
 	for r := 0; r < p.rows; r++ {
 		p.data[r*p.cols+c] = src.data[r*p.cols+c]
 	}
-}
-
-// ColMaxDiff returns max_r |p[r,c] - other[r,c]| with the same NaN
-// semantics as MaxDiff on vectors: a NaN difference is returned immediately
-// rather than being skipped by the > comparison.
-func (p *Panel) ColMaxDiff(other *Panel, c int) float64 {
-	if p.rows != other.rows || p.cols != other.cols {
-		panic(fmt.Sprintf("linalg: ColMaxDiff shape mismatch: %dx%d vs %dx%d", p.rows, p.cols, other.rows, other.cols))
-	}
-	var m float64
-	for r := 0; r < p.rows; r++ {
-		d := math.Abs(p.data[r*p.cols+c] - other.data[r*p.cols+c])
-		if math.IsNaN(d) {
-			return d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// ColResiduals computes, for every column j in one contiguous row-major
-// pass over both panels, res[j] = max_r |p[r,j] - old[r,j]| and
-// nonFinite[j] = whether column j of p holds a NaN or ±Inf entry. The
-// residual values are exactly those of per-column ColMaxDiff calls — the
-// max runs over the same differences, and a NaN difference poisons the
-// column's residual to NaN just as ColMaxDiff's early return does — but a
-// single fused pass touches each cache line of the two panels once instead
-// of once per column (column-strided reads step a full row per element, so
-// q separate column passes re-stream both panels q times).
-func (p *Panel) ColResiduals(old *Panel, res []float64, nonFinite []bool) {
-	if p.rows != old.rows || p.cols != old.cols {
-		panic(fmt.Sprintf("linalg: ColResiduals shape mismatch: %dx%d vs %dx%d", p.rows, p.cols, old.rows, old.cols))
-	}
-	if len(res) != p.cols || len(nonFinite) != p.cols {
-		panic(fmt.Sprintf("linalg: ColResiduals output length %d/%d, panel has %d columns", len(res), len(nonFinite), p.cols))
-	}
-	for j := range res {
-		res[j] = 0
-		nonFinite[j] = false
-	}
-	q := p.cols
-	for base := 0; base+q <= len(p.data); base += q {
-		prow := p.data[base : base+q]
-		orow := old.data[base : base+q]
-		for j, v := range prow {
-			d := math.Abs(v - orow[j])
-			if d > res[j] {
-				res[j] = d
-			} else if math.IsNaN(d) && !math.IsNaN(res[j]) {
-				// Record the first NaN difference (ColMaxDiff returns exactly
-				// that one); the > comparison keeps failing afterwards, so
-				// the column's residual stays poisoned for the rest of the
-				// pass.
-				res[j] = d
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				nonFinite[j] = true
-			}
-		}
-	}
-}
-
-// ColHasNonFinite reports whether column c contains a NaN or ±Inf entry —
-// the per-column numerical-fault probe of the blocked solver.
-func (p *Panel) ColHasNonFinite(c int) bool {
-	for r := 0; r < p.rows; r++ {
-		v := p.data[r*p.cols+c]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }

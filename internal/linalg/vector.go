@@ -1,12 +1,14 @@
 // Package linalg provides the small linear-algebra substrate CePS needs:
-// dense vectors, CSR sparse matrices with matrix–vector products, stationary
-// iterative solvers (Jacobi, Gauss–Seidel), conjugate gradients for
-// symmetric positive-definite systems, and a dense LU factorization used to
-// validate the iterative random-walk solver against the closed form
-// (Eq. 12 of the paper) on small graphs.
+// dense vectors, CSR sparse matrices with matrix–vector products, the
+// fused power-iteration sweep of the blocked random-walk solver (Sweep),
+// stationary iterative solvers (Jacobi, Gauss–Seidel), conjugate gradients
+// for symmetric positive-definite systems, and a dense LU factorization
+// used to validate the iterative random-walk solver against the closed
+// form (Eq. 12 of the paper) on small graphs.
 //
-// Everything is float64 and single-threaded; graphs at the paper's scale
-// (~315K nodes, ~1.8M edges) fit comfortably.
+// Everything is float64; graphs at the paper's scale (~315K nodes, ~1.8M
+// edges) fit comfortably. Sweep's inner loop is AVX-512 assembly on amd64
+// CPUs that have it and Go everywhere else, with identical results.
 package linalg
 
 import (

@@ -68,10 +68,11 @@ func (s *Solver) splitsFor(workers int) []int {
 
 // ScoresSetBlockedCtx computes the score matrix R (one row per query,
 // R[i][j] = r(q_i, j)) by running all Q power iterations in lockstep on an
-// n×Q panel: each sweep is one fused SpMM that streams the transition
-// matrix once for every query instead of once per query. workers sets the
-// intra-sweep parallelism — the sweep's rows are partitioned by cumulative
-// nonzero count and multiplied on that many goroutines (≤ 0 means
+// n×Q panel: each sweep is one fused pass (linalg.Sweep) that streams the
+// transition matrix once for every query instead of once per query, and
+// scales, restarts and takes residuals as it stores each row. workers sets
+// the intra-sweep parallelism — the sweep's rows are partitioned by
+// cumulative nonzero count and swept on that many goroutines (≤ 0 means
 // GOMAXPROCS, 1 is serial; a width-1 panel always sweeps serially).
 //
 // Per column the sweep performs the exact operation sequence of ScoresCtx —
@@ -97,7 +98,8 @@ func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers
 	}
 	if len(queries) == 1 {
 		// A single column is the one shape where row-parallel sweeps lose
-		// to a serial one (BENCH_rwr.json: 0.84x of scalar on 8 workers).
+		// to a serial one (0.84x of scalar on 8 workers when last measured
+		// unpinned).
 		workers = 1
 	}
 	splits := s.splitsFor(workers)
@@ -141,30 +143,23 @@ func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers
 	// the untraced lockstep loop pays one pointer check per iteration.
 	span := obs.SpanFromContext(ctx)
 
+	sweep := linalg.NewSweep(s.trans, splits, queries, s.cfg.C, restart)
+
 	for it := 0; it < s.cfg.Iterations && active > 0; it++ {
 		if err := fault.FromContext(ctx); err != nil {
 			return nil, nil, err
 		}
-		// One fused sweep: next = c·W̃·cur + (1−c)·E over all live columns
-		// at once (frozen columns are recomputed too — cheaper than masking
-		// inside the SpMM — then overwritten with their converged values).
-		s.trans.ParMulMatTo(next, cur, splits)
-		next.Scale(s.cfg.C)
-		for j, q := range queries {
-			if !frozen[j] {
-				next.Add(q, j, restart)
-			}
-		}
+		// One fused sweep: next = c·W̃·cur + (1−c)·E over all columns at
+		// once, with every column's residual and non-finite flag folded in
+		// as its rows are stored. Frozen columns are recomputed too —
+		// cheaper than masking inside the kernel — and then overwritten
+		// with their converged values; their residuals are ignored.
+		sweep.Run(next, cur, residuals, nonFinite)
 		for j := range queries {
 			if frozen[j] {
 				next.CopyColFrom(cur, j)
 			}
 		}
-		// One fused row-major pass computes every column's residual and
-		// non-finite flag (bit-identical to per-column ColMaxDiff /
-		// ColHasNonFinite, but it streams the two panels once instead of
-		// once per column).
-		next.ColResiduals(cur, residuals, nonFinite)
 		for j := range queries {
 			if frozen[j] {
 				continue

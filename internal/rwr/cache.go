@@ -145,8 +145,9 @@ type cacheKey struct {
 	source int
 }
 
-// entry is one resident vector. vec is immutable once stored; readers copy
-// it out, so eviction can drop the reference at any time.
+// entry is one resident vector. vec is immutable once stored and readers
+// share it read-only, so eviction can drop the cache's reference at any
+// time without disturbing them.
 type entry struct {
 	key   cacheKey
 	vec   []float64
@@ -239,9 +240,10 @@ func (c *ScoreCache) Purge() {
 }
 
 // getOrJoin is the miss/hit/flight triage for one source. On a hit it
-// returns a private copy of the vector. On a miss it either registers the
-// caller as the leader of a new flight (leader == true; the caller must
-// finish the flight) or returns the existing flight to wait on.
+// returns the cached vector itself, which the caller must not write. On a
+// miss it either registers the caller as the leader of a new flight
+// (leader == true; the caller must finish the flight) or returns the
+// existing flight to wait on.
 func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Diagnostics, ok bool, fl *flight, leader bool) {
 	key := cacheKey{space: space, source: source}
 	c.mu.Lock()
@@ -250,10 +252,7 @@ func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Di
 		ent := el.Value.(*entry)
 		c.hits++
 		c.mu.Unlock()
-		// Entries are immutable; copy outside the lock.
-		out := make([]float64, len(ent.vec))
-		copy(out, ent.vec)
-		return out, ent.diag, true, nil, false
+		return ent.vec, ent.diag, true, nil, false
 	}
 	if fl, found := c.inflight[key]; found {
 		c.hits++ // the caller will share the in-flight solve
@@ -269,8 +268,8 @@ func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Di
 
 // finish completes a flight: on success the vector is stored (subject to
 // the byte budget) and handed to any followers; on error followers are
-// woken to retry or propagate. The leader retains ownership of vec; the
-// cache and the followers each keep private copies. A store is skipped —
+// woken to retry or propagate. The leader's vec itself is stored and
+// shared: from here on nobody may write it. A store is skipped —
 // and counted as a stale drop — when a Purge bumped the generation after
 // the flight started: the purge's caller (Reconfigure, SetPartitioned)
 // has already retired this flight's key space, so storing would only park
@@ -282,9 +281,7 @@ func (c *ScoreCache) finish(space uint64, source int, fl *flight, vec []float64,
 	}
 	key := cacheKey{space: space, source: source}
 	if err == nil {
-		stored := make([]float64, len(vec))
-		copy(stored, vec)
-		fl.vec = stored
+		fl.vec = vec
 		fl.diag = diag
 	} else {
 		fl.err = err
@@ -340,9 +337,9 @@ func contextual(err error) bool {
 		errors.Is(err, fault.ErrCanceled) || errors.Is(err, fault.ErrDeadlineExceeded)
 }
 
-// wait blocks until the flight finishes or ctx fires and returns a private
-// copy of the leader's vector. retry reports a leader that failed on its
-// own context while ctx is still alive: the caller should resolve the
+// wait blocks until the flight finishes or ctx fires and returns the
+// leader's vector, shared read-only. retry reports a leader that failed on
+// its own context while ctx is still alive: the caller should resolve the
 // source again (and will likely lead the next flight).
 func (fl *flight) wait(ctx context.Context) (vec []float64, diag Diagnostics, retry bool, err error) {
 	select {
@@ -352,9 +349,7 @@ func (fl *flight) wait(ctx context.Context) (vec []float64, diag Diagnostics, re
 	}
 	switch {
 	case fl.err == nil:
-		out := make([]float64, len(fl.vec))
-		copy(out, fl.vec)
-		return out, fl.diag, false, nil
+		return fl.vec, fl.diag, false, nil
 	case !contextual(fl.err):
 		return nil, Diagnostics{}, false, fl.err
 	}
@@ -443,7 +438,12 @@ type pendingFlight struct {
 //
 // pool may be nil (unbounded). The result is bit-identical to
 // ScoresSetCtx: the blocked kernel is column-wise identical to ScoresCtx,
-// and cached vectors are exact copies of what a fresh solve returns.
+// and cached vectors are exactly what a fresh solve returns.
+//
+// The rows are read-only. With a cache, hits, followers and leaders alike
+// receive the vectors the cache stores and shares with every other
+// caller, so writing one would corrupt later answers; callers that hand
+// rows to code they do not control copy them first.
 func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
 	var stats ServeStats
 	if len(queries) == 0 {

@@ -27,7 +27,7 @@ import (
 // it once instead of Q times. The latency budget bounds the worst-case
 // delay a lone request pays for the chance to amortize (default 1ms, small
 // against a multi-sweep solve); the width cap bounds panel memory and keeps
-// the kernel inside its register-blocked sweet spot.
+// each panel to one pass of the sweep kernel.
 
 // DefaultCoalesceWait is the forming budget used when CoalesceOptions.MaxWait
 // is unset: long enough to gather concurrent arrivals under load, small
@@ -35,8 +35,10 @@ import (
 const DefaultCoalesceWait = time.Millisecond
 
 // DefaultCoalesceWidth is the panel width cap used when
-// CoalesceOptions.MaxWidth is unset. 16 keeps the blocked kernel in the
-// register-blocked regime measured in BENCH_rwr.json.
+// CoalesceOptions.MaxWidth is unset. 16 columns are one matrix pass of the
+// AVX-512 sweep kernel (two 8-lane registers), the cheapest width per
+// nonzero-column that BenchmarkBlockedSweep measures; wider panels need a
+// second pass and cost no less per column (DESIGN.md §6.6).
 const DefaultCoalesceWidth = 16
 
 // CoalesceOptions bound how long and how wide a panel may form.
