@@ -42,6 +42,7 @@ race:
 # prove nothing here.
 race-hammer:
 	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable'
+	$(GO) test -race -count=10 ./internal/rwr -run 'TestCacheConcurrentHitStorePurge'
 	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure'
 	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
 	$(GO) test -race -count=10 ./internal/linalg -run 'TestParMulBitIdenticalAcrossWorkers/go|TestSweepConformance/go|TestSweepLongRanges/go'
@@ -109,7 +110,7 @@ coalesce-smoke:
 replace-smoke:
 	$(GO) test -count=1 . -run 'TestReplaceSmoke|TestReplaceBitIdentical'
 	$(GO) test -race -count=1 . -run 'TestEngineReplaceSubteam|TestReplaceReconfigureHammer'
-	$(GO) test -race -count=1 ./internal/core -run 'TestReplaceSubteam'
+	$(GO) test -race -count=1 ./internal/core -run 'TestReplaceSubteam|TestCertifiedTopN|TestSelectExactRule'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestDecodeReplaceRequestV1|TestV1Replace|TestRunReplaceVerb'
 
 # Precompute-tier smoke: golden artifact-vs-iterative identity on all

@@ -21,8 +21,8 @@ import (
 // Engine is the concurrency-safe front door for repeated querying over one
 // graph. It reuses the normalized random-walk transition matrix across
 // queries, optionally holds Fast CePS pre-partition state, and — when
-// constructed with WithCache — shares an LRU cache of per-source RWR score
-// vectors across every query path, so overlapping query sets pay each
+// constructed with WithCache — shares a SIEVE-evicted cache of per-source
+// RWR score vectors across every query path, so overlapping query sets pay each
 // member's solve once.
 //
 // All methods are safe for concurrent use: each query works against an
@@ -107,7 +107,7 @@ func WithConfig(cfg Config) Option {
 
 // WithCache enables the shared score cache with the given byte budget:
 // per-source RWR score vectors (8·N bytes each, plus small overhead) are
-// kept under LRU eviction and reused by every query path, including Fast
+// kept under SIEVE eviction and reused by every query path, including Fast
 // CePS and batches. Size it as budgetBytes ≈ 8·N·(expected distinct
 // sources); see README.md "Serving" for guidance.
 func WithCache(budgetBytes int64) Option {

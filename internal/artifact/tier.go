@@ -156,6 +156,18 @@ func (t *Tier) ReadExact(space uint64, source int) ([]float64, bool) {
 	return vec, true
 }
 
+// ServesIterates reports whether every row ReadVector can serve for space
+// is an m-sweep iterate of the iterative solver: true when nothing is
+// bound there or the bound artifact is panel-class, false for a
+// dense-class binding, whose rows are the closed-form fixed point.
+// ReplaceSubteam's rank phase certifies bounds only for iterates.
+func (t *Tier) ServesIterates(space uint64) bool {
+	t.mu.RLock()
+	a := t.bind[space]
+	t.mu.RUnlock()
+	return a == nil || a.Class == ClassPanel
+}
+
 // Stats snapshots the tier counters.
 func (t *Tier) Stats() TierStats {
 	t.mu.RLock()

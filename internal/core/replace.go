@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -20,11 +21,16 @@ import (
 // of the replacement score into graph-similarity components):
 //
 //   - RWR proximity: the mean random-walk-with-restart score from c to the
-//     remaining members, r(c, m). All candidates solve as ONE blocked
-//     multi-source panel through the same solveStep funnel every other
-//     query type uses, so the vectors ride the score cache, the bounded
-//     solve pool, and (when enabled) the cross-request coalescer — and the
-//     answers are bit-identical with those layers on or off.
+//     remaining members, r(c, m). Step 1 runs in two phases under one
+//     solve span. The rank phase resolves the walks from the ≤ |team| − 1
+//     remaining members and, through the solver's reversibility
+//     certificate r(c, m) ≈ (X_c/X_m)·r(m, c) with a rigorous error bound,
+//     proves which candidates can still reach the top N. The exact phase
+//     then resolves candidate-sourced walks for those alone (≈ N of
+//     them). Both phases ride the same serving funnel every other query
+//     type uses — score cache, bounded solve pool, cross-request
+//     coalescer — and every returned score is bit-identical to solving
+//     the whole pool, with those layers on or off.
 //   - Structural overlap: the shared-collaborator kernel against the
 //     departed members — co-authored-paper counts when a bipartite
 //     author–paper substrate is attached, otherwise a weighted
@@ -80,9 +86,10 @@ type ReplaceWeights struct {
 // already share collaborators or papers with the departed members.
 func DefaultReplaceWeights() ReplaceWeights { return ReplaceWeights{RWR: 0.7, Overlap: 0.3} }
 
-// DefaultMaxReplaceCandidates caps the candidate panel when the caller
-// does not: two-hop neighborhoods on dense graphs can reach thousands of
-// nodes, and every candidate is one panel column.
+// DefaultMaxReplaceCandidates caps the scored pool when the caller does
+// not: two-hop neighborhoods on dense graphs can reach thousands of nodes,
+// and every candidate costs overlap and bounds work, and a walk of its own
+// whenever the top-N certificate is off.
 const DefaultMaxReplaceCandidates = 256
 
 // ReplaceSpec is one subteam-replacement query.
@@ -150,9 +157,10 @@ type ReplaceResult struct {
 	// panel.
 	Exact bool
 	// Stages attributes Elapsed to the pipeline stages: Partition is pool
-	// construction, Solve the candidate panel, Combine the kernel blend
-	// and ranking. Cache and coalescer counters describe the panel's trip
-	// through the serving layer.
+	// construction, Solve both Step 1 phases (the member walks and the
+	// candidate walks), Combine the overlap, the top-N selection, the
+	// blend and the ranking. Cache and coalescer counters sum both
+	// phases' trips through the serving layer.
 	Stages StageTimings
 	// Degraded is non-nil when the panel was solved at reduced fidelity
 	// (the resilience layer's relaxed-tolerance path).
@@ -448,11 +456,12 @@ func (r *Runner) ReplaceSubteam(spec ReplaceSpec, cfg Config) (*ReplaceResult, e
 }
 
 // ReplaceSubteamCtx scores and ranks replacement candidates for the
-// departing members of spec.Team. The candidate panel solves through the
-// same serving funnel as every other query type (cache, pool, coalescer)
-// and is bit-identical with those layers on or off; pool construction and
-// ranking are deterministic. cfg.RWR must match the Runner's baked
-// configuration.
+// departing members of spec.Team. Step 1 solves through the same serving
+// funnel as every other query type (cache, pool, coalescer); the ranking
+// is bit-identical with those layers on or off, and a top-N answer is
+// bit-identical to the first N of the whole pool's ranking. Pool
+// construction and ranking are deterministic. cfg.RWR must match the
+// Runner's baked configuration.
 func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Config) (*ReplaceResult, error) {
 	if err := r.check(spec.Team, cfg); err != nil {
 		return nil, err
@@ -478,22 +487,37 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	}
 	poolSpan.SetAttr(obs.Str("strategy", strategy.String()), obs.Int("candidates", len(pool)))
 	poolSpan.End()
-
-	// Step 1: one blocked panel over the candidate batch — candidates are
-	// the walk sources, so each cached vector is reusable by any later
-	// query that walks from the same node.
-	stages := StageTimings{Partition: poolDur}
-	var R [][]float64
-	if spec.Exact {
-		R, err = r.exactScoresSet(ctx, pool, &stages)
-	} else {
-		R, _, err = solveStep(ctx, r.solver, pool, cfg, r.sv, r.space, &stages)
+	topN := spec.TopN
+	if topN == 0 {
+		topN = 10
 	}
+
+	// Overlap is cheap and exact, so every candidate gets it up front: the
+	// rank phase bounds blended scores with it.
+	stages := StageTimings{Partition: poolDur}
+	overlapStart := time.Now()
+	ov := make([]float64, len(pool))
+	var maxOverlap float64
+	for i, c := range pool {
+		ov[i] = overlapScore(r.g, spec.Bipartite, c, departing)
+		maxOverlap = max(maxOverlap, ov[i])
+	}
+	stages.Combine = time.Since(overlapStart)
+
+	// Step 1: the candidates that can reach the top N, and their exact
+	// proximities.
+	sel := replaceSelection{weights: weights, ov: ov, maxOverlap: maxOverlap, topN: topN}
+	exact, prox, certified, err := r.replaceStep1(ctx, spec, cfg, pool, remaining, sel, &stages)
 	if err != nil {
 		return nil, err
 	}
+	if span := obs.SpanFromContext(ctx); span.Recording() {
+		span.SetAttr(obs.Int("exact_set", len(exact)), obs.Bool("certified", certified))
+	}
 
-	// Step 2: blend the two kernels and rank.
+	// Step 2: blend the two kernels and rank. The exact set holds every
+	// candidate that can be the proximity maximum, so maxProx is the
+	// pool's.
 	_, scoreSpan := obs.StartSpan(ctx, "replace_score")
 	scoreStart := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -502,32 +526,18 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		scoreSpan.End()
 		return nil, err
 	}
-	reps := make([]Replacement, len(pool))
-	var maxProx, maxOverlap float64
-	for i, c := range pool {
-		var prox float64
-		for _, m := range remaining {
-			prox += R[i][m]
-		}
-		prox /= float64(len(remaining))
-		ov := overlapScore(r.g, spec.Bipartite, c, departing)
-		reps[i] = Replacement{Node: c, RWRProximity: prox, Overlap: ov}
-		if prox > maxProx {
-			maxProx = prox
-		}
-		if ov > maxOverlap {
-			maxOverlap = ov
-		}
+	var maxProx float64
+	for _, p := range prox {
+		maxProx = max(maxProx, p)
 	}
-	for i := range reps {
-		var s float64
-		if maxProx > 0 {
-			s += weights.RWR * (reps[i].RWRProximity / maxProx)
+	reps := make([]Replacement, len(exact))
+	for k, i := range exact {
+		reps[k] = Replacement{
+			Node:         pool[i],
+			Score:        weights.blend(prox[k], maxProx, ov[i], maxOverlap),
+			RWRProximity: prox[k],
+			Overlap:      ov[i],
 		}
-		if maxOverlap > 0 {
-			s += weights.Overlap * (reps[i].Overlap / maxOverlap)
-		}
-		reps[i].Score = s / (weights.RWR + weights.Overlap)
 	}
 	sort.SliceStable(reps, func(a, b int) bool {
 		if reps[a].Score != reps[b].Score {
@@ -535,16 +545,12 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		}
 		return reps[a].Node < reps[b].Node
 	})
-	topN := spec.TopN
-	if topN == 0 {
-		topN = 10
-	}
 	if topN > 0 && len(reps) > topN {
 		reps = reps[:topN]
 	}
 	scoreSpan.SetAttr(obs.Int("ranked", len(reps)))
 	scoreSpan.End()
-	stages.Combine = time.Since(scoreStart)
+	stages.Combine += time.Since(scoreStart)
 
 	return &ReplaceResult{
 		Replacements: reps,
@@ -557,4 +563,212 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		Stages:       stages,
 		Elapsed:      time.Since(start),
 	}, nil
+}
+
+// blend is one candidate's replacement score: each component
+// max-normalized over the pool, weighted, and divided by the weight sum.
+// Every operation is monotone in prox and ov and antitone in the maxima,
+// which is what lets selectExact bound scores by calling it on interval
+// endpoints.
+func (w ReplaceWeights) blend(prox, maxProx, ov, maxOverlap float64) float64 {
+	var s float64
+	if maxProx > 0 {
+		s += w.RWR * (prox / maxProx)
+	}
+	if maxOverlap > 0 {
+		s += w.Overlap * (ov / maxOverlap)
+	}
+	return s / (w.RWR + w.Overlap)
+}
+
+// proximity is the mean of a candidate's walk scores to the remaining
+// members, summed in member order. Additions and the division are
+// monotone, so calling it on per-member interval endpoints bounds the
+// computed mean.
+func proximity(terms []float64) float64 {
+	var p float64
+	for _, v := range terms {
+		p += v
+	}
+	return p / float64(len(terms))
+}
+
+// replaceSelection is what the rank phase needs beyond the proximities:
+// the exact overlaps, the blend, and the ranking depth.
+type replaceSelection struct {
+	weights    ReplaceWeights
+	ov         []float64
+	maxOverlap float64
+	topN       int
+}
+
+// replaceStep1 resolves the candidate proximities. It returns the pool
+// indices solved exactly (ascending), their proximities, and whether the
+// certificate narrowed the set. Without a certificate — see certificate —
+// the exact set is the whole pool, one candidate-sourced walk each, as
+// the plain pipeline has always solved it. Both phases run under one
+// solve span; selection time counts toward st.Combine.
+func (r *Runner) replaceStep1(ctx context.Context, spec ReplaceSpec, cfg Config, pool, remaining []int, sel replaceSelection, st *StageTimings) (exact []int, prox []float64, certified bool, err error) {
+	exact = make([]int, len(pool))
+	for i := range exact {
+		exact[i] = i
+	}
+	var R [][]float64
+	if spec.Exact {
+		if R, err = r.exactScoresSet(ctx, pool, st); err != nil {
+			return nil, nil, false, err
+		}
+		return exact, proximities(R, remaining), false, nil
+	}
+
+	solveCtx, span := obs.StartSpan(ctx, "solve")
+	var stats rwr.ServeStats
+	resolved := 0
+	if rv, ok := r.certificate(sel.topN, len(pool), remaining); ok {
+		var Rm [][]float64
+		Rm, _, err = serveStep(solveCtx, r.solver, remaining, cfg, r.sv, r.space, st, &stats)
+		if err != nil {
+			endSolve(span, st, stats, err)
+			return nil, nil, false, err
+		}
+		selStart := time.Now()
+		lo, hi := proxBounds(rv, pool, remaining, Rm)
+		exact = selectExact(lo, hi, sel)
+		st.Combine += time.Since(selStart)
+		resolved, certified = len(remaining), true
+	}
+	queries := make([]int, len(exact))
+	for k, i := range exact {
+		queries[k] = pool[i]
+	}
+	R, _, err = serveStep(solveCtx, r.solver, queries, cfg, r.sv, r.space, st, &stats)
+	span.SetAttr(obs.Int("queries", resolved+len(queries)), obs.Int("nodes", r.g.N()))
+	endSolve(span, st, stats, err)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	return exact, proximities(R, remaining), certified, nil
+}
+
+// proximities reads each row's mean walk score to the remaining members.
+func proximities(R [][]float64, remaining []int) []float64 {
+	terms := make([]float64, len(remaining))
+	prox := make([]float64, len(R))
+	for k, row := range R {
+		for j, m := range remaining {
+			terms[j] = row[m]
+		}
+		prox[k] = proximity(terms)
+	}
+	return prox
+}
+
+// iterateTier is the precompute tier's report of whether every row it can
+// serve for a key space is an m-sweep iterate (a panel-class artifact or
+// none) rather than a dense closed-form row the certificate does not
+// cover.
+type iterateTier interface {
+	ServesIterates(space uint64) bool
+}
+
+// certificate returns the solver's reversibility certificate when the
+// rank phase may use it: a ranking shorter than the pool, a solver that
+// gives one (Tol = 0), rows that are all m-sweep iterates, and no
+// isolated remaining member (its X is undefined).
+func (r *Runner) certificate(topN, poolSize int, remaining []int) (*rwr.Reversibility, bool) {
+	if topN < 0 || topN >= poolSize {
+		return nil, false
+	}
+	rv, ok := r.solver.Reversibility()
+	if !ok {
+		return nil, false
+	}
+	if r.sv.Artifacts != nil {
+		if t, ok := r.sv.Artifacts.(iterateTier); !ok || !t.ServesIterates(r.space) {
+			return nil, false
+		}
+	}
+	for _, m := range remaining {
+		if !rv.Covers(m) {
+			return nil, false
+		}
+	}
+	return rv, true
+}
+
+// proxBounds bounds every candidate's computed proximity from the member
+// rows (Rm[j] is the walk from remaining[j]): each term r(c, m) through
+// the certificate, then the mean with proximity's own arithmetic. A
+// candidate the certificate cannot bound (an isolated one) gets
+// [0, +Inf): it can be anything, so selectExact always keeps it.
+func proxBounds(rv *rwr.Reversibility, pool, remaining []int, Rm [][]float64) (lo, hi []float64) {
+	lo, hi = make([]float64, len(pool)), make([]float64, len(pool))
+	los, his := make([]float64, len(remaining)), make([]float64, len(remaining))
+	for i, c := range pool {
+		bounded := true
+		for j, m := range remaining {
+			var ok bool
+			if los[j], his[j], ok = rv.Bound(c, m, Rm[j][c]); !ok {
+				bounded = false
+				break
+			}
+		}
+		if !bounded {
+			lo[i], hi[i] = 0, math.Inf(1)
+			continue
+		}
+		lo[i], hi[i] = proximity(los), proximity(his)
+	}
+	return lo, hi
+}
+
+// scoreSlack widens blended-score bounds by a few ulps, so the selection
+// stays sound even where the compiler fuses the blend's multiply-add
+// differently at two call sites.
+const scoreSlack = 0x1p-49
+
+// selectExact returns, ascending, the candidates whose exact solve can
+// change the answer, given bounds lo[i] ≤ prox(i) ≤ hi[i] on their
+// computed proximities:
+//
+//   - every possible proximity maximum: hi reaches the largest lo. The
+//     true maximum is among them, so solving them fixes maxProx exactly;
+//   - every candidate whose blended-score upper bound reaches the N-th
+//     largest lower bound. Any other candidate scores strictly below N
+//     candidates, so it cannot be in the top N, whatever the tie-break.
+//
+// Score bounds come from blend on interval endpoints — the proximity
+// bounds, the bounds on maxProx, the exact overlaps — widened by
+// scoreSlack.
+func selectExact(lo, hi []float64, sel replaceSelection) []int {
+	var pLo, pHi float64
+	for i := range lo {
+		pLo, pHi = max(pLo, lo[i]), max(pHi, hi[i])
+	}
+	w, n := sel.weights, len(lo)
+	sLo, sHi := make([]float64, n), make([]float64, n)
+	for i := range lo {
+		// prox/maxProx ≤ 1 always; below it, the lower bound divides by
+		// the largest possible maximum and the upper by the smallest.
+		sLo[i] = w.blend(lo[i], pHi, sel.ov[i], sel.maxOverlap) * (1 - scoreSlack)
+		if pLo > 0 {
+			sHi[i] = w.blend(min(hi[i], pLo), pLo, sel.ov[i], sel.maxOverlap)
+		} else {
+			sHi[i] = w.blend(1, 1, sel.ov[i], sel.maxOverlap)
+		}
+		sHi[i] *= 1 + scoreSlack
+	}
+	cut := math.Inf(-1)
+	if sel.topN > 0 && sel.topN <= n {
+		sorted := append([]float64(nil), sLo...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
+		cut = sorted[sel.topN-1]
+	}
+	var keep []int
+	for i := range lo {
+		if hi[i] >= pLo || sHi[i] >= cut {
+			keep = append(keep, i)
+		}
+	}
+	return keep
 }

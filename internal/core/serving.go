@@ -39,20 +39,41 @@ type Serving struct {
 func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings) ([][]float64, []rwr.Diagnostics, error) {
 	solveCtx, span := obs.StartSpan(ctx, "solve")
 	span.SetAttr(obs.Int("queries", len(queries)), obs.Int("nodes", solver.N()))
+	var stats rwr.ServeStats
+	R, diags, err := serveStep(solveCtx, solver, queries, cfg, sv, space, st, &stats)
+	endSolve(span, st, stats, err)
+	return R, diags, err
+}
+
+// serveStep resolves queries through sv under the caller's solve span and
+// folds the call into st and stats: Solve and SolveSweeps add up across
+// calls, as stats does (see rwr.ServeStats.Add).
+func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats) ([][]float64, []rwr.Diagnostics, error) {
 	opt := rwr.ServeOptions{Workers: blockedWorkers(cfg.Workers), Artifacts: sv.Artifacts}
 	if !cfg.NoCoalesce {
 		opt.Coalesce = sv.Coalescer
 	}
 	start := time.Now()
-	R, diags, stats, err := solver.ScoresSetServingCtx(solveCtx, queries, sv.Cache, space, sv.Pool, opt)
-	st.Solve = time.Since(start)
+	R, diags, s, err := solver.ScoresSetServingCtx(ctx, queries, sv.Cache, space, sv.Pool, opt)
+	st.Solve += time.Since(start)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.Add(s)
+	st.SolveSweeps += sumSweeps(diags)
+	return R, diags, nil
+}
+
+// endSolve closes a solve span: on success it fills the kernel, cache and
+// coalescer fields of st from the summed stats of the span's serveStep
+// calls, and records them on the span with one coalesce_wait event.
+func endSolve(span *obs.Span, st *StageTimings, stats rwr.ServeStats, err error) {
 	if err != nil {
 		span.SetError(err)
 		span.End()
-		return nil, nil, err
+		return
 	}
 	st.SolveKernel = solveKernel(stats)
-	st.SolveSweeps = sumSweeps(diags)
 	st.CacheHits, st.CacheMisses, st.ArtifactHits = stats.Hits, stats.Misses, stats.ArtifactHits
 	st.CoalescePanelWidth, st.CoalesceWait = stats.CoalescedWidth, stats.CoalesceWait
 	span.SetAttr(obs.Str("kernel", st.SolveKernel), obs.Int("sweeps", st.SolveSweeps),
@@ -64,7 +85,6 @@ func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Confi
 			obs.F64("wait_ms", 1e3*stats.CoalesceWait.Seconds()))
 	}
 	span.End()
-	return R, diags, nil
 }
 
 // partitionedID hands each PrePartition-built state a unique non-zero

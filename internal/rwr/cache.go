@@ -1,7 +1,6 @@
 package rwr
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -14,12 +13,13 @@ import (
 	"ceps/internal/fault"
 )
 
-// This file is the serving layer of Step 1: a shared, byte-budgeted LRU
-// cache of per-source score vectors plus a bounded solve pool. The paper's
-// §6 pre-compute discussion trades memory for the repeated per-query solve
-// cost; the cache is the incremental version of that trade — only sources
-// that queries actually ask about are materialized, and a byte budget
-// bounds the "heavy burden when N is big" instead of an N×N inverse.
+// This file is the serving layer of Step 1: a shared, byte-budgeted cache
+// of per-source score vectors under SIEVE eviction, plus a bounded solve
+// pool. The paper's §6 pre-compute discussion trades memory for the
+// repeated per-query solve cost; the cache is the incremental version of
+// that trade — only sources that queries actually ask about are
+// materialized, and a byte budget bounds the "heavy burden when N is big"
+// instead of an N×N inverse.
 //
 // Vectors are keyed by (space, source): the source node id plus a space
 // fingerprint that encodes everything else the vector depends on — the RWR
@@ -147,12 +147,15 @@ type cacheKey struct {
 
 // entry is one resident vector. vec is immutable once stored and readers
 // share it read-only, so eviction can drop the cache's reference at any
-// time without disturbing them.
+// time without disturbing them. Entries form a list in insertion order
+// (prev points toward the older end) and carry SIEVE's visited bit.
 type entry struct {
-	key   cacheKey
-	vec   []float64
-	diag  Diagnostics
-	bytes int64
+	key        cacheKey
+	vec        []float64
+	diag       Diagnostics
+	bytes      int64
+	visited    bool
+	prev, next *entry
 }
 
 // flight coordinates concurrent requests for the same missing vector: the
@@ -173,17 +176,27 @@ type flight struct {
 	gen uint64
 }
 
-// ScoreCache is a goroutine-safe LRU cache of RWR score vectors with a
-// byte budget. It is shared by the full-graph and Fast CePS query paths of
-// an Engine; see the package comment of this file for the keying scheme.
+// ScoreCache is a goroutine-safe cache of RWR score vectors with a byte
+// budget. It is shared by the full-graph and Fast CePS query paths of an
+// Engine; see the package comment of this file for the keying scheme.
+//
+// Eviction is SIEVE (Zhang et al., "SIEVE is Simpler than LRU", NSDI '24):
+// entries keep insertion order and a visited bit. A hit only sets the
+// bit — no list move. To make room, a hand walks from the oldest entry
+// toward the newest, clearing set bits, and evicts the first unvisited
+// entry; it resumes there on the next eviction. A vector hit since the
+// hand last passed survives, where LRU would drop it for having been
+// touched before a newer, never-reused one.
 type ScoreCache struct {
-	mu       sync.Mutex
-	budget   int64
-	used     int64
-	gen      uint64     // bumped by Purge; guards finish against stale stores
-	ll       *list.List // of *entry; front = most recently used
-	items    map[cacheKey]*list.Element
-	inflight map[cacheKey]*flight
+	mu     sync.Mutex
+	budget int64
+	used   int64
+	gen    uint64 // bumped by Purge; guards finish against stale stores
+	// newest and oldest end the insertion-order list; hand is the next
+	// eviction candidate (nil: start from oldest).
+	newest, oldest, hand *entry
+	items                map[cacheKey]*entry
+	inflight             map[cacheKey]*flight
 
 	hits, misses, evictions, invalidations, staleDrops uint64
 }
@@ -199,8 +212,7 @@ const entryOverhead = 128
 func NewScoreCache(budgetBytes int64) *ScoreCache {
 	return &ScoreCache{
 		budget:   budgetBytes,
-		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element),
+		items:    make(map[cacheKey]*entry),
 		inflight: make(map[cacheKey]*flight),
 	}
 }
@@ -215,25 +227,25 @@ func (c *ScoreCache) Stats() CacheStats {
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 		StaleDrops:    c.staleDrops,
-		Entries:       c.ll.Len(),
+		Entries:       len(c.items),
 		BytesUsed:     c.used,
 		BytesBudget:   c.budget,
 	}
 }
 
-// Purge drops every stored vector, bumps the cache generation, and counts
-// one invalidation. Engines call it on reconfiguration: stale vectors can
-// never be *read* (their key space dies with the old config), so purging
-// is about releasing memory promptly rather than correctness. The
-// generation bump extends that guarantee to in-flight leaders: a solve
-// that started before the purge completes normally for its waiters but is
-// not stored, so it cannot re-occupy the byte budget as unreadable dead
-// space (see finish).
+// Purge drops every stored vector, resets the eviction hand, bumps the
+// cache generation, and counts one invalidation. Engines call it on
+// reconfiguration: stale vectors can never be *read* (their key space
+// dies with the old config), so purging is about releasing memory
+// promptly rather than correctness. The generation bump extends that
+// guarantee to in-flight leaders: a solve that started before the purge
+// completes normally for its waiters but is not stored, so it cannot
+// re-occupy the byte budget as unreadable dead space (see finish).
 func (c *ScoreCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[cacheKey]*list.Element)
+	c.newest, c.oldest, c.hand = nil, nil, nil
+	c.items = make(map[cacheKey]*entry)
 	c.used = 0
 	c.gen++
 	c.invalidations++
@@ -247,9 +259,8 @@ func (c *ScoreCache) Purge() {
 func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Diagnostics, ok bool, fl *flight, leader bool) {
 	key := cacheKey{space: space, source: source}
 	c.mu.Lock()
-	if el, found := c.items[key]; found {
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*entry)
+	if ent, found := c.items[key]; found {
+		ent.visited = true
 		c.hits++
 		c.mu.Unlock()
 		return ent.vec, ent.diag, true, nil, false
@@ -273,7 +284,7 @@ func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Di
 // and counted as a stale drop — when a Purge bumped the generation after
 // the flight started: the purge's caller (Reconfigure, SetPartitioned)
 // has already retired this flight's key space, so storing would only park
-// unreadable vectors against the byte budget until LRU eviction. A nil
+// unreadable vectors against the byte budget until evicted. A nil
 // cache has no flights, so finishing on it is a no-op.
 func (c *ScoreCache) finish(space uint64, source int, fl *flight, vec []float64, diag Diagnostics, err error) {
 	if c == nil {
@@ -299,34 +310,63 @@ func (c *ScoreCache) finish(space uint64, source int, fl *flight, vec []float64,
 	close(fl.done)
 }
 
-// storeLocked inserts (or replaces) an entry and evicts from the LRU tail
-// until the budget holds. A vector larger than the whole budget is not
-// stored. Callers hold c.mu.
+// storeLocked inserts (or replaces) an entry as the newest, first
+// evicting by SIEVE until it fits the budget; the new entry itself is
+// never the victim. A vector larger than the whole budget is not stored.
+// Callers hold c.mu.
 func (c *ScoreCache) storeLocked(key cacheKey, vec []float64, diag Diagnostics) {
 	ent := &entry{key: key, vec: vec, diag: diag, bytes: int64(len(vec))*8 + entryOverhead}
 	if ent.bytes > c.budget {
 		return
 	}
-	if el, found := c.items[key]; found {
-		old := el.Value.(*entry)
-		c.used += ent.bytes - old.bytes
-		el.Value = ent
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(ent)
-		c.used += ent.bytes
+	if old, found := c.items[key]; found {
+		c.unlinkLocked(old)
 	}
-	for c.used > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
+	for c.used+ent.bytes > c.budget && c.oldest != nil {
+		victim := c.hand
+		if victim == nil {
+			victim = c.oldest
 		}
-		victim := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.items, victim.key)
-		c.used -= victim.bytes
+		for victim.visited {
+			victim.visited = false
+			if victim = victim.next; victim == nil {
+				victim = c.oldest
+			}
+		}
+		c.hand = victim // unlinking moves it on to the next newer entry
+		c.unlinkLocked(victim)
 		c.evictions++
 	}
+	ent.prev = c.newest
+	if c.newest != nil {
+		c.newest.next = ent
+	} else {
+		c.oldest = ent
+	}
+	c.newest = ent
+	c.items[key] = ent
+	c.used += ent.bytes
+}
+
+// unlinkLocked removes ent from the list and the index, moving the hand
+// to the next newer entry if it pointed at ent. Callers hold c.mu.
+func (c *ScoreCache) unlinkLocked(ent *entry) {
+	if c.hand == ent {
+		c.hand = ent.next
+	}
+	if ent.prev != nil {
+		ent.prev.next = ent.next
+	} else {
+		c.oldest = ent.next
+	}
+	if ent.next != nil {
+		ent.next.prev = ent.prev
+	} else {
+		c.newest = ent.prev
+	}
+	ent.prev, ent.next = nil, nil
+	delete(c.items, ent.key)
+	c.used -= ent.bytes
 }
 
 // contextual reports whether err is a cancellation/deadline failure — the
@@ -380,8 +420,9 @@ type ServeStats struct {
 	CoalesceWait time.Duration
 }
 
-// add folds the stats of a nested serving call into st.
-func (st *ServeStats) add(o ServeStats) {
+// Add folds the stats of another serving call into st: counts add up,
+// the coalescer width and wait keep their maxima.
+func (st *ServeStats) Add(o ServeStats) {
 	st.Hits += o.Hits
 	st.Misses += o.Misses
 	st.ArtifactHits += o.ArtifactHits
@@ -484,7 +525,7 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 	stats.Misses = len(leaders)
 
 	// A covered leader is finished into its flight, so followers inherit
-	// the row and the LRU stores it exactly as it would a solved vector.
+	// the row and the cache stores it exactly as it would a solved vector.
 	unsolved := leaders[:0]
 	for _, p := range leaders {
 		vec, ok := s.readArtifact(opt.Artifacts, space, p.q)
@@ -516,7 +557,7 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 		if retry {
 			var again ServeStats
 			vec, d, again, err = s.resolveOne(ctx, p.q, cache, space, pool, opt)
-			stats.add(again)
+			stats.Add(again)
 		} else if err == nil {
 			stats.Hits++
 		}

@@ -129,6 +129,10 @@ type Solver struct {
 	// once and reused by every intra-sweep parallel multiply).
 	splitsMu sync.Mutex
 	splits   map[int][]int
+
+	// rev is the reversibility certificate (reversible.go), nil when the
+	// solver cannot give one.
+	rev *Reversibility
 }
 
 // NewSolver builds the normalized transition matrix for g under cfg.
@@ -138,6 +142,13 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 	}
 	n := g.N()
 	entries := make([]linalg.Triple, 0, 2*g.M())
+	// x[u] is the reversibility scale X_u (0 for isolated nodes), computed
+	// from the very values the entries are built from; entryRoundings
+	// counts the roundings between a stored entry and the exactly
+	// reversible matrix those values define.
+	x := make([]float64, n)
+	entryRoundings := 0
+	tiny := false // a value below the normal range voids the certificate
 	switch cfg.Norm {
 	case NormColumn, NormDegreePenalized:
 		alpha := 0.0
@@ -146,22 +157,33 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 		}
 		// Penalized weight of arc c→r is w_{rc}/d_r^α (Eq. 10: the
 		// receiving node's degree is penalized); each column c is then
-		// normalized to sum 1 (Eq. 5).
+		// normalized to sum 1 (Eq. 5). pow[r] = d_r^α is computed once per
+		// node (1 when α = 0: dividing by it leaves the weight exact).
+		pow := make([]float64, n)
+		for r := range pow {
+			pow[r] = penalty(g.WeightedDegree(r), alpha)
+		}
 		for c := 0; c < n; c++ {
 			nbrs, ws := g.Neighbors(c)
 			var colSum float64
 			for i, r := range nbrs {
-				colSum += penalize(ws[i], g.WeightedDegree(r), alpha)
+				colSum += ws[i] / pow[r]
 			}
 			if colSum == 0 {
 				continue // isolated node: zero column, walk mass restarts only
 			}
 			for i, r := range nbrs {
-				p := penalize(ws[i], g.WeightedDegree(r), alpha) / colSum
+				pen := ws[i] / pow[r]
+				p := pen / colSum
+				tiny = tiny || pen < 0x1p-1022 || p < 0x1p-1022
 				entries = append(entries, linalg.Triple{Row: r, Col: c, Val: p})
 			}
+			x[c] = pow[c] / colSum
 		}
+		entryRoundings = 2
 	case NormSymmetric:
+		// The stored matrix is exactly symmetric (edge weights are, and
+		// d_r·d_c rounds like d_c·d_r), so X = I with no entry rounding.
 		for c := 0; c < n; c++ {
 			dc := g.WeightedDegree(c)
 			if dc == 0 {
@@ -172,6 +194,7 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 				dr := g.WeightedDegree(r)
 				entries = append(entries, linalg.Triple{Row: r, Col: c, Val: ws[i] / math.Sqrt(dr*dc)})
 			}
+			x[c] = 1
 		}
 	default:
 		return nil, fmt.Errorf("rwr: unknown normalization %v", cfg.Norm)
@@ -180,14 +203,20 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{cfg: cfg, n: n, trans: trans, splits: make(map[int][]int)}, nil
+	s := &Solver{cfg: cfg, n: n, trans: trans, splits: make(map[int][]int)}
+	if !tiny {
+		s.rev = newReversibility(trans, x, entryRoundings, cfg)
+	}
+	return s, nil
 }
 
-func penalize(w, deg, alpha float64) float64 {
+// penalty is d^α, the Eq. 10 divisor of every arc into a node of
+// weighted degree d; 1 when α = 0 or d = 0, leaving the weight untouched.
+func penalty(deg, alpha float64) float64 {
 	if alpha == 0 || deg == 0 {
-		return w
+		return 1
 	}
-	return w / math.Pow(deg, alpha)
+	return math.Pow(deg, alpha)
 }
 
 // N returns the number of nodes the solver operates on.

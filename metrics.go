@@ -419,15 +419,38 @@ func (e *Engine) recordSlow(queries []int, res *Result, err error, elapsed time.
 	if e.slow == nil {
 		return
 	}
-	entry := obs.SlowQueryEntry{
-		Time:      time.Now(),
-		Queries:   append([]int(nil), queries...),
-		Path:      queryPath(res, fast),
-		ElapsedMS: ms(elapsed),
-		TraceID:   traceID,
+	entry := obs.SlowQueryEntry{Queries: append([]int(nil), queries...), Path: queryPath(res, fast),
+		ElapsedMS: ms(elapsed), TraceID: traceID}
+	if res == nil {
+		e.writeSlow(entry, nil, nil, err)
+		return
 	}
-	if res != nil {
-		st := res.Stages
+	if res.Fallback != nil {
+		entry.Fallback = res.Fallback.Reason
+	}
+	e.writeSlow(entry, &res.Stages, res.Degraded, err)
+}
+
+// recordSlowReplace is recordSlow for a subteam-replacement request: path
+// "replace", the team as the queries.
+func (e *Engine) recordSlowReplace(team []int, res *ReplaceResult, err error, elapsed time.Duration, traceID string) {
+	if e.slow == nil {
+		return
+	}
+	entry := obs.SlowQueryEntry{Queries: append([]int(nil), team...), Path: "replace",
+		ElapsedMS: ms(elapsed), TraceID: traceID}
+	if res == nil {
+		e.writeSlow(entry, nil, nil, err)
+		return
+	}
+	e.writeSlow(entry, &res.Stages, res.Degraded, err)
+}
+
+// writeSlow completes a slow-log entry with the stage attribution (st may
+// be nil), the degradation and the error, and records it.
+func (e *Engine) writeSlow(entry obs.SlowQueryEntry, st *core.StageTimings, degraded *core.Degradation, err error) {
+	entry.Time = time.Now()
+	if st != nil {
 		entry.PartitionMS = ms(st.Partition)
 		entry.SolveMS = ms(st.Solve)
 		entry.CombineMS = ms(st.Combine)
@@ -437,13 +460,10 @@ func (e *Engine) recordSlow(queries []int, res *Result, err error, elapsed time.
 		entry.ArtifactHits = st.ArtifactHits
 		entry.SolveKernel = st.SolveKernel
 		entry.SolveSweeps = st.SolveSweeps
-		if res.Fallback != nil {
-			entry.Fallback = res.Fallback.Reason
-		}
-		if res.Degraded != nil {
-			entry.Degraded = res.Degraded.Mode
-			entry.DegradedReason = res.Degraded.Reason
-		}
+	}
+	if degraded != nil {
+		entry.Degraded = degraded.Mode
+		entry.DegradedReason = degraded.Reason
 	}
 	if err != nil {
 		entry.Error = err.Error()

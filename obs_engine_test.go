@@ -2,7 +2,9 @@ package ceps_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +152,37 @@ func TestEngineSlowQueryLog(t *testing.T) {
 	}
 	if failed.Error == "" {
 		t.Error("failed query should carry its error in the log entry")
+	}
+
+	// Replace requests log too: path "replace", the team as the queries,
+	// stage attribution on success and the error on failure.
+	buf.Reset()
+	team, departed := replaceTeam(ds)
+	if _, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ReplaceSubteam(context.Background(), team); err == nil {
+		t.Fatal("replace without departing members should fail")
+	}
+	lines = strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("slow log has %d replace lines, want 2:\n%s", len(lines), buf.String())
+	}
+	var rep, repFailed ceps.SlowQueryEntry
+	if err := json.Unmarshal([]byte(lines[0]), &rep); err != nil {
+		t.Fatalf("slow log line is not JSON: %v\n%s", err, lines[0])
+	}
+	if rep.Path != "replace" || fmt.Sprint(rep.Queries) != fmt.Sprint(team) {
+		t.Errorf("replace entry path %q queries %v, want replace %v", rep.Path, rep.Queries, team)
+	}
+	if rep.SolveMS <= 0 || rep.CacheMisses == 0 || rep.SolveSweeps == 0 || rep.SolveKernel != "blocked" || rep.Error != "" {
+		t.Errorf("replace entry lacks its solve attribution: %+v", rep)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &repFailed); err != nil {
+		t.Fatalf("slow log line is not JSON: %v\n%s", err, lines[1])
+	}
+	if repFailed.Path != "replace" || repFailed.Error == "" {
+		t.Errorf("failed replace entry: %+v", repFailed)
 	}
 
 	// A high threshold suppresses logging entirely.

@@ -15,9 +15,11 @@ import (
 // This file is the serving surface for the title paper's own workload,
 // Subteam Replacement: Engine.ReplaceSubteam answers "who should fill in
 // for the members leaving this team?" with a ranked candidate list, scored
-// by RWR proximity to the remaining team (one blocked panel through the
-// cache/pool/coalescer, like every other query type) blended with
-// structural overlap against the departed members. The CLI `replace` verb
+// by RWR proximity to the remaining team (walks resolved through the
+// cache/pool/coalescer like every other query type: the remaining
+// members' walks certify which candidates can reach the top N, and only
+// those candidates' walks are solved) blended with structural overlap
+// against the departed members. The CLI `replace` verb
 // and POST /v1/replace map onto this surface field-for-field.
 
 // BipartiteGraph is the author–paper incidence substrate
@@ -127,7 +129,7 @@ func WithReplaceNoDegrade() ReplaceOption {
 	return func(ro *replaceOptions) { ro.noDegrade = true }
 }
 
-// WithReplaceCoalesceHint opts the candidate panel in (true) or out
+// WithReplaceCoalesceHint opts the request's walks in (true) or out
 // (false) of the cross-request solve coalescer; answers are bit-identical
 // either way.
 func WithReplaceCoalesceHint(on bool) ReplaceOption {
@@ -135,15 +137,18 @@ func WithReplaceCoalesceHint(on bool) ReplaceOption {
 }
 
 // ReplaceSubteam ranks replacement candidates for the departing members of
-// team — the title paper's Subteam Replacement workload. The candidate
-// pool (two-hop neighborhood by default; see WithDensestPool and
-// WithCandidatePool) solves as one blocked RWR panel through the engine's
-// cache, solve pool and coalescer, and each candidate's walk proximity to
-// the remaining members is blended with its structural overlap against the
-// departed ones (co-authored-paper counts when WithBipartite attached a
-// substrate, the projected-graph shared-collaborator kernel otherwise).
-// Answers are deterministic and bit-identical with serving features on or
-// off. The resilience layer (when enabled) gates the call like any other
+// team — the title paper's Subteam Replacement workload. Each candidate
+// of the pool (two-hop neighborhood by default; see WithDensestPool and
+// WithCandidatePool) is scored by its walk proximity to the remaining
+// members, blended with its structural overlap against the departed ones
+// (co-authored-paper counts when WithBipartite attached a substrate, the
+// projected-graph shared-collaborator kernel otherwise). Walks resolve
+// through the engine's cache, solve pool and coalescer: the remaining
+// members' walks bound every candidate's proximity, and only the
+// candidates that can reach the top N (about N of them) get their own
+// walk. Answers are deterministic, bit-identical with serving features on
+// or off, and a top-N answer is the first N of the whole pool's ranking,
+// bit for bit. The resilience layer (when enabled) gates the call like any other
 // query: admission control, breaker routing, and degraded (relaxed
 // tolerance) panels marked on ReplaceResult.Degraded.
 func (e *Engine) ReplaceSubteam(ctx context.Context, team []int, opts ...ReplaceOption) (res *ReplaceResult, err error) {
@@ -158,7 +163,7 @@ func (e *Engine) ReplaceSubteam(ctx context.Context, team []int, opts ...Replace
 	if ro.spec.Bipartite == nil {
 		ro.spec.Bipartite = e.bp
 	}
-	cfg, _ := e.snapshot() // fast mode does not apply: candidate panels are full-graph
+	cfg, _ := e.snapshot() // fast mode does not apply: replace walks are full-graph
 	if ro.coalesce != nil {
 		cfg.NoCoalesce = !*ro.coalesce
 	}
@@ -193,6 +198,7 @@ func (e *Engine) replaceWith(ctx context.Context, cfg Config, spec core.ReplaceS
 			span.SetError(err)
 			span.End()
 			e.metrics.observeReplace(nil, replacePoolLabel(spec), err, time.Since(start))
+			e.recordSlowReplace(spec.Team, nil, err, time.Since(start), span.TraceID())
 			e.flight.ObserveQuery(flightReplaceOutcome(nil, err, time.Since(start)))
 			return nil, err
 		}
@@ -207,6 +213,7 @@ func (e *Engine) replaceWith(ctx context.Context, cfg Config, spec core.ReplaceS
 				span.SetAttr(obs.Str("shed", "breaker_open"))
 				span.SetError(err)
 				span.End()
+				e.recordSlowReplace(spec.Team, nil, err, time.Since(start), span.TraceID())
 				e.flight.ObserveQuery(flightReplaceOutcome(nil, err, time.Since(start)))
 				return nil, err
 			}
@@ -251,6 +258,7 @@ func (e *Engine) replaceWith(ctx context.Context, cfg Config, spec core.ReplaceS
 	span.SetError(err)
 	span.End()
 	e.metrics.observeReplace(res, strategy, err, elapsed)
+	e.recordSlowReplace(spec.Team, res, err, elapsed, span.TraceID())
 	e.flight.ObserveQuery(flightReplaceOutcome(res, err, elapsed))
 	return res, err
 }
