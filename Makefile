@@ -51,7 +51,7 @@ race-hammer:
 # Prometheus exposition (plus the engine-level metric assertions).
 obs-smoke:
 	$(GO) test -count=1 ./internal/obs -run 'TestAdminEndpointSmoke'
-	$(GO) test -count=1 . -run 'TestEngineStageTimingsAndMetrics|TestEngineSlowQueryLog'
+	$(GO) test -count=1 . -run 'TestEngineStageTimingsAndMetrics|TestEngineSlowQueryLog|TestFunnelObservationTable'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestServeListeners|TestQueryMux'
 
 # End-to-end tracing smoke: serve a traced fast-mode engine, follow one
@@ -65,23 +65,28 @@ trace-smoke:
 	$(GO) test -race -count=2 . -run 'TestTraceStoreRaceHammer'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestTraceSmoke|TestTraceFlagValidation'
 
-# Short fuzz passes over the graph parsers and the /query and /v1/replace
-# request decoders; crashers land in testdata/fuzz and fail `make test`
-# from then on.
+# Short fuzz passes over the graph parsers, the v1 query decoders (the
+# /v1/query body and GET parameters, the /v1/batch envelope) and the
+# /v1/replace decoder, and the precompute artifact reader (file images and
+# index.json); crashers land in testdata/fuzz and fail `make test` from
+# then on.
 fuzz-smoke:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME)
 	$(GO) test ./cmd/ceps -run='^$$' -fuzz=FuzzQueryRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./cmd/ceps -run='^$$' -fuzz=FuzzReplaceRequest -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/artifact -run='^$$' -fuzz=FuzzArtifactDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/artifact -run='^$$' -fuzz=FuzzArtifactIndex -fuzztime=$(FUZZTIME)
 
 # Chaos suite under the race detector: every fault-injection point fires
 # at least once and must surface as a typed error or a Degraded-marked
 # answer — never a panic, hang, or silent wrong answer — plus the
 # resilience integration tests (bit-identity when disabled, admission
-# sheds, breaker lifecycle through the engine, pool-wait shed hygiene)
-# and the HTTP overload contract.
+# sheds, breaker lifecycle through the engine, pool-wait shed hygiene),
+# the request funnel's exits × query types table, and the HTTP overload
+# contract.
 chaos-smoke:
-	$(GO) test -race -count=1 . -run 'TestChaos|TestResilience|TestPoolWaitShed'
+	$(GO) test -race -count=1 . -run 'TestChaos|TestResilience|TestPoolWaitShed|TestFunnelObservationTable'
 	$(GO) test -race -count=1 ./internal/resilience
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 ./cmd/ceps -run 'TestQueryStatusTable|TestWriteQueryErrorRetryAfter|TestQueryMuxPost|TestQueryMuxOverloadResponse'
@@ -100,7 +105,7 @@ coalesce-smoke:
 	$(GO) test -count=1 . -run 'TestCoalesceSmoke'
 	$(GO) test -race -count=1 . -run 'TestEngineCoalesc'
 	$(GO) test -race -count=1 ./internal/rwr -run 'TestCoalesce'
-	$(GO) test -count=1 ./cmd/ceps -run 'TestV1|TestLegacyQuery|TestTraceIDOnEveryPath|TestReadQueryRequests'
+	$(GO) test -count=1 ./cmd/ceps -run 'TestV1|TestTraceIDOnEveryPath|TestReadQueryRequests'
 
 # Subteam-replacement smoke: the title-paper workload on a tiny substrate.
 # Floors on rank stability (warm repeats reproduce the ranking from the

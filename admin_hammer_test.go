@@ -2,6 +2,7 @@ package ceps_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -54,7 +55,7 @@ func TestAdminHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				if _, err := eng.Query(queries[(w+i)%len(queries)]...); err != nil {
+				if _, err := eng.Do(context.Background(), queries[(w+i)%len(queries)]); err != nil {
 					t.Error(err)
 					return
 				}

@@ -545,7 +545,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 	q1, q2 := s.Dataset.Repository[0][0], s.Dataset.Repository[1][0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(q1, q2); err != nil {
+		if _, err := eng.Do(context.Background(), []int{q1, q2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -587,7 +587,7 @@ func BenchmarkServingOverlap(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, qs := range sets {
-				if _, err := eng.Query(qs...); err != nil {
+				if _, err := eng.Do(context.Background(), qs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -599,14 +599,14 @@ func BenchmarkServingOverlap(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Warm pass outside the timer: fills the cache once.
-		for _, item := range eng.QueryBatch(sets) {
+		for _, item := range eng.DoBatch(context.Background(), sets) {
 			if item.Err != nil {
 				b.Fatal(item.Err)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, item := range eng.QueryBatch(sets) {
+			for _, item := range eng.DoBatch(context.Background(), sets) {
 				if item.Err != nil {
 					b.Fatal(item.Err)
 				}

@@ -26,7 +26,7 @@
 //
 //	ds, _ := ceps.GenerateDBLP(ceps.DefaultDBLPConfig())
 //	eng, _ := ceps.NewEngine(ds.Graph)
-//	res, _ := eng.Query(ds.Repository[0][0], ds.Repository[1][0])
+//	res, _ := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]})
 //	for _, u := range res.Subgraph.Nodes {
 //	    fmt.Println(ds.Graph.Label(u))
 //	}
@@ -36,7 +36,7 @@
 // API (see engine.go and README.md "Serving"):
 //
 //	eng, _ := ceps.NewEngine(ds.Graph, ceps.WithCache(64<<20), ceps.WithWorkers(8))
-//	items := eng.QueryBatch(querySets)
+//	items := eng.DoBatch(ctx, querySets)
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // full architecture.

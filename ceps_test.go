@@ -1,6 +1,7 @@
 package ceps_test
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func newEngine(t testing.TB, g *ceps.Graph, opts ...ceps.Option) *ceps.Engine {
 func TestPublicQuickstartFlow(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	res, err := eng.Query(ds.Repository[0][0], ds.Repository[1][0])
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEngineFastMode(t *testing.T) {
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
 	queries := []int{ds.Repository[0][0], ds.Repository[0][1]}
 
-	full, err := eng.Query(queries...)
+	full, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestEngineFastMode(t *testing.T) {
 	if !eng.FastMode() || pt.PartitionTime <= 0 {
 		t.Fatal("fast mode not active")
 	}
-	fast, err := eng.Query(queries...)
+	fast, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestEngineKSoftAND(t *testing.T) {
 		ds.Repository[0][0], ds.Repository[0][1],
 		ds.Repository[1][0], ds.Repository[1][1],
 	}
-	res, err := eng.QueryKSoftAND(2, queries...)
+	res, err := eng.Do(context.Background(), queries, ceps.WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +106,14 @@ func TestEngineKSoftAND(t *testing.T) {
 	}
 	// The engine's stored config must be untouched.
 	if eng.Config().K != 0 {
-		t.Error("QueryKSoftAND mutated the engine config")
+		t.Error("WithK mutated the engine config")
 	}
 }
 
 func TestEngineEmptyQuery(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	if _, err := eng.Query(); err == nil {
+	if _, err := eng.Do(context.Background(), nil); err == nil {
 		t.Fatal("empty query should fail")
 	}
 }
@@ -165,7 +166,7 @@ func TestQueryFunctionMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newEngine(t, ds.Graph, ceps.WithConfig(cfg)).Query(queries...)
+	b, err := newEngine(t, ds.Graph, ceps.WithConfig(cfg)).Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = eng.Query(queries...)
+			_, errs[i] = eng.Do(context.Background(), queries)
 		}(i)
 	}
 	wg.Wait()

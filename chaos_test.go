@@ -43,7 +43,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
 		start := time.Now()
-		_, err := eng.QueryCtx(ctx, q...)
+		_, err := eng.Do(ctx, q)
 		if !errors.Is(err, ceps.ErrDeadlineExceeded) {
 			t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 		}
@@ -58,7 +58,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 	t.Run("solve_error", func(t *testing.T) {
 		inj := arm(t, fault.Injection{Point: fault.InjectSolveError})
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-		_, err := eng.QueryCtx(context.Background(), q...)
+		_, err := eng.Do(context.Background(), q)
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("err = %v, want ErrInjected identity", err)
 		}
@@ -73,7 +73,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 		// defense this injection exists to prove.
 		inj := arm(t, fault.Injection{Point: fault.InjectSolveNaN})
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-		res, err := eng.QueryCtx(context.Background(), q...)
+		res, err := eng.Do(context.Background(), q)
 		if err == nil {
 			t.Fatalf("NaN-poisoned solve returned an answer: %d nodes", res.Subgraph.Size())
 		}
@@ -88,7 +88,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 	t.Run("cache_fail", func(t *testing.T) {
 		inj := arm(t, fault.Injection{Point: fault.InjectCacheFail})
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(8<<20), ceps.WithWorkers(2))
-		_, err := eng.QueryCtx(context.Background(), q...)
+		_, err := eng.Do(context.Background(), q)
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("err = %v, want ErrInjected identity", err)
 		}
@@ -102,7 +102,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(8<<20), ceps.WithWorkers(2))
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 		defer cancel()
-		_, err := eng.QueryCtx(ctx, q...)
+		_, err := eng.Do(ctx, q)
 		if !errors.Is(err, ceps.ErrOverloaded) {
 			t.Fatalf("err = %v, want ErrOverloaded", err)
 		}
@@ -123,7 +123,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 		if _, err := eng.EnableFastMode(6, ceps.PartitionOptions{Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.QueryCtx(context.Background(), q...)
+		res, err := eng.Do(context.Background(), q)
 		if err != nil {
 			t.Fatalf("degenerate partition must fall back, not fail: %v", err)
 		}
@@ -172,7 +172,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	}))
 
 	// 1. The injected failure trips the breaker.
-	if _, err := eng.QueryCtx(context.Background(), q...); !errors.Is(err, fault.ErrInjected) {
+	if _, err := eng.Do(context.Background(), q); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if st := eng.BreakerState(); st != ceps.BreakerOpen {
@@ -181,7 +181,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 
 	// 2. While open, answers are degraded and say so; the injection budget
 	// is spent, so the relaxed solve itself succeeds.
-	res, err := eng.QueryCtx(context.Background(), q...)
+	res, err := eng.Do(context.Background(), q)
 	if err != nil {
 		t.Fatalf("degraded query failed: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	// 3. After OpenFor, the next query becomes the half-open probe, runs
 	// at full fidelity, succeeds, and closes the breaker.
 	time.Sleep(60 * time.Millisecond)
-	res, err = eng.QueryCtx(context.Background(), q...)
+	res, err = eng.Do(context.Background(), q)
 	if err != nil {
 		t.Fatalf("probe query failed: %v", err)
 	}
@@ -241,10 +241,10 @@ func TestChaosNoDegradeFailsFast(t *testing.T) {
 		OpenFor:    time.Minute,
 		NoDegrade:  true,
 	}))
-	if _, err := eng.QueryCtx(context.Background(), q...); !errors.Is(err, fault.ErrInjected) {
+	if _, err := eng.Do(context.Background(), q); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
-	_, err := eng.QueryCtx(context.Background(), q...)
+	_, err := eng.Do(context.Background(), q)
 	if !errors.Is(err, ceps.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}

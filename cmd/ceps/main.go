@@ -25,12 +25,12 @@
 //
 // Serve mode: -serve ADDR runs a long-lived HTTP query service instead
 // of answering one query or batch: GET/POST /v1/query answers one typed
-// request, POST /v1/batch an array of them, and the pre-v1 /query
-// contract survives as a deprecated alias (it answers with a Deprecation
-// header). -resilience adds admission control, load shedding (HTTP 429 +
-// Retry-After), and a circuit breaker that serves relaxed-tolerance
-// degraded answers (or fails fast with 503 under -no-degrade);
-// -max-inflight and -max-queue size it. See README.md "Resilience".
+// request, POST /v1/batch an array of them, and POST /v1/replace a
+// subteam-replacement request. -resilience adds admission control, load
+// shedding (HTTP 429 + Retry-After), and a circuit breaker that serves
+// relaxed-tolerance degraded answers (or fails fast with 503 under
+// -no-degrade); -max-inflight and -max-queue size it. See README.md
+// "Resilience".
 // -coalesce merges concurrent requests' cache misses into shared blocked
 // panels (one multi-source solve instead of one per request) at the price
 // of up to ~1ms of added latency per miss; answers are bit-identical.

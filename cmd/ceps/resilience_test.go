@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestWriteQueryErrorRetryAfter(t *testing.T) {
 	}
 }
 
-// TestQueryMuxPost exercises the POST /query JSON path end to end: a
+// TestQueryMuxPost exercises the POST /v1/query JSON path end to end: a
 // valid body answers, every malformed shape is a 400 (never a 500 or a
 // panic), an oversized body is 413, and unsupported methods are 405.
 func TestQueryMuxPost(t *testing.T) {
@@ -86,7 +87,7 @@ func TestQueryMuxPost(t *testing.T) {
 
 	post := func(body string) *http.Response {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestQueryMuxPost(t *testing.T) {
 		t.Errorf("answer has %d nodes, want at least the 2 query nodes", len(jr.Nodes))
 	}
 
-	resp = post(`{"queries":[0,2],"k":1}`)
+	resp = post(`{"sources":[0,2],"k":1}`)
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -120,9 +121,9 @@ func TestQueryMuxPost(t *testing.T) {
 		{"garbage", `{`},
 		{"trailing_data", `{"q":"Alice,Bob"} {"q":"Carol"}`},
 		{"unknown_field", `{"q":"Alice,Bob","frogs":1}`},
-		{"both_q_and_queries", `{"q":"Alice","queries":[1]}`},
-		{"id_out_of_range", `{"queries":[0,99]}`},
-		{"negative_id", `{"queries":[-1]}`},
+		{"both_q_and_sources", `{"q":"Alice","sources":[1]}`},
+		{"id_out_of_range", `{"sources":[0,99]}`},
+		{"negative_id", `{"sources":[-1]}`},
 		{"no_queries", `{}`},
 		{"unknown_label", `{"q":"NoSuchAuthor"}`},
 	} {
@@ -141,7 +142,7 @@ func TestQueryMuxPost(t *testing.T) {
 		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/query", nil)
+	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/query", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestQueryMuxOverloadResponse(t *testing.T) {
 
 	firstDone := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(srv.URL + "/query?q=Alice,Carol")
+		resp, err := http.Get(srv.URL + "/v1/query?q=Alice,Carol")
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -210,7 +211,7 @@ func TestQueryMuxOverloadResponse(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Get(srv.URL + "/query?q=Alice,Bob")
+	resp, err := http.Get(srv.URL + "/v1/query?q=Alice,Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,15 +237,16 @@ func TestQueryMuxOverloadResponse(t *testing.T) {
 	}
 }
 
-// FuzzQueryRequest drives both POST body decoders — the legacy /query
-// schema and the v1 schema — with arbitrary bytes: neither may panic,
-// and anything either accepts must be a well-formed query set over the
-// graph.
+// FuzzQueryRequest drives every v1 query decoder with arbitrary bytes:
+// the /v1/query body, the /v1/batch envelope (then each entry it accepts)
+// and the GET parameter form (the input read as a URL query string). None
+// may panic, and anything one accepts must be a non-empty, in-range query
+// set over the graph.
 func FuzzQueryRequest(f *testing.F) {
 	f.Add([]byte(`{"q":"Alice,Carol","k":1,"budget":2,"explain":true}`))
-	f.Add([]byte(`{"queries":[0,1,2]}`))
-	f.Add([]byte(`{"queries":[-1]}`))
-	f.Add([]byte(`{"q":"Alice","queries":[0]}`))
+	f.Add([]byte(`{"sources":[0,1,2]}`))
+	f.Add([]byte(`{"sources":[-1]}`))
+	f.Add([]byte(`{"q":"Alice","sources":[0]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"q":"Alice"} trailing`))
 	f.Add([]byte(`{"frogs":true}`))
@@ -257,6 +259,11 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add([]byte(`{"sources":[0],"q":"Alice"}`))
 	f.Add([]byte(`{"timeout_ms":-1,"sources":[0]}`))
 	f.Add([]byte(`{"coalesce":null,"sources":[0]}`))
+	f.Add([]byte(`{"queries":[{"sources":[0,2]},{"q":"Alice,Bob","k":0},{"sources":[7]},{}]}`))
+	f.Add([]byte(`{"queries":[]}`))
+	f.Add([]byte(`sources=0,2&k=1&budget=2&timeout_ms=50&no_degrade=1&coalesce=false&explain=1`))
+	f.Add([]byte(`q=Alice,Carol&k=-1&budget=0`))
+	f.Add([]byte(`q=%zz&sources=;`))
 
 	b := ceps.NewBuilder(0)
 	b.AddNode("Alice")
@@ -268,48 +275,51 @@ func FuzzQueryRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base := ceps.DefaultConfig()
+
+	// accepted checks what every decoder promises of a request it accepts.
+	accepted := func(t *testing.T, form string, body []byte, req queryRequestV1, queries []int) {
+		t.Helper()
+		if len(queries) == 0 {
+			t.Fatalf("%s accepted %q with no queries", form, body)
+		}
+		for _, q := range queries {
+			if q < 0 || q >= g.N() {
+				t.Fatalf("%s accepted out-of-range query %d from %q", form, q, body)
+			}
+		}
+		if req.K != nil && *req.K < 0 {
+			t.Fatalf("%s accepted negative k from %q", form, body)
+		}
+		if req.Budget != nil && *req.Budget <= 0 {
+			t.Fatalf("%s accepted non-positive budget from %q", form, body)
+		}
+		if req.TimeoutMS < 0 {
+			t.Fatalf("%s accepted negative timeout_ms from %q", form, body)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > maxQueryBody {
 			return
 		}
-		queries, reqCfg, _, err := decodeQueryRequest(g, base, body)
-		if err == nil {
-			if len(queries) == 0 {
-				t.Fatalf("accepted body %q with no queries", body)
+		// Rejects are fine; panics are not.
+		if req, queries, err := decodeQueryRequestV1(g, body); err == nil {
+			accepted(t, "/v1/query body", body, req, queries)
+		}
+		if batch, err := decodeBatchRequestV1(body); err == nil {
+			if len(batch.Queries) == 0 || len(batch.Queries) > maxV1BatchSets {
+				t.Fatalf("batch envelope accepted %d entries from %q", len(batch.Queries), body)
 			}
-			for _, q := range queries {
-				if q < 0 || q >= g.N() {
-					t.Fatalf("accepted out-of-range query %d from %q", q, body)
+			for i := range batch.Queries {
+				req := batch.Queries[i]
+				if queries, err := resolveQueryRequestV1(g, &req); err == nil {
+					accepted(t, "/v1/batch entry", body, req, queries)
 				}
 			}
-			// Untouched fields must come from the base config.
-			if reqCfg.RWR != base.RWR {
-				t.Fatalf("decoder mutated RWR config: %+v", reqCfg.RWR)
-			}
 		}
-
-		req, v1Queries, err := decodeQueryRequestV1(g, body)
-		if err != nil {
-			return // rejects are fine; panics are not
-		}
-		if len(v1Queries) == 0 {
-			t.Fatalf("v1 accepted body %q with no queries", body)
-		}
-		for _, q := range v1Queries {
-			if q < 0 || q >= g.N() {
-				t.Fatalf("v1 accepted out-of-range query %d from %q", q, body)
-			}
-		}
-		if req.K != nil && *req.K < 0 {
-			t.Fatalf("v1 accepted negative k from %q", body)
-		}
-		if req.Budget != nil && *req.Budget <= 0 {
-			t.Fatalf("v1 accepted non-positive budget from %q", body)
-		}
-		if req.TimeoutMS < 0 {
-			t.Fatalf("v1 accepted negative timeout_ms from %q", body)
+		params, _ := url.ParseQuery(string(body))
+		if req, queries, err := parseQueryParamsV1(g, params); err == nil {
+			accepted(t, "/v1/query parameters", body, req, queries)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,96 +21,13 @@ import (
 // -shutdown-grace flag overrides it.
 const defaultShutdownGrace = 5 * time.Second
 
-// maxQueryBody bounds a POST /query request body. Query sets are a few
-// dozen ids or labels; anything near this limit is abuse, not a query.
+// maxQueryBody bounds a POST request body. Query sets are a few dozen ids
+// or labels; anything near this limit is abuse, not a query.
 const maxQueryBody = 1 << 20
 
-// queryError is the JSON error body of the query endpoint.
+// queryError is the JSON error body of the query endpoints.
 type queryError struct {
 	Error string `json:"error"`
-}
-
-// queryRequest is the POST /query JSON body. Exactly one of Q (ids or
-// labels, comma-separated, as with -q) and Queries (node ids) must be
-// set; K and Budget override the engine's configuration per request
-// without mutating it.
-type queryRequest struct {
-	Q       string `json:"q,omitempty"`
-	Queries []int  `json:"queries,omitempty"`
-	K       *int   `json:"k,omitempty"`
-	Budget  *int   `json:"budget,omitempty"`
-	Explain bool   `json:"explain,omitempty"`
-}
-
-// decodeQueryRequest parses a POST /query body against the graph and the
-// engine's base config. It is a pure function over its inputs so
-// FuzzQueryRequest can drive it with arbitrary bodies; every failure is a
-// client error (HTTP 400), never a panic.
-func decodeQueryRequest(g *ceps.Graph, cfg ceps.Config, body []byte) (queries []int, reqCfg ceps.Config, explain bool, err error) {
-	reqCfg = cfg
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req queryRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, reqCfg, false, fmt.Errorf("bad request body: %w", err)
-	}
-	if dec.More() {
-		return nil, reqCfg, false, fmt.Errorf("bad request body: trailing data after JSON object")
-	}
-	switch {
-	case req.Q != "" && len(req.Queries) > 0:
-		return nil, reqCfg, false, fmt.Errorf(`bad request body: set "q" or "queries", not both`)
-	case len(req.Queries) > 0:
-		for _, id := range req.Queries {
-			if id < 0 || id >= g.N() {
-				return nil, reqCfg, false, fmt.Errorf("query id %d out of range [0,%d)", id, g.N())
-			}
-		}
-		queries = req.Queries
-	default:
-		queries, err = parseQueries(g, req.Q)
-		if err != nil {
-			return nil, reqCfg, false, err
-		}
-	}
-	if req.K != nil {
-		reqCfg.K = *req.K
-	}
-	if req.Budget != nil {
-		reqCfg.Budget = *req.Budget
-	}
-	return queries, reqCfg, req.Explain, nil
-}
-
-// parseQueryParams resolves the GET /query URL parameters (q, k, budget,
-// explain) against the graph and the engine's base config.
-func parseQueryParams(g *ceps.Graph, cfg ceps.Config, q map[string][]string) (queries []int, reqCfg ceps.Config, explain bool, err error) {
-	reqCfg = cfg
-	get := func(key string) string {
-		if vs := q[key]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	queries, err = parseQueries(g, get("q"))
-	if err != nil {
-		return nil, reqCfg, false, err
-	}
-	if v := get("k"); v != "" {
-		k, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, reqCfg, false, fmt.Errorf("bad k %q: %w", v, err)
-		}
-		reqCfg.K = k
-	}
-	if v := get("budget"); v != "" {
-		b, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, reqCfg, false, fmt.Errorf("bad budget %q: %w", v, err)
-		}
-		reqCfg.Budget = b
-	}
-	return queries, reqCfg, get("explain") != "", nil
 }
 
 // traceHandler is an HTTP handler that runs inside an already-opened
@@ -142,13 +58,10 @@ func withTrace(eng *ceps.Engine, name string, h traceHandler) http.HandlerFunc {
 //	POST /v1/query {"sources":[1,2],"k":N,...}                     JSON result
 //	POST /v1/batch {"queries":[{...},{...}]}                       JSON results
 //	POST /v1/replace {"team":[...],"departing":[...],...}          JSON ranking
-//	GET|POST /query                                                deprecated alias
 //	GET  /healthz                                                  liveness
 //
-// The v1 endpoints speak the typed queryRequestV1 schema (see v1.go),
-// which is also the CLI -queries-file format. The legacy /query routes
-// keep their original request/response shape but answer with a
-// Deprecation header pointing at the successor. Per-request overrides
+// The query endpoints speak the typed queryRequestV1 schema (see v1.go),
+// which is also the CLI -queries-file format. Per-request overrides
 // never mutate the engine's configuration. The admin surface (metrics,
 // pprof) deliberately lives on its own mux/port so the profiler is never
 // exposed on the public address.
@@ -164,61 +77,7 @@ func newQueryMux(eng *ceps.Engine, g *ceps.Graph, cfg ceps.Config, queryTimeout 
 	mux.HandleFunc("/v1/query", withTrace(eng, "http_query", handleQueryV1(eng, g, cfg, queryTimeout)))
 	mux.HandleFunc("/v1/batch", withTrace(eng, "http_batch", handleBatchV1(eng, g, cfg, queryTimeout)))
 	mux.HandleFunc("/v1/replace", withTrace(eng, "http_replace", handleReplaceV1(eng, g, queryTimeout)))
-	mux.HandleFunc("/query", withTrace(eng, "http_query", handleQueryLegacy(eng, g, cfg, queryTimeout)))
 	return mux
-}
-
-// handleQueryLegacy serves the pre-v1 /query contract unchanged, plus
-// the RFC 8594-style deprecation headers steering clients to /v1/query.
-// It runs through the same Do funnel as v1, which also fixes a long-
-// standing gap: the legacy per-request budget override used to be
-// accepted by the decoder and then silently dropped before the solve.
-func handleQueryLegacy(eng *ceps.Engine, g *ceps.Graph, cfg ceps.Config, queryTimeout time.Duration) traceHandler {
-	return func(ctx context.Context, span *ceps.Span, w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/query>; rel="successor-version"`)
-		var (
-			queries []int
-			reqCfg  ceps.Config
-			explain bool
-			err     error
-		)
-		switch r.Method {
-		case http.MethodGet:
-			queries, reqCfg, explain, err = parseQueryParams(g, cfg, r.URL.Query())
-		case http.MethodPost:
-			var body []byte
-			var status int
-			body, status, err = readBody(w, r)
-			if err != nil {
-				writeQueryError(w, status, err)
-				return
-			}
-			queries, reqCfg, explain, err = decodeQueryRequest(g, cfg, body)
-		default:
-			w.Header().Set("Allow", "GET, POST")
-			writeQueryError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-			return
-		}
-		if err != nil {
-			writeQueryError(w, http.StatusBadRequest, err)
-			return
-		}
-		opts := []ceps.QueryOption{ceps.WithK(reqCfg.K)}
-		if reqCfg.Budget > 0 {
-			opts = append(opts, ceps.WithQueryBudget(reqCfg.Budget))
-		}
-		if queryTimeout > 0 {
-			opts = append(opts, ceps.WithQueryTimeout(queryTimeout))
-		}
-		res, err := eng.Do(ctx, queries, opts...)
-		if err != nil {
-			span.SetError(err)
-			writeQueryError(w, queryStatus(err), err)
-			return
-		}
-		writeQueryResult(w, g, res, queries, reqCfg, explain)
-	}
 }
 
 // queryStatus maps the library's error taxonomy onto HTTP statuses. The
@@ -296,7 +155,7 @@ func serveListeners(ctx context.Context, eng *ceps.Engine, g *ceps.Graph, cfg ce
 		MaxHeaderBytes:    1 << 20,
 	}}
 	listeners := []net.Listener{queryLn}
-	fmt.Fprintf(stderr, "serving queries on http://%s/query\n", queryLn.Addr())
+	fmt.Fprintf(stderr, "serving queries on http://%s/v1/query\n", queryLn.Addr())
 	if adminLn != nil {
 		servers = append(servers, &http.Server{
 			Handler:           obs.AdminMux(eng.Metrics(), adminOptions(eng)...),

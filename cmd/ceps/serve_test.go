@@ -31,7 +31,7 @@ func TestQueryMux(t *testing.T) {
 	srv := httptest.NewServer(newQueryMux(eng, g, ceps.DefaultConfig(), 0))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/query?q=Alice,Carol&budget=2")
+	resp, err := http.Get(srv.URL + "/v1/query?q=Alice,Carol&budget=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestQueryMux(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/query?q=NoSuchAuthor", http.StatusBadRequest},
-		{"/query", http.StatusBadRequest},
-		{"/query?q=Alice,Carol&k=frogs", http.StatusBadRequest},
-		{"/query?q=Alice,Carol&budget=frogs", http.StatusBadRequest},
+		{"/v1/query?q=NoSuchAuthor", http.StatusBadRequest},
+		{"/v1/query", http.StatusBadRequest},
+		{"/v1/query?q=Alice,Carol&k=frogs", http.StatusBadRequest},
+		{"/v1/query?q=Alice,Carol&budget=frogs", http.StatusBadRequest},
 	} {
 		resp, err := http.Get(srv.URL + tc.url)
 		if err != nil {
@@ -100,7 +100,7 @@ func TestServeListeners(t *testing.T) {
 		done <- serveListeners(ctx, eng, g, ceps.DefaultConfig(), time.Second, defaultShutdownGrace, queryLn, adminLn, &stderr)
 	}()
 
-	resp, err := http.Get("http://" + queryLn.Addr().String() + "/query?q=Alice,Bob")
+	resp, err := http.Get("http://" + queryLn.Addr().String() + "/v1/query?q=Alice,Bob")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestTraceSmoke(t *testing.T) {
 		done <- serveListeners(ctx, eng, ds.Graph, cfg, time.Minute, defaultShutdownGrace, queryLn, adminLn, &stderr)
 	}()
 
-	queryURL := fmt.Sprintf("http://%s/query?q=%d,%d",
+	queryURL := fmt.Sprintf("http://%s/v1/query?q=%d,%d",
 		queryLn.Addr(), ds.Repository[0][0], ds.Repository[0][1])
 	resp, err := http.Get(queryURL)
 	if err != nil {

@@ -18,8 +18,7 @@ import (
 
 // This file is the versioned query API: one typed QueryRequest schema
 // shared by POST /v1/query, POST /v1/batch, the GET parameter form, and
-// the CLI -queries-file format (JSON-object lines). The legacy /query
-// endpoint stays as a deprecated alias; see newQueryMux. The schema maps
+// the CLI -queries-file format (JSON-object lines). The schema maps
 // field-for-field onto the engine's QueryOption surface:
 //
 //	{

@@ -208,65 +208,6 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
-// TestLegacyQueryDeprecation: the pre-v1 endpoint keeps answering but
-// every response — success or failure — carries the deprecation headers
-// pointing at the successor route.
-func TestLegacyQueryDeprecation(t *testing.T) {
-	srv, _ := v1TestServer(t)
-	for _, url := range []string{
-		"/query?q=Alice,Carol",  // 200
-		"/query?q=NoSuchAuthor", // 400
-	} {
-		resp, err := http.Get(srv.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", url)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/query") {
-			t.Errorf("%s: Link = %q, want successor pointer", url, link)
-		}
-	}
-
-	// v1 responses must not be marked deprecated.
-	resp, err := http.Get(srv.URL + "/v1/query?sources=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/query should not carry a Deprecation header")
-	}
-}
-
-// TestLegacyQueryBudgetOverride pins the fix for a silently dropped
-// override: the legacy decoder always accepted a per-request budget, but
-// the old handler never handed it to the engine.
-func TestLegacyQueryBudgetOverride(t *testing.T) {
-	srv, _ := v1TestServer(t)
-	resp, err := http.Post(srv.URL+"/query", "application/json",
-		strings.NewReader(`{"q":"Alice,Carol","budget":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body: %s", resp.StatusCode, body)
-	}
-	var jr jsonResult
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatalf("bad body: %v", err)
-	}
-	if jr.Budget != 2 {
-		t.Errorf("budget override not reflected: got %d, want 2", jr.Budget)
-	}
-}
-
 // TestTraceIDOnEveryPath is the regression test for the header gap: with
 // tracing on, every response must carry X-Ceps-Trace-Id — including the
 // 400/405/413 paths that used to be written before the span was opened.
@@ -317,10 +258,6 @@ func TestTraceIDOnEveryPath(t *testing.T) {
 	do("v1 oversize", post("/v1/query", `{"q":"`+strings.Repeat("x", maxQueryBody+1)+`"}`), http.StatusRequestEntityTooLarge)
 	do("v1 batch success", post("/v1/batch", `{"queries":[{"sources":[0]}]}`), http.StatusOK)
 	do("v1 batch bad", post("/v1/batch", `{`), http.StatusBadRequest)
-	do("legacy success", get("/query?q=Alice,Carol"), http.StatusOK)
-	do("legacy bad request", get("/query?q=NoSuchAuthor"), http.StatusBadRequest)
-	do("legacy bad body", post("/query", `{`), http.StatusBadRequest)
-	do("legacy method", del("/query"), http.StatusMethodNotAllowed)
 
 	// The body echoes the same id for successful answers, so a client can
 	// log it from either place.

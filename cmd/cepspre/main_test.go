@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,7 +130,7 @@ func TestBuiltArtifactsBindToEngine(t *testing.T) {
 	if !ok || st.Loaded != 2 || st.Bound != 2 {
 		t.Fatalf("stats = %+v, want 2 loaded and both part spaces bound", st)
 	}
-	res, err := eng.Query(3, 8)
+	res, err := eng.Do(context.Background(), []int{3, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

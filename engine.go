@@ -12,7 +12,6 @@ import (
 
 	"ceps/internal/artifact"
 	"ceps/internal/core"
-	"ceps/internal/fault"
 	"ceps/internal/obs"
 	"ceps/internal/resilience"
 	"ceps/internal/rwr"
@@ -195,12 +194,13 @@ func WithArtifactDir(dir string) Option {
 	}
 }
 
-// WithSlowQueryLog attaches a slow-query log: every query (including
-// failed ones) whose wall time meets or exceeds threshold is written to w
-// as one JSON line with the per-stage breakdown and cache counters — see
-// README.md "Observability" for the field reference. Writes are
-// serialized; w need not be safe for concurrent use. A threshold of 0
-// logs every query.
+// WithSlowQueryLog attaches a slow-query log: every call of every query
+// type — Do and DoBatch items, QueryAutoK, ReplaceSubteam, TopCenterPieces
+// and InferK, including failed and refused calls — whose wall time meets
+// or exceeds threshold is written to w as one JSON line with the
+// per-stage breakdown and cache counters — see README.md "Observability"
+// for the field reference. Writes are serialized; w need not be safe for
+// concurrent use. A threshold of 0 logs every call.
 func WithSlowQueryLog(w io.Writer, threshold time.Duration) Option {
 	return func(ec *engineConfig) error {
 		if w == nil {
@@ -423,18 +423,6 @@ func (e *Engine) Reconfigure(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	e.setConfig(cfg)
-	return nil
-}
-
-// SetConfig replaces the engine's configuration without validating it
-// (invalid configs surface on the next query, as in v1).
-//
-// Deprecated: use Reconfigure, which validates, or construct the Engine
-// with WithConfig.
-func (e *Engine) SetConfig(cfg Config) { e.setConfig(cfg) }
-
-func (e *Engine) setConfig(cfg Config) {
 	e.mu.Lock()
 	rwrChanged := cfg.RWR != e.cfg.RWR
 	e.cfg = cfg
@@ -449,6 +437,7 @@ func (e *Engine) setConfig(cfg Config) {
 		}
 		e.rebindArtifacts()
 	}
+	return nil
 }
 
 // Metrics returns the engine's metrics registry. Serve it over HTTP with
@@ -517,7 +506,7 @@ func (e *Engine) Close() error {
 }
 
 // EnableFastMode pre-partitions the graph into p parts (Table 5 Step 0);
-// subsequent Query calls use Fast CePS. It reports the one-time partition
+// subsequent Do calls use Fast CePS. It reports the one-time partition
 // cost through the returned Partitioned's PartitionTime.
 func (e *Engine) EnableFastMode(p int, opts PartitionOptions) (*Partitioned, error) {
 	return e.EnableFastModeCtx(context.Background(), p, opts)
@@ -578,7 +567,7 @@ func (e *Engine) FastMode() bool {
 }
 
 // Prepare eagerly builds the cached transition matrix the full-graph query
-// path uses, so the first QueryCtx call does not pay the O(M)
+// path uses, so the first Do call does not pay the O(M)
 // normalization inside its deadline. It is a no-op when the matrix is
 // already built. Services that hand out tight per-query deadlines should
 // call Prepare once at startup.
@@ -625,143 +614,6 @@ func (e *Engine) runnerFor(rc RWRConfig) (*core.Runner, error) {
 		e.dgRunner = nr
 	}
 	return nr, nil
-}
-
-// Query answers a center-piece subgraph query for the given query nodes,
-// using Fast CePS when fast mode is enabled and the cached transition
-// matrix otherwise.
-//
-// Deprecated: use Do, which adds per-call options; Query(q...) is
-// Do(context.Background(), q).
-func (e *Engine) Query(queries ...int) (*Result, error) {
-	return e.Do(context.Background(), queries)
-}
-
-// QueryCtx is Query with cooperative cancellation and deadline support:
-// ctx is checked at every power-iteration sweep and EXTRACT step. The
-// Engine boundary additionally converts any panic escaping the pipeline
-// into an error wrapping ErrInternal, so one poisoned query cannot crash
-// a service that multiplexes many callers onto one Engine.
-//
-// Deprecated: use Do; QueryCtx(ctx, q...) is Do(ctx, q).
-func (e *Engine) QueryCtx(ctx context.Context, queries ...int) (res *Result, err error) {
-	return e.Do(ctx, queries)
-}
-
-// QueryKSoftAND answers a K_softAND query without mutating the engine's
-// stored configuration.
-//
-// Deprecated: use Do with WithK.
-func (e *Engine) QueryKSoftAND(k int, queries ...int) (*Result, error) {
-	return e.Do(context.Background(), queries, WithK(k))
-}
-
-// QueryKSoftANDCtx is QueryKSoftAND with cooperative cancellation, routed
-// through the same config/partition snapshot as QueryCtx.
-//
-// Deprecated: use Do with WithK; QueryKSoftANDCtx(ctx, k, q...) is
-// Do(ctx, q, WithK(k)).
-func (e *Engine) QueryKSoftANDCtx(ctx context.Context, k int, queries ...int) (res *Result, err error) {
-	return e.Do(ctx, queries, WithK(k))
-}
-
-// queryWith answers one query under an already-taken snapshot, and is the
-// single funnel every query path drains through — which makes it the one
-// place to meter: it feeds the engine-wide aggregates (path, error kind,
-// total and per-stage latency) and the slow-query log. Instrumentation
-// only reads the finished Result; answers stay bit-identical to an
-// unmetered run.
-func (e *Engine) queryWith(ctx context.Context, cfg Config, pt *Partitioned, queries []int, noDegrade bool) (*Result, error) {
-	start := time.Now()
-	qctx, span := e.querySpan(ctx)
-	span.SetAttr(obs.Int("queries", len(queries)), obs.Int("k", cfg.EffectiveK(len(queries))))
-	// Resilience gate: admission first (bounded queue, deadline budget,
-	// CoDel), then the breaker's routing decision. Both are skipped —
-	// leaving answers bit-identical — when WithResilience was not given.
-	var (
-		release  func()
-		probe    bool
-		degraded *core.Degradation
-	)
-	if e.res != nil {
-		var err error
-		release, err = e.res.Admit(qctx)
-		if err != nil {
-			span.SetAttr(obs.Str("shed", fault.ShedReason(err)))
-			span.SetError(err)
-			span.End()
-			// Sheds skip the metrics funnel at the bottom, so the SLO
-			// windows are fed here — the shed-rate objective counts them.
-			e.flight.ObserveQuery(flightOutcome(nil, err, time.Since(start)))
-			return nil, err
-		}
-		switch e.res.Route() {
-		case resilience.RouteProbe:
-			probe = true
-		case resilience.RouteDegrade:
-			if noDegrade || e.res.Options().NoDegrade {
-				release()
-				err := fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
-				e.metrics.errCounter(err).Inc()
-				span.SetAttr(obs.Str("shed", "breaker_open"))
-				span.SetError(err)
-				span.End()
-				e.flight.ObserveQuery(flightOutcome(nil, err, time.Since(start)))
-				return nil, err
-			}
-			cfg, degraded = degradeConfig(cfg, e.res.Options())
-		}
-	}
-	e.metrics.inflight.Add(1)
-	res, err := func() (*Result, error) {
-		defer e.metrics.inflight.Add(-1) // runs even when the pipeline panics
-		if release != nil {
-			defer release()
-		}
-		if len(queries) == 0 {
-			return nil, fmt.Errorf("%w: no query nodes given", ErrBadQuery)
-		}
-		if pt != nil {
-			return pt.CePSServingCtx(qctx, queries, cfg, e.serving())
-		}
-		runner, err := e.runnerFor(cfg.RWR)
-		if err != nil {
-			return nil, err
-		}
-		return runner.QueryCtx(qctx, queries, cfg)
-	}()
-	if e.res != nil {
-		e.res.Observe(breakerFailure(err), probe)
-	}
-	if degraded != nil && err == nil && res != nil {
-		res.Degraded = degraded
-	}
-	elapsed := time.Since(start)
-	traceID := span.TraceID()
-	if res != nil {
-		res.TraceID = traceID
-	}
-	span.SetAttr(obs.Str("path", queryPath(res, pt != nil)))
-	if res != nil {
-		span.SetAttr(obs.Str("solve_kernel", res.Stages.SolveKernel),
-			obs.Int("solve_sweeps", res.Stages.SolveSweeps),
-			obs.Int("cache_hits", res.Stages.CacheHits),
-			obs.Int("cache_misses", res.Stages.CacheMisses),
-			obs.Int("artifact_hits", res.Stages.ArtifactHits))
-		if res.Fallback != nil {
-			span.SetAttr(obs.Str("fallback", res.Fallback.Reason))
-		}
-		if res.Degraded != nil {
-			span.SetAttr(obs.Str("degraded", res.Degraded.Mode),
-				obs.Str("degraded_reason", res.Degraded.Reason))
-		}
-	}
-	span.SetError(err)
-	span.End()
-	e.metrics.observeQuery(res, err, elapsed, pt != nil)
-	e.recordSlow(queries, res, err, elapsed, pt != nil, traceID)
-	e.flight.ObserveQuery(flightOutcome(res, err, elapsed))
-	return res, err
 }
 
 // degradedRWR relaxes an RWR config to the breaker's cheap fallback shape:
@@ -826,17 +678,6 @@ func (e *Engine) BreakerState() BreakerState {
 	return e.res.BreakerState()
 }
 
-// querySpan opens the per-query span: nested under the caller's span when
-// ctx already carries one (an Engine.StartTrace envelope, e.g. the HTTP
-// handler's), otherwise as a new root trace. With tracing off both paths
-// yield a nil span.
-func (e *Engine) querySpan(ctx context.Context) (context.Context, *obs.Span) {
-	if obs.SpanFromContext(ctx) != nil {
-		return obs.StartSpan(ctx, "query")
-	}
-	return e.tracer.StartRoot(ctx, "query")
-}
-
 // TopCenterPieces ranks the strongest center-piece candidates — Steps 1–2
 // only — reusing the engine's cached matrix and score cache. Fast mode
 // does not apply (ranking is over the full graph).
@@ -844,15 +685,20 @@ func (e *Engine) TopCenterPieces(queries []int, topN int) ([]RankedNode, error) 
 	return e.TopCenterPiecesCtx(context.Background(), queries, topN)
 }
 
-// TopCenterPiecesCtx is TopCenterPieces with cooperative cancellation.
+// TopCenterPiecesCtx is TopCenterPieces with cooperative cancellation. It
+// runs through the engine's request funnel (path "rank"); with the circuit
+// breaker open it fails with ErrUnavailable, since a ranking cannot carry
+// a Degraded marker.
 func (e *Engine) TopCenterPiecesCtx(ctx context.Context, queries []int, topN int) (ranked []RankedNode, err error) {
 	defer e.recoverToError(&err)
-	cfg, _ := e.snapshot()
-	runner, err := e.runnerFor(cfg.RWR)
+	a, err := serve(e, ctx, e.stepCall("rank", e.metrics.queriesRank, queries, func(ctx context.Context, r *core.Runner, cfg Config, a *stepAnswer) (err error) {
+		a.ranked, err = r.TopCenterPiecesCtx(ctx, queries, cfg, topN, &a.stages)
+		return err
+	}))
 	if err != nil {
 		return nil, err
 	}
-	return runner.TopCenterPiecesCtx(ctx, queries, cfg, topN)
+	return a.ranked, nil
 }
 
 // InferK chooses a K_softAND coefficient from the mutual-support structure
@@ -862,15 +708,66 @@ func (e *Engine) InferK(queries []int, tau float64) (int, []int, error) {
 	return e.InferKCtx(context.Background(), queries, tau)
 }
 
-// InferKCtx is InferK with cooperative cancellation.
+// InferKCtx is InferK with cooperative cancellation. It runs through the
+// engine's request funnel (path "infer_k"); with the circuit breaker open
+// it fails with ErrUnavailable, since an inferred k cannot carry a
+// Degraded marker.
 func (e *Engine) InferKCtx(ctx context.Context, queries []int, tau float64) (k int, supports []int, err error) {
 	defer e.recoverToError(&err)
-	cfg, _ := e.snapshot()
-	runner, err := e.runnerFor(cfg.RWR)
+	a, err := serve(e, ctx, e.stepCall("infer_k", e.metrics.queriesInferK, queries, func(ctx context.Context, r *core.Runner, cfg Config, a *stepAnswer) (err error) {
+		a.k, a.supports, err = r.InferKCtx(ctx, queries, cfg, tau, &a.stages)
+		return err
+	}))
 	if err != nil {
 		return 0, nil, err
 	}
-	return runner.InferKCtx(ctx, queries, cfg, tau)
+	return a.k, a.supports, nil
+}
+
+// stepAnswer is the answer of the query types that stop after Steps 1–2
+// (TopCenterPieces, InferK). Their public results have no room for stage
+// timings, so the funnel reads them here.
+type stepAnswer struct {
+	ranked   []RankedNode
+	k        int
+	supports []int
+	stages   core.StageTimings
+}
+
+// stepCall describes a Steps 1–2 call to the request funnel: path is its
+// span name and slow-log path, count its ceps_queries_total series, and
+// step runs it on the full-graph runner of the engine's current
+// configuration. Its latency is ceps_query_duration_seconds. Neither
+// answer can carry a Degraded marker, so the breaker's degrade route
+// refuses it.
+func (e *Engine) stepCall(path string, count *obs.Counter, queries []int, step func(context.Context, *core.Runner, Config, *stepAnswer) error) call[*stepAnswer] {
+	cfg, _ := e.snapshot()
+	return call[*stepAnswer]{
+		span:      path,
+		attrs:     []obs.Attr{obs.Int("queries", len(queries))},
+		queries:   queries,
+		cfg:       cfg,
+		noDegrade: true,
+		run: func(ctx context.Context, cfg Config) (*stepAnswer, error) {
+			runner, err := e.runnerFor(cfg.RWR)
+			if err != nil {
+				return nil, err
+			}
+			a := new(stepAnswer)
+			if err := step(ctx, runner, cfg, a); err != nil {
+				return nil, err
+			}
+			return a, nil
+		},
+		settle: func(a *stepAnswer, span *obs.Span, _ *core.Degradation) outcome {
+			o := outcome{count: count, latency: e.metrics.durTotal, path: path}
+			span.SetAttr(obs.Str("path", path))
+			if a != nil {
+				o.stages, o.nodes = &a.stages, e.g.N()
+			}
+			return o
+		},
+	}
 }
 
 // QueryAutoK infers the K_softAND coefficient with InferK and answers the
@@ -880,33 +777,46 @@ func (e *Engine) QueryAutoK(queries ...int) (*Result, error) {
 }
 
 // QueryAutoKCtx is QueryAutoK with cooperative cancellation. The inference
-// pass and the query share the score cache, so the second step reuses the
-// first's solves.
+// pass and the query run as one request through the engine's funnel and
+// share the score cache, so the second step reuses the first's solves;
+// the answer's Stages include the inference solves.
 func (e *Engine) QueryAutoKCtx(ctx context.Context, queries ...int) (res *Result, err error) {
 	defer e.recoverToError(&err)
 	cfg, pt := e.snapshot()
-	runner, err := e.runnerFor(cfg.RWR)
-	if err != nil {
-		return nil, err
-	}
-	k, _, err := runner.InferKCtx(ctx, queries, cfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	cfg.K = k
-	return e.queryWith(ctx, cfg, pt, queries, false)
+	return serve(e, ctx, e.autoKCall(cfg, pt, queries))
 }
 
-// BatchOptions tunes QueryBatchCtx. The zero value is ready to use.
-type BatchOptions struct {
-	// PerQueryTimeout arms a deadline on each query set individually
-	// (0 = none beyond the batch context). A set that times out reports
-	// ErrDeadlineExceeded in its item without affecting the others.
-	PerQueryTimeout time.Duration
-	// Concurrency bounds how many query sets are in flight at once
-	// (0 = the engine's worker bound). Individual solves are always
-	// additionally bounded by the engine's worker pool.
-	Concurrency int
+// autoKCall is queryCall with the K_softAND inference pass in its run
+// step, ahead of the query. The inference walks run on the full graph, so
+// in fast mode the rows counter, which multiplies by the work graph,
+// undercounts them.
+func (e *Engine) autoKCall(cfg Config, pt *Partitioned, queries []int) call[*Result] {
+	c := e.queryCall(cfg, pt, queries, false)
+	query := c.run
+	c.run = func(ctx context.Context, cfg Config) (*Result, error) {
+		runner, err := e.runnerFor(cfg.RWR)
+		if err != nil {
+			return nil, err
+		}
+		var inf core.StageTimings
+		k, _, err := runner.InferKCtx(ctx, queries, cfg, 0, &inf)
+		if err != nil {
+			return nil, err
+		}
+		cfg.K = k
+		obs.SpanFromContext(ctx).SetAttr(obs.Int("k", k))
+		res, err := query(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res.Stages.Solve += inf.Solve
+		res.Stages.SolveSweeps += inf.SolveSweeps
+		res.Stages.CacheHits += inf.CacheHits
+		res.Stages.CacheMisses += inf.CacheMisses
+		res.Stages.ArtifactHits += inf.ArtifactHits
+		return res, nil
+	}
+	return c
 }
 
 // BatchItem is the outcome of one query set of a batch: exactly one of
@@ -918,25 +828,6 @@ type BatchItem struct {
 	Result *Result
 	// Err is the per-set failure; other sets are unaffected.
 	Err error
-}
-
-// QueryBatch answers many query sets concurrently; see DoBatch.
-//
-// Deprecated: use DoBatch.
-func (e *Engine) QueryBatch(querySets [][]int) []BatchItem {
-	return e.DoBatch(context.Background(), querySets)
-}
-
-// QueryBatchCtx answers many query sets concurrently against one
-// config/partition snapshot; see DoBatch for the semantics.
-//
-// Deprecated: use DoBatch; BatchOptions map onto WithQueryTimeout and
-// WithBatchConcurrency.
-func (e *Engine) QueryBatchCtx(ctx context.Context, querySets [][]int, opts BatchOptions) []BatchItem {
-	return e.doBatch(ctx, querySets, queryOptions{
-		timeout:     opts.PerQueryTimeout,
-		concurrency: opts.Concurrency,
-	})
 }
 
 // recoverToError converts a panic on the public Engine boundary into an

@@ -78,12 +78,12 @@ func TestEngineCacheGolden(t *testing.T) {
 				cold := newEngine(t, ds.Graph, ceps.WithConfig(cfg))
 				cached := newEngine(t, ds.Graph, ceps.WithConfig(cfg), ceps.WithCache(8<<20))
 
-				want, err := cold.Query(queries...)
+				want, err := cold.Do(context.Background(), queries)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for round := 0; round < 2; round++ {
-					got, err := cached.Query(queries...)
+					got, err := cached.Do(context.Background(), queries)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -116,11 +116,11 @@ func TestEngineCacheEvictionStaysCorrect(t *testing.T) {
 		{ds.Repository[0][0], ds.Repository[1][0]},
 	}
 	for _, qs := range sets {
-		want, err := cold.Query(qs...)
+		want, err := cold.Do(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cached.Query(qs...)
+		got, err := cached.Do(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestEngineReconfigurePurgesCache(t *testing.T) {
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(8<<20))
 	queries := []int{ds.Repository[0][0], ds.Repository[1][0]}
 
-	if _, err := eng.Query(queries...); err != nil {
+	if _, err := eng.Do(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := eng.CacheStats()
@@ -162,11 +162,11 @@ func TestEngineReconfigurePurgesCache(t *testing.T) {
 
 	// The next query under the new config re-solves (misses, not hits),
 	// and matches a cold engine configured that way from the start.
-	got, err := eng.Query(queries...)
+	got, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := newEngine(t, ds.Graph, ceps.WithConfig(cfg)).Query(queries...)
+	want, err := newEngine(t, ds.Graph, ceps.WithConfig(cfg)).Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestEngineWithFastModeOption(t *testing.T) {
 	if !eng.FastMode() {
 		t.Fatal("fast mode should be on from construction")
 	}
-	res, err := eng.Query(ds.Repository[0][0], ds.Repository[0][1])
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[0][1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestQueryBatch(t *testing.T) {
 		{-1, 5},
 		{ds.Repository[1][0], ds.Repository[2][0]},
 	}
-	items := eng.QueryBatch(sets)
+	items := eng.DoBatch(context.Background(), sets)
 	if len(items) != len(sets) {
 		t.Fatalf("got %d items for %d sets", len(items), len(sets))
 	}
@@ -262,7 +262,7 @@ func TestQueryBatch(t *testing.T) {
 		if item.Err != nil {
 			t.Fatalf("set %d failed: %v", i, item.Err)
 		}
-		want, err := cold.Query(sets[i]...)
+		want, err := cold.Do(context.Background(), sets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,9 +287,7 @@ func TestQueryBatchPerQueryTimeout(t *testing.T) {
 	cfg.RWR.Iterations = 1 << 30 // effectively unbounded: the deadline must cut in
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(cfg))
 	sets := [][]int{{ds.Repository[0][0], ds.Repository[1][0]}}
-	items := eng.QueryBatchCtx(context.Background(), sets, ceps.BatchOptions{
-		PerQueryTimeout: time.Nanosecond,
-	})
+	items := eng.DoBatch(context.Background(), sets, ceps.WithQueryTimeout(time.Nanosecond))
 	if !errors.Is(items[0].Err, ceps.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", items[0].Err)
 	}
@@ -301,7 +299,7 @@ func TestQueryBatchCancel(t *testing.T) {
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items := eng.QueryBatchCtx(ctx, [][]int{{ds.Repository[0][0], ds.Repository[1][0]}}, ceps.BatchOptions{})
+	items := eng.DoBatch(ctx, [][]int{{ds.Repository[0][0], ds.Repository[1][0]}})
 	if !errors.Is(items[0].Err, ceps.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", items[0].Err)
 	}
@@ -372,12 +370,12 @@ func TestEngineConcurrentReconfigure(t *testing.T) {
 			defer queriers.Done()
 			for i := 0; i < 10; i++ {
 				if w%2 == 0 {
-					if _, err := eng.Query(queries...); err != nil {
+					if _, err := eng.Do(context.Background(), queries); err != nil {
 						fail <- err
 						return
 					}
 				} else {
-					for _, item := range eng.QueryBatch([][]int{queries, queries}) {
+					for _, item := range eng.DoBatch(context.Background(), [][]int{queries, queries}) {
 						if item.Err != nil {
 							fail <- item.Err
 							return

@@ -1,6 +1,7 @@
 package ceps_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -34,7 +35,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := eng.Query(ids["Ann"], ids["Cleo"])
+	res, err := eng.Do(context.Background(), []int{ids["Ann"], ids["Cleo"]})
 	if err != nil {
 		panic(err)
 	}

@@ -35,7 +35,7 @@ func TestQueryDeadline50ms(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, err = eng.QueryCtx(ctx, ds.Repository[0][0], ds.Repository[1][0])
+	_, err = eng.Do(ctx, []int{ds.Repository[0][0], ds.Repository[1][0]})
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -56,7 +56,7 @@ func TestQueryCancellation(t *testing.T) {
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := eng.QueryCtx(ctx, ds.Repository[0][0], ds.Repository[1][0])
+	_, err := eng.Do(ctx, []int{ds.Repository[0][0], ds.Repository[1][0]})
 	if !errors.Is(err, ceps.ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
@@ -75,7 +75,7 @@ func TestEngineFallbackOnInjectedPartitionerFailure(t *testing.T) {
 	pt.Partition = nil // injected partitioner failure
 	eng.SetPartitioned(pt)
 
-	res, err := eng.Query(ds.Repository[0][0], ds.Repository[1][0])
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]})
 	if err != nil {
 		t.Fatalf("degraded query should succeed, got %v", err)
 	}
@@ -98,10 +98,10 @@ func TestEngineFallbackOnInjectedPartitionerFailure(t *testing.T) {
 func TestQueryBadInputTypedErrors(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	if _, err := eng.Query(); !errors.Is(err, ceps.ErrBadQuery) {
+	if _, err := eng.Do(context.Background(), nil); !errors.Is(err, ceps.ErrBadQuery) {
 		t.Errorf("empty query: err = %v, want ErrBadQuery", err)
 	}
-	if _, err := eng.Query(-1); !errors.Is(err, ceps.ErrBadQuery) {
+	if _, err := eng.Do(context.Background(), []int{-1}); !errors.Is(err, ceps.ErrBadQuery) {
 		t.Errorf("negative id: err = %v, want ErrBadQuery", err)
 	}
 	bad := quickConfig()
@@ -116,7 +116,7 @@ func TestQueryBadInputTypedErrors(t *testing.T) {
 func TestResultDiagnosticsExposed(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	res, err := eng.Query(ds.Repository[0][0], ds.Repository[1][0])
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]})
 	if err != nil {
 		t.Fatal(err)
 	}

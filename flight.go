@@ -6,6 +6,7 @@ import (
 	"log"
 	"time"
 
+	"ceps/internal/core"
 	"ceps/internal/obs"
 	"ceps/internal/resilience"
 )
@@ -141,12 +142,13 @@ func (e *Engine) armFlightRecorder(o FlightRecorderOptions) error {
 // receiver for its whole method set, matching the tracer convention.
 func (e *Engine) FlightRecorder() *obs.FlightRecorder { return e.flight }
 
-// flightOutcome classifies one finished request for the SLO windows. The
+// flightOutcome classifies one finished call for the SLO windows. The
 // split mirrors the metrics layer: ErrOverloaded is load shedding (the
 // shed-rate objective's signal, excluded from latency/error budgets);
 // caller mistakes and pure hang-ups say nothing about service health, so
-// they reuse the breaker's failure classification.
-func flightOutcome(res *Result, err error, elapsed time.Duration) obs.QueryOutcome {
+// they reuse the breaker's failure classification. st is nil when the call
+// produced no answer.
+func flightOutcome(st *core.StageTimings, err error, elapsed time.Duration) obs.QueryOutcome {
 	o := obs.QueryOutcome{Latency: elapsed}
 	switch {
 	case err == nil:
@@ -155,29 +157,10 @@ func flightOutcome(res *Result, err error, elapsed time.Duration) obs.QueryOutco
 	default:
 		o.Err = breakerFailure(err)
 	}
-	if res != nil {
-		o.CacheHits = res.Stages.CacheHits
-		o.CacheMisses = res.Stages.CacheMisses
-		o.ArtifactHits = res.Stages.ArtifactHits
-	}
-	return o
-}
-
-// flightReplaceOutcome is flightOutcome for the subteam-replacement
-// funnel, which carries its stage counters on ReplaceResult.
-func flightReplaceOutcome(res *ReplaceResult, err error, elapsed time.Duration) obs.QueryOutcome {
-	o := obs.QueryOutcome{Latency: elapsed}
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrOverloaded):
-		o.Shed = true
-	default:
-		o.Err = breakerFailure(err)
-	}
-	if res != nil {
-		o.CacheHits = res.Stages.CacheHits
-		o.CacheMisses = res.Stages.CacheMisses
-		o.ArtifactHits = res.Stages.ArtifactHits
+	if st != nil {
+		o.CacheHits = st.CacheHits
+		o.CacheMisses = st.CacheMisses
+		o.ArtifactHits = st.ArtifactHits
 	}
 	return o
 }

@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -78,7 +79,7 @@ func TestFlightSmoke(t *testing.T) {
 	defer eng.Close()
 
 	for i := 0; i < 30; i++ {
-		if _, err := eng.Query(q...); err != nil {
+		if _, err := eng.Do(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,7 +101,7 @@ func TestFlightSmoke(t *testing.T) {
 	// Keep the breach alive past several more evaluator ticks: the edge
 	// trigger plus the global debounce must hold the count at one.
 	for i := 0; i < 10; i++ {
-		if _, err := eng.Query(q...); err != nil {
+		if _, err := eng.Do(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,11 +197,11 @@ func TestFlightOverhead(t *testing.T) {
 	// reads finished results, so every score vector must match to the bit.
 	bitIdentical := true
 	for _, qs := range sets {
-		rd, err := disarmed.Query(qs...)
+		rd, err := disarmed.Do(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := armed.Query(qs...)
+		ra, err := armed.Do(context.Background(), qs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +220,7 @@ func TestFlightOverhead(t *testing.T) {
 
 	timed := func(e *ceps.Engine, qs []int) time.Duration {
 		start := time.Now()
-		if _, err := e.Query(qs...); err != nil {
+		if _, err := e.Do(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

@@ -66,18 +66,19 @@ func InferKCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config, t
 // InferK is the Runner variant of the package-level InferK, reusing the
 // cached transition matrix (and, with serving attached, cached vectors).
 func (r *Runner) InferK(queries []int, cfg Config, tau float64) (int, []int, error) {
-	return r.InferKCtx(context.Background(), queries, cfg, tau)
+	return r.InferKCtx(context.Background(), queries, cfg, tau, new(StageTimings))
 }
 
-// InferKCtx is the context-aware Runner variant of InferK.
-func (r *Runner) InferKCtx(ctx context.Context, queries []int, cfg Config, tau float64) (int, []int, error) {
+// InferKCtx is the context-aware Runner variant of InferK. It fills the
+// Step 1 fields of st.
+func (r *Runner) InferKCtx(ctx context.Context, queries []int, cfg Config, tau float64, st *StageTimings) (int, []int, error) {
 	if err := r.check(queries, cfg); err != nil {
 		return 0, nil, err
 	}
 	if len(queries) < 2 {
 		return 0, nil, fmt.Errorf("%w: inferring k needs at least 2 queries, got %d", fault.ErrBadQuery, len(queries))
 	}
-	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, new(StageTimings))
+	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -46,16 +46,17 @@ func TopCenterPiecesCtx(ctx context.Context, g *graph.Graph, queries []int, cfg 
 
 // TopCenterPieces is the Runner variant reusing the cached solver.
 func (r *Runner) TopCenterPieces(queries []int, cfg Config, topN int) ([]RankedNode, error) {
-	return r.TopCenterPiecesCtx(context.Background(), queries, cfg, topN)
+	return r.TopCenterPiecesCtx(context.Background(), queries, cfg, topN, new(StageTimings))
 }
 
 // TopCenterPiecesCtx is the context-aware Runner variant; with serving
-// state attached, the per-query vectors come from the shared cache.
-func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Config, topN int) ([]RankedNode, error) {
+// state attached, the per-query vectors come from the shared cache. It
+// fills the Step 1 fields of st.
+func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Config, topN int, st *StageTimings) ([]RankedNode, error) {
 	if err := r.check(queries, cfg); err != nil {
 		return nil, err
 	}
-	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, new(StageTimings))
+	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st)
 	if err != nil {
 		return nil, err
 	}

@@ -145,13 +145,13 @@ func overloadSolo(s *Setup, cfg ceps.Config, queries [][]int, workers int) (time
 	if err != nil {
 		return 0, err
 	}
-	if _, err := eng.QueryCtx(context.Background(), queries[0]...); err != nil {
+	if _, err := eng.Do(context.Background(), queries[0]); err != nil {
 		return 0, err
 	}
 	const probes = 8
 	start := time.Now()
 	for i := 0; i < probes; i++ {
-		if _, err := eng.QueryCtx(context.Background(), queries[i%len(queries)]...); err != nil {
+		if _, err := eng.Do(context.Background(), queries[i%len(queries)]); err != nil {
 			return 0, err
 		}
 	}
@@ -182,7 +182,7 @@ func runOverloadArm(eng *ceps.Engine, queries [][]int, clients int, offeredQPS f
 				q := queries[(c*31+i)%len(queries)]
 				attempted.Add(1)
 				t0 := time.Now()
-				res, err := eng.QueryCtx(context.Background(), q...)
+				res, err := eng.Do(context.Background(), q)
 				lat := time.Since(t0)
 				switch {
 				case err == nil:

@@ -17,7 +17,8 @@ type SlowQueryEntry struct {
 	// Queries is the query node set.
 	Queries []int `json:"queries"`
 	// Path is the execution path: "full", "fast", or "fast_fallback"
-	// (matching the path label of ceps_queries_total), or "replace" for a
+	// (matching the path label of ceps_queries_total), "rank" or
+	// "infer_k" for the Steps 1–2-only query types, or "replace" for a
 	// subteam-replacement request, whose Queries are the team.
 	Path string `json:"path"`
 	// ElapsedMS is the total response time in milliseconds.

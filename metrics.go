@@ -6,17 +6,17 @@ import (
 	"runtime"
 	"time"
 
-	"ceps/internal/core"
 	"ceps/internal/obs"
 )
 
-// This file aggregates per-query stage accounting (Result.Stages) into the
-// engine-wide metrics registry served at /metrics, and feeds the
-// slow-query log. The metric names are part of the operational contract —
-// dashboards and the README "Observability" section reference them — so
-// rename with care:
+// This file holds the engine-wide metrics registry served at /metrics and
+// the slow-query log writer. The request funnel (funnel.go) feeds both, by
+// the same rules for every query type: it aggregates each answer's stage
+// accounting (StageTimings) here. The metric names are part of the
+// operational contract — dashboards and the README "Observability"
+// section reference them — so rename with care:
 //
-//	ceps_queries_total{path="full"|"fast"|"fast_fallback"}
+//	ceps_queries_total{path="full"|"fast"|"fast_fallback"|"rank"|"infer_k"}
 //	ceps_query_errors_total{kind="canceled"|"deadline"|"diverged"|...}
 //	ceps_query_duration_seconds                      (histogram)
 //	ceps_stage_duration_seconds{stage="partition"|"solve"|"combine"|"extract"}
@@ -68,7 +68,9 @@ import (
 type engineMetrics struct {
 	reg *obs.Registry
 
-	queriesFull, queriesFast, queriesFallback *obs.Counter
+	// Request counters by path: the three center-piece execution paths,
+	// plus the two Step 1–2-only types (TopCenterPieces, InferK).
+	queriesFull, queriesFast, queriesFallback, queriesRank, queriesInferK *obs.Counter
 
 	errCanceled, errDeadline, errDiverged, errBadQuery,
 	errBadConfig, errDegenerate, errInternal,
@@ -120,7 +122,7 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 	reg := obs.NewRegistry()
 	buckets := obs.DurationBuckets()
 	qt := "ceps_queries_total"
-	qtHelp := "Queries answered, by execution path."
+	qtHelp := "Queries received (refusals included), by execution path or Step 1–2 query type."
 	et := "ceps_query_errors_total"
 	etHelp := "Query failures, by error kind."
 	st := "ceps_stage_duration_seconds"
@@ -130,6 +132,8 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 		queriesFull:     reg.Counter(qt, qtHelp, obs.Label{Name: "path", Value: "full"}),
 		queriesFast:     reg.Counter(qt, qtHelp, obs.Label{Name: "path", Value: "fast"}),
 		queriesFallback: reg.Counter(qt, qtHelp, obs.Label{Name: "path", Value: "fast_fallback"}),
+		queriesRank:     reg.Counter(qt, qtHelp, obs.Label{Name: "path", Value: "rank"}),
+		queriesInferK:   reg.Counter(qt, qtHelp, obs.Label{Name: "path", Value: "infer_k"}),
 		errCanceled:     reg.Counter(et, etHelp, obs.Label{Name: "kind", Value: "canceled"}),
 		errDeadline:     reg.Counter(et, etHelp, obs.Label{Name: "kind", Value: "deadline"}),
 		errDiverged:     reg.Counter(et, etHelp, obs.Label{Name: "kind", Value: "diverged"}),
@@ -166,9 +170,9 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 		coalescePanelWidth: reg.Histogram("ceps_coalesce_panel_width",
 			"Sources per coalesced panel solve (1 = a panel solved for a single miss).",
 			[]float64{1, 2, 4, 8, 16, 32}),
-		replaceTwoHop:   reg.Counter("ceps_replace_total", "Subteam-replacement queries, by candidate-pool strategy.", obs.Label{Name: "pool", Value: "two_hop"}),
-		replaceDensest:  reg.Counter("ceps_replace_total", "Subteam-replacement queries, by candidate-pool strategy.", obs.Label{Name: "pool", Value: "densest"}),
-		replaceExplicit: reg.Counter("ceps_replace_total", "Subteam-replacement queries, by candidate-pool strategy.", obs.Label{Name: "pool", Value: "explicit"}),
+		replaceTwoHop:   reg.Counter("ceps_replace_total", "Subteam-replacement queries received (refusals included), by candidate-pool strategy.", obs.Label{Name: "pool", Value: "two_hop"}),
+		replaceDensest:  reg.Counter("ceps_replace_total", "Subteam-replacement queries received (refusals included), by candidate-pool strategy.", obs.Label{Name: "pool", Value: "densest"}),
+		replaceExplicit: reg.Counter("ceps_replace_total", "Subteam-replacement queries received (refusals included), by candidate-pool strategy.", obs.Label{Name: "pool", Value: "explicit"}),
 		replaceDur:      reg.Histogram("ceps_replace_duration_seconds", "End-to-end subteam-replacement response time.", buckets),
 		replaceCandidates: reg.Histogram("ceps_replace_candidates", "Scored candidates per replacement query.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
@@ -290,37 +294,56 @@ func queryPath(res *Result, fast bool) string {
 	}
 }
 
-// observeQuery folds one finished query into the engine-wide aggregates.
-func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Duration, fast bool) {
-	switch queryPath(res, fast) {
+// queryCounter returns the ceps_queries_total series of a center-piece
+// execution path.
+func (m *engineMetrics) queryCounter(path string) *obs.Counter {
+	switch path {
 	case "fast_fallback":
-		m.queriesFallback.Inc()
+		return m.queriesFallback
 	case "fast":
-		m.queriesFast.Inc()
+		return m.queriesFast
 	default:
-		m.queriesFull.Inc()
+		return m.queriesFull
 	}
-	m.durTotal.Observe(elapsed.Seconds())
-	if res != nil {
-		st := res.Stages
-		if st.Partition > 0 {
-			m.durPartition.Observe(st.Partition.Seconds())
-		}
-		m.durSolve.Observe(st.Solve.Seconds())
-		m.durCombine.Observe(st.Combine.Seconds())
-		m.durExtract.Observe(st.Extract.Seconds())
+}
+
+// replaceCounter returns the ceps_replace_total series of a candidate-pool
+// strategy.
+func (m *engineMetrics) replaceCounter(pool string) *obs.Counter {
+	switch pool {
+	case "densest":
+		return m.replaceDensest
+	case "explicit":
+		return m.replaceExplicit
+	default:
+		return m.replaceTwoHop
+	}
+}
+
+// observe folds one call into the engine-wide aggregates by the funnel's
+// rules (see serve): every call counts; only admitted calls feed the
+// latency histogram; the stage, kernel, row and degradation series read
+// the answer's StageTimings; errors go through observeErr.
+func (m *engineMetrics) observe(o outcome, err error, elapsed time.Duration, admitted bool) {
+	o.count.Inc()
+	if admitted {
+		o.latency.Observe(elapsed.Seconds())
+	}
+	if st := o.stages; st != nil {
+		observeStage(m.durPartition, st.Partition)
+		observeStage(m.durSolve, st.Solve)
+		observeStage(m.durCombine, st.Combine)
+		observeStage(m.durExtract, st.Extract)
 		switch st.SolveKernel {
 		case "blocked":
 			m.solvesBlocked.Inc()
 		case "artifact":
 			m.solvesArtifact.Inc()
 		}
-		if st.SolveSweeps > 0 && res.WorkGraph != nil {
-			m.solveRows.Add(uint64(st.SolveSweeps) * uint64(res.WorkGraph.N()))
-		}
+		m.solveRows.Add(uint64(st.SolveSweeps) * uint64(o.nodes))
 	}
-	if res != nil && res.Degraded != nil {
-		switch res.Degraded.Mode {
+	if o.degraded != nil {
+		switch o.degraded.Mode {
 		case "relaxed_tol":
 			m.degradedRelaxed.Inc()
 		default:
@@ -330,39 +353,13 @@ func (m *engineMetrics) observeQuery(res *Result, err error, elapsed time.Durati
 	m.observeErr(err)
 }
 
-// observeReplace folds one finished subteam-replacement query into the
-// engine-wide aggregates. Replacement shares the error-kind, degraded and
-// shed series with the query path (same failure modes, same dashboards);
-// only the request counter, latency, and pool-size series are its own.
-func (m *engineMetrics) observeReplace(res *core.ReplaceResult, strategy string, err error, elapsed time.Duration) {
-	switch strategy {
-	case "densest":
-		m.replaceDensest.Inc()
-	case "explicit":
-		m.replaceExplicit.Inc()
-	default:
-		m.replaceTwoHop.Inc()
+// observeStage records one stage of an answer. A zero stage is one the
+// query type does not run (partition on a full-graph query, extract on a
+// replace), so it is not observed.
+func observeStage(h *obs.Histogram, d time.Duration) {
+	if d > 0 {
+		h.Observe(d.Seconds())
 	}
-	m.replaceDur.Observe(elapsed.Seconds())
-	if res != nil {
-		m.replaceCandidates.Observe(float64(res.PoolSize))
-		m.durSolve.Observe(res.Stages.Solve.Seconds())
-		switch res.Stages.SolveKernel {
-		case "blocked":
-			m.solvesBlocked.Inc()
-		case "artifact":
-			m.solvesArtifact.Inc()
-		}
-		if res.Degraded != nil {
-			switch res.Degraded.Mode {
-			case "relaxed_tol":
-				m.degradedRelaxed.Inc()
-			default:
-				m.degradedFallback.Inc()
-			}
-		}
-	}
-	m.observeErr(err)
 }
 
 // observeErr counts one failed request. A shed is load shedding, not a
@@ -412,45 +409,16 @@ func (m *engineMetrics) errCounter(err error) *obs.Counter {
 // ms renders a duration in float milliseconds for the slow-query log.
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// recordSlow writes a slow-query log line when a log is attached and the
-// query crossed its threshold. Failures are logged too — a timed-out
-// query is the slowest query there is.
-func (e *Engine) recordSlow(queries []int, res *Result, err error, elapsed time.Duration, fast bool, traceID string) {
+// recordSlow writes one call's slow-query log line when a log is attached
+// and the call crossed its threshold. Failures and refusals are logged too
+// — a timed-out query is the slowest query there is.
+func (e *Engine) recordSlow(queries []int, o outcome, shed string, err error, elapsed time.Duration, traceID string) {
 	if e.slow == nil {
 		return
 	}
-	entry := obs.SlowQueryEntry{Queries: append([]int(nil), queries...), Path: queryPath(res, fast),
-		ElapsedMS: ms(elapsed), TraceID: traceID}
-	if res == nil {
-		e.writeSlow(entry, nil, nil, err)
-		return
-	}
-	if res.Fallback != nil {
-		entry.Fallback = res.Fallback.Reason
-	}
-	e.writeSlow(entry, &res.Stages, res.Degraded, err)
-}
-
-// recordSlowReplace is recordSlow for a subteam-replacement request: path
-// "replace", the team as the queries.
-func (e *Engine) recordSlowReplace(team []int, res *ReplaceResult, err error, elapsed time.Duration, traceID string) {
-	if e.slow == nil {
-		return
-	}
-	entry := obs.SlowQueryEntry{Queries: append([]int(nil), team...), Path: "replace",
-		ElapsedMS: ms(elapsed), TraceID: traceID}
-	if res == nil {
-		e.writeSlow(entry, nil, nil, err)
-		return
-	}
-	e.writeSlow(entry, &res.Stages, res.Degraded, err)
-}
-
-// writeSlow completes a slow-log entry with the stage attribution (st may
-// be nil), the degradation and the error, and records it.
-func (e *Engine) writeSlow(entry obs.SlowQueryEntry, st *core.StageTimings, degraded *core.Degradation, err error) {
-	entry.Time = time.Now()
-	if st != nil {
+	entry := obs.SlowQueryEntry{Time: time.Now(), Queries: append([]int(nil), queries...), Path: o.path,
+		ElapsedMS: ms(elapsed), Fallback: o.fallback, Shed: shed, TraceID: traceID}
+	if st := o.stages; st != nil {
 		entry.PartitionMS = ms(st.Partition)
 		entry.SolveMS = ms(st.Solve)
 		entry.CombineMS = ms(st.Combine)
@@ -461,15 +429,12 @@ func (e *Engine) writeSlow(entry obs.SlowQueryEntry, st *core.StageTimings, degr
 		entry.SolveKernel = st.SolveKernel
 		entry.SolveSweeps = st.SolveSweeps
 	}
-	if degraded != nil {
-		entry.Degraded = degraded.Mode
-		entry.DegradedReason = degraded.Reason
+	if o.degraded != nil {
+		entry.Degraded = o.degraded.Mode
+		entry.DegradedReason = o.degraded.Reason
 	}
 	if err != nil {
 		entry.Error = err.Error()
-		if errors.Is(err, ErrOverloaded) {
-			entry.Shed = ShedReason(err)
-		}
 	}
 	if e.slow.Record(entry) {
 		e.metrics.slow.Inc()

@@ -33,7 +33,7 @@ func TestEngineStageTimingsAndMetrics(t *testing.T) {
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(8<<20), ceps.WithWorkers(2))
 	queries := []int{ds.Repository[0][0], ds.Repository[1][0]}
 
-	res, err := eng.Query(queries...)
+	res, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEngineStageTimingsAndMetrics(t *testing.T) {
 			res.Stages.CacheHits, res.Stages.CacheMisses, len(queries))
 	}
 
-	warm, err := eng.Query(queries...)
+	warm, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +62,14 @@ func TestEngineStageTimingsAndMetrics(t *testing.T) {
 
 	// A bad query lands in the error-kind series without panicking. It runs
 	// before fast mode so it is counted on the full path.
-	if _, err := eng.Query(); err == nil {
+	if _, err := eng.Do(context.Background(), nil); err == nil {
 		t.Fatal("empty query should fail")
 	}
 
 	if _, err := eng.EnableFastMode(4, ceps.PartitionOptions{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := eng.Query(queries...)
+	fast, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,10 @@ func TestEngineSlowQueryLog(t *testing.T) {
 		ceps.WithSlowQueryLog(&buf, 0))
 	queries := []int{ds.Repository[0][0], ds.Repository[1][0]}
 
-	if _, err := eng.Query(queries...); err != nil {
+	if _, err := eng.Do(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(); err == nil {
+	if _, err := eng.Do(context.Background(), nil); err == nil {
 		t.Fatal("empty query should fail")
 	}
 
@@ -189,7 +189,7 @@ func TestEngineSlowQueryLog(t *testing.T) {
 	var quiet bytes.Buffer
 	eng2 := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()),
 		ceps.WithSlowQueryLog(&quiet, time.Hour))
-	if _, err := eng2.Query(queries...); err != nil {
+	if _, err := eng2.Do(context.Background(), queries); err != nil {
 		t.Fatal(err)
 	}
 	if quiet.Len() != 0 {
@@ -251,7 +251,7 @@ func TestReconfigurePurgeRace(t *testing.T) {
 				if a == b {
 					b = (b + 1) % n
 				}
-				if _, err := eng.Query(a, b); err != nil {
+				if _, err := eng.Do(context.Background(), []int{a, b}); err != nil {
 					fail <- err
 					return
 				}
@@ -287,7 +287,7 @@ func TestReconfigurePurgeRace(t *testing.T) {
 	}
 
 	// The cache must still work after the storm.
-	res, err := eng.Query(0, 1)
+	res, err := eng.Do(context.Background(), []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestPrecomputeSmoke(t *testing.T) {
 	}
 	start := time.Now()
 	for _, qs := range sets {
-		if _, err := bare.Query(qs...); err != nil {
+		if _, err := bare.Do(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestPrecomputeSmoke(t *testing.T) {
 	defer arte.Close()
 	start = time.Now()
 	for _, qs := range sets {
-		if _, err := arte.Query(qs...); err != nil {
+		if _, err := arte.Do(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestPrecomputeSmoke(t *testing.T) {
 	// Warm: the same engine again, now answering from the score cache.
 	start = time.Now()
 	for _, qs := range sets {
-		if _, err := arte.Query(qs...); err != nil {
+		if _, err := arte.Do(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
 	}

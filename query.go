@@ -3,16 +3,18 @@ package ceps
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
+
+	"ceps/internal/core"
+	"ceps/internal/obs"
 )
 
 // This file is the unified query surface of the Engine: Do and DoBatch
 // answer one query set / many query sets under per-call variadic
 // QueryOptions, so new knobs (deadlines, degradation opt-outs, coalescing
-// hints) stop multiplying method variants. The historical
-// Query/QueryCtx/QueryKSoftAND/QueryBatch family remains as thin
-// deprecated wrappers over this surface, and the HTTP /v1/query and
+// hints) stop multiplying method variants. The HTTP /v1/query and
 // /v1/batch endpoints map onto it field-for-field.
 
 // QueryOption adjusts one Do or DoBatch call without touching the engine's
@@ -57,7 +59,7 @@ func WithCoalesceHint(on bool) QueryOption {
 }
 
 // WithK overrides the K_softAND coefficient for the call (0 means an AND
-// query, K = Q). Equivalent to the old QueryKSoftAND methods.
+// query, K = Q).
 func WithK(k int) QueryOption {
 	return func(qo *queryOptions) { qo.k, qo.kSet = k, true }
 }
@@ -106,21 +108,19 @@ func (qo queryOptions) apply(cfg Config) Config {
 // Do answers one center-piece subgraph query for the given query nodes —
 // Fast CePS when fast mode is enabled, the cached full-graph matrix
 // otherwise — under the engine's current configuration adjusted by the
-// per-call options. It is the single canonical query entry point; the
-// Query/QueryCtx/QueryKSoftAND family delegates here. ctx is checked at
-// every power-iteration sweep and EXTRACT step, and a panic escaping the
-// pipeline surfaces as an error wrapping ErrInternal.
+// per-call options. It is the single canonical query entry point. ctx is
+// checked at every power-iteration sweep and EXTRACT step, and a panic
+// escaping the pipeline surfaces as an error wrapping ErrInternal.
 func (e *Engine) Do(ctx context.Context, queries []int, opts ...QueryOption) (res *Result, err error) {
 	defer e.recoverToError(&err)
 	qo := resolveQueryOptions(opts)
 	cfg, pt := e.snapshot()
-	cfg = qo.apply(cfg)
 	if qo.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, qo.timeout)
 		defer cancel()
 	}
-	return e.queryWith(ctx, cfg, pt, queries, qo.noDegrade)
+	return serve(e, ctx, e.queryCall(qo.apply(cfg), pt, queries, qo.noDegrade))
 }
 
 // DoBatch answers many query sets concurrently against one
@@ -133,12 +133,7 @@ func (e *Engine) Do(ctx context.Context, queries []int, opts ...QueryOption) (re
 // boundary. All options except WithBatchConcurrency apply to each set
 // individually.
 func (e *Engine) DoBatch(ctx context.Context, querySets [][]int, opts ...QueryOption) []BatchItem {
-	return e.doBatch(ctx, querySets, resolveQueryOptions(opts))
-}
-
-// doBatch is the shared batch driver behind DoBatch and the deprecated
-// QueryBatchCtx.
-func (e *Engine) doBatch(ctx context.Context, querySets [][]int, qo queryOptions) []BatchItem {
+	qo := resolveQueryOptions(opts)
 	cfg, pt := e.snapshot()
 	cfg = qo.apply(cfg)
 	items := make([]BatchItem, len(querySets))
@@ -169,7 +164,7 @@ func (e *Engine) doBatch(ctx context.Context, querySets [][]int, qo queryOptions
 			}
 			items[i].Result, items[i].Err = func() (res *Result, err error) {
 				defer e.recoverToError(&err)
-				return e.queryWith(ictx, cfg, pt, items[i].Queries, qo.noDegrade)
+				return serve(e, ictx, e.queryCall(cfg, pt, items[i].Queries, qo.noDegrade))
 			}()
 		}(i)
 	}
@@ -185,4 +180,52 @@ func (e *Engine) doBatch(ctx context.Context, querySets [][]int, qo queryOptions
 		}
 	}
 	return items
+}
+
+// queryCall describes one center-piece query to the request funnel: Do,
+// each DoBatch item and QueryAutoK are this call. pt is the Fast CePS
+// state of the snapshot (nil for a full-graph query). Its request counter
+// and slow-log path are the execution path (full, fast or fast_fallback),
+// its latency ceps_query_duration_seconds, and its rows are counted
+// against the work graph the pipeline ran on.
+func (e *Engine) queryCall(cfg Config, pt *Partitioned, queries []int, noDegrade bool) call[*Result] {
+	fast := pt != nil
+	return call[*Result]{
+		span:      "query",
+		attrs:     []obs.Attr{obs.Int("queries", len(queries)), obs.Int("k", cfg.EffectiveK(len(queries)))},
+		queries:   queries,
+		cfg:       cfg,
+		noDegrade: noDegrade,
+		run: func(ctx context.Context, cfg Config) (*Result, error) {
+			if len(queries) == 0 {
+				return nil, fmt.Errorf("%w: no query nodes given", ErrBadQuery)
+			}
+			if fast {
+				return pt.CePSServingCtx(ctx, queries, cfg, e.serving())
+			}
+			runner, err := e.runnerFor(cfg.RWR)
+			if err != nil {
+				return nil, err
+			}
+			return runner.QueryCtx(ctx, queries, cfg)
+		},
+		settle: func(res *Result, span *obs.Span, degraded *core.Degradation) outcome {
+			o := outcome{latency: e.metrics.durTotal, path: queryPath(res, fast)}
+			o.count = e.metrics.queryCounter(o.path)
+			span.SetAttr(obs.Str("path", o.path))
+			if res == nil {
+				return o
+			}
+			res.TraceID = span.TraceID()
+			if degraded != nil {
+				res.Degraded = degraded
+			}
+			o.stages, o.nodes, o.degraded = &res.Stages, res.WorkGraph.N(), res.Degraded
+			if res.Fallback != nil {
+				o.fallback = res.Fallback.Reason
+				span.SetAttr(obs.Str("fallback", o.fallback))
+			}
+			return o
+		},
+	}
 }

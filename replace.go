@@ -2,14 +2,11 @@ package ceps
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"ceps/internal/bipartite"
 	"ceps/internal/core"
-	"ceps/internal/fault"
 	"ceps/internal/obs"
-	"ceps/internal/resilience"
 )
 
 // This file is the serving surface for the title paper's own workload,
@@ -148,9 +145,10 @@ func WithReplaceCoalesceHint(on bool) ReplaceOption {
 // candidates that can reach the top N (about N of them) get their own
 // walk. Answers are deterministic, bit-identical with serving features on
 // or off, and a top-N answer is the first N of the whole pool's ranking,
-// bit for bit. The resilience layer (when enabled) gates the call like any other
-// query: admission control, breaker routing, and degraded (relaxed
-// tolerance) panels marked on ReplaceResult.Degraded.
+// bit for bit. The call runs through the engine's request funnel like every
+// other query type: admission control, breaker routing, degraded (relaxed
+// tolerance) panels marked on ReplaceResult.Degraded, and the same span,
+// metrics, slow-log and SLO signals on every exit.
 func (e *Engine) ReplaceSubteam(ctx context.Context, team []int, opts ...ReplaceOption) (res *ReplaceResult, err error) {
 	defer e.recoverToError(&err)
 	ro := replaceOptions{}
@@ -172,95 +170,47 @@ func (e *Engine) ReplaceSubteam(ctx context.Context, team []int, opts ...Replace
 		ctx, cancel = context.WithTimeout(ctx, ro.timeout)
 		defer cancel()
 	}
-	return e.replaceWith(ctx, cfg, ro.spec, ro.noDegrade)
+	return serve(e, ctx, e.replaceCall(cfg, ro.spec, ro.noDegrade))
 }
 
-// replaceWith is the metered funnel for subteam-replacement queries,
-// mirroring queryWith: admission and breaker routing first, then the core
-// scoring pass, then metrics and span attribution. Instrumentation only
-// reads the finished result; answers stay bit-identical to an unmetered
-// run.
-func (e *Engine) replaceWith(ctx context.Context, cfg Config, spec core.ReplaceSpec, noDegrade bool) (*ReplaceResult, error) {
-	start := time.Now()
-	qctx, span := e.replaceSpan(ctx)
-	span.SetAttr(obs.Int("team", len(spec.Team)), obs.Int("departing", len(spec.Departing)),
-		obs.Str("pool_strategy", replacePoolLabel(spec)))
-	var (
-		release  func()
-		probe    bool
-		degraded *core.Degradation
-	)
-	if e.res != nil {
-		var err error
-		release, err = e.res.Admit(qctx)
-		if err != nil {
-			span.SetAttr(obs.Str("shed", fault.ShedReason(err)))
-			span.SetError(err)
-			span.End()
-			e.metrics.observeReplace(nil, replacePoolLabel(spec), err, time.Since(start))
-			e.recordSlowReplace(spec.Team, nil, err, time.Since(start), span.TraceID())
-			e.flight.ObserveQuery(flightReplaceOutcome(nil, err, time.Since(start)))
-			return nil, err
-		}
-		switch e.res.Route() {
-		case resilience.RouteProbe:
-			probe = true
-		case resilience.RouteDegrade:
-			if noDegrade || e.res.Options().NoDegrade {
-				release()
-				err := fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
-				e.metrics.errCounter(err).Inc()
-				span.SetAttr(obs.Str("shed", "breaker_open"))
-				span.SetError(err)
-				span.End()
-				e.recordSlowReplace(spec.Team, nil, err, time.Since(start), span.TraceID())
-				e.flight.ObserveQuery(flightReplaceOutcome(nil, err, time.Since(start)))
+// replaceCall describes one subteam-replacement request to the request
+// funnel. Its request counter is ceps_replace_total by pool strategy, its
+// latency ceps_replace_duration_seconds, and its rows are counted against
+// the full graph its walks run on.
+func (e *Engine) replaceCall(cfg Config, spec core.ReplaceSpec, noDegrade bool) call[*ReplaceResult] {
+	return call[*ReplaceResult]{
+		span: "replace",
+		attrs: []obs.Attr{obs.Int("team", len(spec.Team)), obs.Int("departing", len(spec.Departing)),
+			obs.Str("pool_strategy", replacePoolLabel(spec))},
+		queries:   spec.Team,
+		cfg:       cfg,
+		noDegrade: noDegrade,
+		run: func(ctx context.Context, cfg Config) (*ReplaceResult, error) {
+			runner, err := e.runnerFor(cfg.RWR)
+			if err != nil {
 				return nil, err
 			}
-			cfg, degraded = degradeConfig(cfg, e.res.Options())
-		}
+			return runner.ReplaceSubteamCtx(ctx, spec, cfg)
+		},
+		settle: func(res *ReplaceResult, span *obs.Span, degraded *core.Degradation) outcome {
+			o := outcome{latency: e.metrics.replaceDur, path: "replace"}
+			if res == nil {
+				o.count = e.metrics.replaceCounter(replacePoolLabel(spec))
+				return o
+			}
+			res.TraceID = span.TraceID()
+			if degraded != nil {
+				res.Degraded = degraded
+			}
+			o.count = e.metrics.replaceCounter(res.PoolStrategy)
+			o.stages, o.nodes, o.degraded = &res.Stages, e.g.N(), res.Degraded
+			e.metrics.replaceCandidates.Observe(float64(res.PoolSize))
+			span.SetAttr(obs.Str("pool_strategy", res.PoolStrategy),
+				obs.Int("pool_size", res.PoolSize),
+				obs.Int("ranked", len(res.Replacements)))
+			return o
+		},
 	}
-	e.metrics.inflight.Add(1)
-	res, err := func() (*ReplaceResult, error) {
-		defer e.metrics.inflight.Add(-1)
-		if release != nil {
-			defer release()
-		}
-		runner, err := e.runnerFor(cfg.RWR)
-		if err != nil {
-			return nil, err
-		}
-		return runner.ReplaceSubteamCtx(qctx, spec, cfg)
-	}()
-	if e.res != nil {
-		e.res.Observe(breakerFailure(err), probe)
-	}
-	if degraded != nil && err == nil && res != nil {
-		res.Degraded = degraded
-	}
-	elapsed := time.Since(start)
-	strategy := replacePoolLabel(spec)
-	if res != nil {
-		res.TraceID = span.TraceID()
-		strategy = res.PoolStrategy
-		span.SetAttr(obs.Str("pool_strategy", res.PoolStrategy),
-			obs.Int("pool_size", res.PoolSize),
-			obs.Int("ranked", len(res.Replacements)),
-			obs.Str("solve_kernel", res.Stages.SolveKernel),
-			obs.Int("solve_sweeps", res.Stages.SolveSweeps),
-			obs.Int("cache_hits", res.Stages.CacheHits),
-			obs.Int("cache_misses", res.Stages.CacheMisses))
-		if res.Degraded != nil {
-			span.SetAttr(obs.Str("degraded", res.Degraded.Mode),
-				obs.Str("degraded_reason", res.Degraded.Reason))
-		}
-	}
-	span.SetError(err)
-	span.End()
-	e.metrics.observeReplace(res, strategy, err, elapsed)
-	e.recordSlowReplace(spec.Team, res, err, elapsed, span.TraceID())
-	e.flight.ObserveQuery(flightReplaceOutcome(res, err, elapsed))
-	return res, err
 }
 
 // replacePoolLabel names the requested pool strategy before the core pass
@@ -271,13 +221,4 @@ func replacePoolLabel(spec core.ReplaceSpec) string {
 		return core.PoolExplicit.String()
 	}
 	return spec.Pool.String()
-}
-
-// replaceSpan opens the per-request span: nested under the caller's
-// envelope when ctx carries one, a new root trace otherwise.
-func (e *Engine) replaceSpan(ctx context.Context) (context.Context, *obs.Span) {
-	if obs.SpanFromContext(ctx) != nil {
-		return obs.StartSpan(ctx, "replace")
-	}
-	return e.tracer.StartRoot(ctx, "replace")
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,43 @@ func TestEngineReplaceSubteam(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// TestReplaceSolveRows pins replace traffic's share of the Step 1 kernel
+// throughput gauge: a replace feeds ceps_solve_rows_total (its sweeps over
+// the full graph its walks run on) as well as the solve seconds, so a
+// replace-only engine reports a positive rows/s rather than 0.
+func TestReplaceSolveRows(t *testing.T) {
+	ds := smallDataset(t)
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
+	team, departed := replaceTeam(ds)
+	res, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stages.SolveSweeps == 0 {
+		t.Fatal("a cold replace ran no sweeps")
+	}
+	text := scrape(t, eng)
+	series := func(name string) float64 {
+		for _, line := range strings.Split(text, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("exposition lacks %s", name)
+		return 0
+	}
+	if got, want := series("ceps_solve_rows_total"), float64(res.Stages.SolveSweeps*ds.Graph.N()); got != want {
+		t.Errorf("ceps_solve_rows_total = %v, want SolveSweeps × N = %v", got, want)
+	}
+	if got := series("ceps_solve_rows_per_second"); !(got > 0) {
+		t.Errorf("ceps_solve_rows_per_second = %v after a replace, want > 0", got)
 	}
 }
 

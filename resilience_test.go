@@ -26,11 +26,11 @@ func TestResilienceUnloadedBitIdentical(t *testing.T) {
 		ceps.WithResilience(ceps.ResilienceOptions{}))
 
 	for round := 0; round < 2; round++ {
-		want, err := plain.QueryCtx(context.Background(), queries...)
+		want, err := plain.Do(context.Background(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := guarded.QueryCtx(context.Background(), queries...)
+		got, err := guarded.Do(context.Background(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestResilienceQueueFullShed(t *testing.T) {
 
 	holderDone := make(chan error, 1)
 	go func() {
-		_, err := eng.QueryCtx(context.Background(), ds.Repository[0][0], ds.Repository[0][1])
+		_, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[0][1]})
 		holderDone <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -100,7 +100,7 @@ func TestResilienceQueueFullShed(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err := eng.QueryCtx(context.Background(), ds.Repository[1][0], ds.Repository[1][1])
+	_, err := eng.Do(context.Background(), []int{ds.Repository[1][0], ds.Repository[1][1]})
 	if !errors.Is(err, ceps.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -142,7 +142,7 @@ func TestResilienceReplaceQueueFullShed(t *testing.T) {
 
 	holderDone := make(chan error, 1)
 	go func() {
-		_, err := eng.QueryCtx(context.Background(), ds.Repository[0][0], ds.Repository[0][1])
+		_, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[0][1]})
 		holderDone <- err
 	}()
 	deadline := time.Now().Add(2 * time.Second)
@@ -197,7 +197,7 @@ func TestPoolWaitShedNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	holderDone := make(chan error, 1)
 	go func() {
-		_, err := eng.QueryCtx(context.Background(), ds.Repository[0][0], ds.Repository[0][1])
+		_, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[0][1]})
 		holderDone <- err
 	}()
 	// Wait until the holder is inside its delayed solve (the injection
@@ -212,7 +212,7 @@ func TestPoolWaitShedNoLeak(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := eng.QueryCtx(ctx, ds.Repository[1][0], ds.Repository[1][1])
+	_, err := eng.Do(ctx, []int{ds.Repository[1][0], ds.Repository[1][1]})
 	if !errors.Is(err, ceps.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}

@@ -112,7 +112,7 @@ func TestEngineBlockedSolvesBitIdenticalAndMetered(t *testing.T) {
 		{ds.Repository[0][0], ds.Repository[1][0], ds.Repository[2][0]},
 		{ds.Repository[0][0]},
 	} {
-		res, err := eng.Query(queries...)
+		res, err := eng.Do(context.Background(), queries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package ceps_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"slices"
@@ -21,10 +22,10 @@ type servingSmokeReport struct {
 	MembersPerSet int `json:"membersPerSet"`
 	// HitRate is the cache hit rate after the measured warm batches.
 	HitRate float64 `json:"hitRate"`
-	// ColdNsPerQuery: sequential QueryCtx on a cache-free engine, median
+	// ColdNsPerQuery: sequential Do on a cache-free engine, median
 	// of servingSmokeRounds passes.
 	ColdNsPerQuery int64 `json:"coldNsPerQuery"`
-	// WarmNsPerQuery: QueryBatchCtx on a pre-warmed cached engine, median
+	// WarmNsPerQuery: DoBatch on a pre-warmed cached engine, median
 	// of servingSmokeRounds passes.
 	WarmNsPerQuery int64 `json:"warmNsPerQuery"`
 	// Speedup = cold / warm; the acceptance floor is 2.
@@ -64,7 +65,7 @@ func TestServingSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, item := range warm.QueryBatch(sets) { // warm pass: fill the cache
+	for _, item := range warm.DoBatch(context.Background(), sets) { // warm pass: fill the cache
 		if item.Err != nil {
 			t.Fatal(item.Err)
 		}
@@ -73,13 +74,13 @@ func TestServingSmoke(t *testing.T) {
 	for round := 0; round < servingSmokeRounds; round++ {
 		start := time.Now()
 		for _, qs := range sets {
-			if _, err := cold.Query(qs...); err != nil {
+			if _, err := cold.Do(context.Background(), qs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		coldPasses = append(coldPasses, time.Since(start))
 		start = time.Now()
-		for _, item := range warm.QueryBatch(sets) {
+		for _, item := range warm.DoBatch(context.Background(), sets) {
 			if item.Err != nil {
 				t.Fatal(item.Err)
 			}

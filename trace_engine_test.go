@@ -31,7 +31,7 @@ func TestEngineTraceSpans(t *testing.T) {
 	eng := tracedEngine(t, ds.Graph, ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1}))
 	queries := []int{ds.Repository[0][0], ds.Repository[0][1]}
 
-	res, err := eng.Query(queries...)
+	res, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestTracingBitIdentical(t *testing.T) {
 	plain := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
 	traced := tracedEngine(t, ds.Graph)
 
-	want, err := plain.Query(queries...)
+	want, err := plain.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := traced.Query(queries...)
+	got, err := traced.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTraceCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := eng.QueryCtx(ctx, ds.Repository[0][0], ds.Repository[1][0]); err == nil {
+	if _, err := eng.Do(ctx, []int{ds.Repository[0][0], ds.Repository[1][0]}); err == nil {
 		t.Fatal("expired deadline did not fail the query")
 	}
 	traces := eng.TraceStore().List(0, 0)
@@ -197,7 +197,7 @@ func TestTraceStoreRaceHammer(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 4; i++ {
-				for _, item := range eng.QueryBatchCtx(context.Background(), sets, ceps.BatchOptions{}) {
+				for _, item := range eng.DoBatch(context.Background(), sets) {
 					if item.Err != nil {
 						t.Error(item.Err)
 					}
@@ -245,7 +245,7 @@ func TestSlowQueryLogTraceFields(t *testing.T) {
 	ds := smallDataset(t)
 	var buf bytes.Buffer
 	eng := tracedEngine(t, ds.Graph, ceps.WithSlowQueryLog(&buf, 0))
-	res, err := eng.Query(ds.Repository[0][0], ds.Repository[1][0])
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSlowQueryLogTraceFields(t *testing.T) {
 func TestTracedMetricsExposition(t *testing.T) {
 	ds := smallDataset(t)
 	eng := tracedEngine(t, ds.Graph)
-	if _, err := eng.Query(ds.Repository[0][0], ds.Repository[1][0]); err != nil {
+	if _, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[1][0]}); err != nil {
 		t.Fatal(err)
 	}
 	out := scrape(t, eng)
