@@ -35,15 +35,17 @@ race:
 # engine-level Reconfigure hammer under the race detector. These are the
 # tests that caught (and now pin) the stale-store cache bug. The resolver
 # table covers every cache/coalescer/artifact/pool combination of the
-# Step-1 serving path. The extract run pins the pooled per-query EXTRACT
-# scratch against cross-call sharing. The linalg run hammers the fused
+# Step-1 serving path. The engine run includes Fast CePS fallbacks building
+# the shared full-graph runner under contention beside Reconfigure. The
+# extract run pins the pooled per-query EXTRACT scratch against cross-call
+# sharing. The linalg run hammers the fused
 # sweep's concurrent row ranges on the Go kernel only: the race detector
 # cannot see memory accesses made by assembly, so the AVX-512 arms would
 # prove nothing here.
 race-hammer:
 	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable'
 	$(GO) test -race -count=10 ./internal/rwr -run 'TestCacheConcurrentHitStorePurge'
-	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure'
+	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure|TestFastFallbackConcurrentSharedRunner'
 	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
 	$(GO) test -race -count=10 ./internal/linalg -run 'TestParMulBitIdenticalAcrossWorkers/go|TestSweepConformance/go|TestSweepLongRanges/go'
 

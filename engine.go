@@ -568,9 +568,11 @@ func (e *Engine) FastMode() bool {
 
 // Prepare eagerly builds the cached transition matrix the full-graph query
 // path uses, so the first Do call does not pay the O(M)
-// normalization inside its deadline. It is a no-op when the matrix is
-// already built. Services that hand out tight per-query deadlines should
-// call Prepare once at startup.
+// normalization inside its deadline. In fast mode the same runner answers
+// every Fast CePS fallback to the full graph, so Prepare readies the first
+// fallback too. It is a no-op when the matrix is already built. Services
+// that hand out tight per-query deadlines should call Prepare once at
+// startup.
 func (e *Engine) Prepare() error {
 	cfg, _ := e.snapshot()
 	_, err := e.runnerFor(cfg.RWR)

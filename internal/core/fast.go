@@ -88,9 +88,11 @@ func (pt *Partitioned) CePSCtx(ctx context.Context, queries []int, cfg Config) (
 // union's per-source score vectors are resolved through the shared cache
 // (keyed by the partition identity and part set, so repeat queries over
 // the same communities skip their solves) and fresh solves run under the
-// shared pool's concurrency bound. A zero Serving is plain CePSCtx. The
-// degenerate-union fallback path always re-solves on the full graph
-// uncached — it is the rare path, and its solver is query-local.
+// shared pool's concurrency bound. A zero Serving is plain CePSCtx. A
+// query whose union is degenerate falls back to the full graph on
+// sv.FullGraph's runner when one is set and walks pt.G — the runner's
+// cached transition matrix and its own cache, pool, coalescer and
+// artifacts — and otherwise on a query-local solver, uncached.
 func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Config, sv Serving) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -112,7 +114,7 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 			return nil, err
 		}
 		partSpan.End()
-		res, err := runPipeline(ctx, pt.G, queries, cfg, Serving{}, 0)
+		res, err := pt.fullGraph(ctx, queries, cfg, sv)
 		if err != nil {
 			return nil, err
 		}
@@ -143,6 +145,22 @@ func (pt *Partitioned) CePSServingCtx(ctx context.Context, queries []int, cfg Co
 	res.Subgraph.FillInduced(pt.G)
 	res.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// fullGraph answers a query on the full graph for a degenerate union: on
+// sv.FullGraph's runner when there is one over pt.G, otherwise on a
+// query-local solver.
+func (pt *Partitioned) fullGraph(ctx context.Context, queries []int, cfg Config, sv Serving) (*Result, error) {
+	if sv.FullGraph != nil {
+		r, err := sv.FullGraph(cfg.RWR)
+		if err != nil {
+			return nil, err
+		}
+		if r.Graph() == pt.G {
+			return r.QueryCtx(ctx, queries, cfg)
+		}
+	}
+	return runPipeline(ctx, pt.G, queries, cfg, Serving{}, 0)
 }
 
 // queryUnion materializes the partition union for a query set (Table 5

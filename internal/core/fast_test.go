@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"ceps/internal/partition"
+	"ceps/internal/rwr"
 )
 
 func TestPrePartitionAndFastCePS(t *testing.T) {
@@ -130,40 +132,45 @@ func TestFastCePSMorePartitionsSmallerWorkGraph(t *testing.T) {
 
 func TestFastCePSSinglePartitionEqualsFull(t *testing.T) {
 	// With p = 1 the partition union is the whole graph, so Fast CePS must
-	// reproduce the full-graph answer exactly.
+	// reproduce the full-graph answer bit for bit under every
+	// normalization: a union whose weights or degrees differed from the
+	// parent's in the last bit would show in R and Combined.
 	ds := testDataset(t, 83)
-	cfg := fastConfig()
-	cfg.Budget = 8
 	queries := []int{ds.Repository[0][0], ds.Repository[2][0]}
-	full, err := CePS(ds.Graph, queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pt, err := PrePartition(ds.Graph, 1, partition.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := pt.CePS(queries, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.WorkGraph.N() != ds.Graph.N() {
-		t.Fatalf("p=1 work graph has %d nodes, want %d", fast.WorkGraph.N(), ds.Graph.N())
-	}
-	if len(full.Subgraph.Nodes) != len(fast.Subgraph.Nodes) {
-		t.Fatalf("p=1 subgraph size differs: %d vs %d", len(fast.Subgraph.Nodes), len(full.Subgraph.Nodes))
-	}
-	for i := range full.Subgraph.Nodes {
-		if full.Subgraph.Nodes[i] != fast.Subgraph.Nodes[i] {
-			t.Fatal("p=1 subgraph differs from full run")
+	for _, norm := range []rwr.NormKind{rwr.NormColumn, rwr.NormDegreePenalized, rwr.NormSymmetric} {
+		cfg := fastConfig()
+		cfg.Budget = 8
+		cfg.RWR.Norm = norm
+		full, err := CePS(ds.Graph, queries, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	rel, err := RelRatio(full, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel != 1 {
-		t.Fatalf("p=1 RelRatio = %v, want exactly 1", rel)
+		fast, err := pt.CePS(queries, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fast.Fallback != nil {
+			t.Fatalf("%v: p=1 fell back: %+v", norm, fast.Fallback)
+		}
+		if fast.WorkGraph.N() != ds.Graph.N() || fast.WorkGraph.M() != ds.Graph.M() {
+			t.Fatalf("%v: p=1 work graph is %d nodes / %d edges, want %d / %d", norm,
+				fast.WorkGraph.N(), fast.WorkGraph.M(), ds.Graph.N(), ds.Graph.M())
+		}
+		if math.Float64bits(fast.WorkGraph.TotalWeight()) != math.Float64bits(ds.Graph.TotalWeight()) {
+			t.Fatalf("%v: p=1 work graph total weight differs in its bits", norm)
+		}
+		assertResultsIdentical(t, full, fast)
+		rel, err := RelRatio(full, fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel != 1 {
+			t.Fatalf("%v: p=1 RelRatio = %v, want exactly 1", norm, rel)
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 
 // Serving bundles the shared serving-layer state an Engine threads through
 // the query paths: the per-source score cache, the bounded solve pool, the
-// coalescer and the precompute tier. The zero value is the plain path:
-// every Step 1 is one blocked panel, uncached and unbounded by a pool.
+// coalescer, the precompute tier and the full-graph runner Fast CePS falls
+// back to. The zero value is the plain path: every Step 1 is one blocked
+// panel, uncached and unbounded by a pool.
 type Serving struct {
 	// Cache holds per-source RWR score vectors keyed by source node and a
 	// space fingerprint covering the walk config and work-graph identity.
@@ -29,6 +30,11 @@ type Serving struct {
 	// space is bound to an on-disk artifact (see BindArtifacts) become one
 	// row read instead of a power iteration.
 	Artifacts rwr.ArtifactReader
+	// FullGraph, when non-nil, returns a full-graph Runner for a walk
+	// config — an engine's cached one. Fast CePS answers a degenerate-union
+	// fallback on it (see Partitioned.CePSServingCtx); nil solves the
+	// fallback on a query-local solver.
+	FullGraph func(rwr.Config) (*Runner, error)
 }
 
 // solveStep runs Step 1 for a query set on solver: it opens the solve

@@ -122,20 +122,27 @@ func assertResultsIdentical(t *testing.T, want, got *Result) {
 	if len(want.Subgraph.PathEdges) != len(got.Subgraph.PathEdges) {
 		t.Fatalf("path edge counts differ: %d vs %d", len(want.Subgraph.PathEdges), len(got.Subgraph.PathEdges))
 	}
-	for i := range want.Subgraph.PathEdges {
-		if want.Subgraph.PathEdges[i] != got.Subgraph.PathEdges[i] {
-			t.Fatalf("path edge %d differs", i)
+	for i, e := range want.Subgraph.PathEdges {
+		g := got.Subgraph.PathEdges[i]
+		if e.U != g.U || e.V != g.V || math.Float64bits(e.W) != math.Float64bits(g.W) {
+			t.Fatalf("path edge %d differs: %+v vs %+v", i, e, g)
 		}
 	}
 	if len(want.R) != len(got.R) {
 		t.Fatalf("score matrix rows differ: %d vs %d", len(want.R), len(got.R))
 	}
 	for i := range want.R {
+		if len(want.R[i]) != len(got.R[i]) {
+			t.Fatalf("R[%d] lengths differ: %d vs %d", i, len(want.R[i]), len(got.R[i]))
+		}
 		for j := range want.R[i] {
 			if math.Float64bits(want.R[i][j]) != math.Float64bits(got.R[i][j]) {
 				t.Fatalf("R[%d][%d] differs: %v vs %v", i, j, want.R[i][j], got.R[i][j])
 			}
 		}
+	}
+	if len(want.Combined) != len(got.Combined) {
+		t.Fatalf("combined lengths differ: %d vs %d", len(want.Combined), len(got.Combined))
 	}
 	for j := range want.Combined {
 		if math.Float64bits(want.Combined[j]) != math.Float64bits(got.Combined[j]) {

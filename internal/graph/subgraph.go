@@ -13,44 +13,78 @@ import (
 //
 // Induced is the workhorse of Fast CePS (Table 5, Step 1): the union of the
 // partitions containing the query nodes is materialized as a standalone
-// graph that the full CePS pipeline then runs on.
+// graph that the full CePS pipeline then runs on, once per request. It
+// costs O(|nodes| + Σ deg) beyond one position array over the parent's
+// nodes: strictly ascending input (what partition.NodesInParts returns)
+// skips the sort, and each row is the parent's row filtered through the
+// monotone id map, so it stays sorted with no Builder and no row sort.
+// Weighted degrees and the total weight are summed in the order
+// Builder.Build sums them, so the result is bit-identical to building the
+// same edges through a Builder.
 func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]int, err error) {
+	n := g.N()
+	// pos[u] is u's subgraph id + 1, and 0 while u is not in the subgraph.
+	pos := make([]int32, n)
 	uniq := make([]int, 0, len(nodes))
-	seen := make(map[int]bool, len(nodes))
+	ascending := true
 	for _, u := range nodes {
-		if u < 0 || u >= g.N() {
-			return nil, nil, nil, fmt.Errorf("graph: induced node %d out of range [0,%d)", u, g.N())
+		if u < 0 || u >= n {
+			return nil, nil, nil, fmt.Errorf("graph: induced node %d out of range [0,%d)", u, n)
 		}
-		if !seen[u] {
-			seen[u] = true
-			uniq = append(uniq, u)
+		if pos[u] != 0 {
+			continue
 		}
+		pos[u] = 1
+		if k := len(uniq); k > 0 && u < uniq[k-1] {
+			ascending = false
+		}
+		uniq = append(uniq, u)
 	}
 	if len(uniq) == 0 {
 		return nil, nil, nil, fmt.Errorf("graph: induced subgraph over empty node set")
 	}
-	sort.Ints(uniq)
-	toSub = make(map[int]int, len(uniq))
-	for i, u := range uniq {
-		toSub[u] = i
+	if !ascending {
+		slices.Sort(uniq)
 	}
-	b := NewBuilder(len(uniq))
-	if g.Labeled() {
-		for i, u := range uniq {
-			b.SetLabel(i, g.labels[u])
-		}
+	toSub = make(map[int]int, len(uniq))
+	arcs := 0
+	for i, u := range uniq {
+		pos[u] = int32(i + 1)
+		toSub[u] = i
+		arcs += g.Degree(u)
+	}
+
+	sub = &Graph{
+		rowPtr:      make([]int, len(uniq)+1),
+		adj:         make([]int, 0, arcs),
+		w:           make([]float64, 0, arcs),
+		weightedDeg: make([]float64, len(uniq)),
 	}
 	for i, u := range uniq {
 		nbrs, ws := g.Neighbors(u)
+		var d float64
 		for j, v := range nbrs {
-			if sv, ok := toSub[v]; ok && u < v {
-				b.AddEdge(i, sv, ws[j])
+			sv := int(pos[v]) - 1
+			if sv < 0 {
+				continue
+			}
+			sub.adj = append(sub.adj, sv)
+			sub.w = append(sub.w, ws[j])
+			d += ws[j]
+			// Builder.Build sums the total over edges sorted by (u, v).
+			if sv > i {
+				sub.totalWeight += ws[j]
+				sub.numEdges++
 			}
 		}
+		sub.weightedDeg[i] = d
+		sub.rowPtr[i+1] = len(sub.adj)
 	}
-	sub, err = b.Build()
-	if err != nil {
-		return nil, nil, nil, err
+	if g.Labeled() {
+		sub.labels = make([]string, len(uniq))
+		for i, u := range uniq {
+			sub.labels[i] = g.labels[u]
+		}
 	}
 	return sub, uniq, toSub, nil
 }

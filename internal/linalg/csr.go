@@ -80,6 +80,36 @@ func NewCSR(rows, cols int, entries []Triple) (*CSR, error) {
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx[:out], vals: vals[:out]}, nil
 }
 
+// NewCSRFromRows wraps arrays that are already in row order: row r's
+// entries are colIdx[rowPtr[r]:rowPtr[r+1]] with parallel vals. It checks
+// that rowPtr is monotone and spans both arrays and that each row's
+// columns are strictly ascending and in range, then takes ownership of the
+// slices; no entry is copied, sorted or summed. Callers that produce
+// coordinate triples use NewCSR instead.
+func NewCSRFromRows(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("linalg: invalid CSR shape %dx%d", rows, cols)
+	}
+	if len(rowPtr) != rows+1 || rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) || len(colIdx) != len(vals) {
+		return nil, fmt.Errorf("linalg: row pointer of length %d does not span %d columns and %d values over %d rows",
+			len(rowPtr), len(colIdx), len(vals), rows)
+	}
+	for r := 0; r < rows; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		if lo > hi || hi > len(colIdx) {
+			return nil, fmt.Errorf("linalg: row pointer not monotone at row %d", r)
+		}
+		prev := -1
+		for _, c := range colIdx[lo:hi] {
+			if c <= prev || c >= cols {
+				return nil, fmt.Errorf("linalg: row %d column %d out of order or out of %dx%d", r, c, rows, cols)
+			}
+			prev = c
+		}
+	}
+	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
+}
+
 // Rows returns the number of rows.
 func (m *CSR) Rows() int { return m.rows }
 

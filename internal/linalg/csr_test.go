@@ -143,6 +143,56 @@ func TestNewCSRErrors(t *testing.T) {
 	}
 }
 
+func TestNewCSRFromRowsMatchesNewCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 30; iter++ {
+		rows, cols := 1+rng.Intn(20), 1+rng.Intn(20)
+		want := randCSR(t, rng, rows, cols, rng.Intn(80))
+		rowPtr := append([]int(nil), want.rowPtr...)
+		colIdx := append([]int(nil), want.colIdx...)
+		vals := append([]float64(nil), want.vals...)
+		got, err := NewCSRFromRows(rows, cols, rowPtr, colIdx, vals)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: NewCSRFromRows differs from NewCSR", iter)
+		}
+	}
+}
+
+func TestNewCSRFromRowsErrors(t *testing.T) {
+	ok := func(rowPtr, colIdx []int, vals []float64) error {
+		_, err := NewCSRFromRows(2, 3, rowPtr, colIdx, vals)
+		return err
+	}
+	if err := ok([]int{0, 1, 3}, []int{2, 0, 1}, []float64{1, 2, 3}); err != nil {
+		t.Fatalf("valid rows rejected: %v", err)
+	}
+	if _, err := NewCSRFromRows(0, 3, []int{0}, nil, nil); err == nil {
+		t.Error("zero rows should fail")
+	}
+	for name, bad := range map[string]struct {
+		rowPtr, colIdx []int
+		vals           []float64
+	}{
+		"short rowPtr":        {[]int{0, 1}, []int{0}, []float64{1}},
+		"empty rowPtr":        {nil, nil, nil},
+		"rowPtr[0] != 0":      {[]int{1, 1, 1}, []int{0}, []float64{1}},
+		"rowPtr short of nnz": {[]int{0, 1, 1}, []int{0, 1}, []float64{1, 2}},
+		"vals length":         {[]int{0, 1, 2}, []int{0, 1}, []float64{1}},
+		"not monotone":        {[]int{0, 2, 1}, []int{0}, []float64{1}},
+		"unsorted row":        {[]int{0, 2, 2}, []int{1, 0}, []float64{1, 2}},
+		"duplicate column":    {[]int{0, 2, 2}, []int{1, 1}, []float64{1, 2}},
+		"column too large":    {[]int{0, 0, 1}, []int{3}, []float64{1}},
+		"negative column":     {[]int{0, 1, 1}, []int{-1}, []float64{1}},
+	} {
+		if err := ok(bad.rowPtr, bad.colIdx, bad.vals); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestMulVecAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 20; iter++ {

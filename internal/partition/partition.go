@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"ceps/internal/fault"
@@ -158,30 +159,34 @@ func (r *Result) Balance() float64 {
 
 // PartsContaining returns the sorted distinct part ids that the given nodes
 // fall into (Table 5 Step 1: "pick up partitions of W that contain all the
-// query nodes").
+// query nodes"). A query set holds a handful of nodes, so sorting their
+// part ids and dropping repeats beats any set structure.
 func (r *Result) PartsContaining(nodes []int) []int {
-	set := make(map[int]bool, len(nodes))
-	for _, u := range nodes {
-		set[r.Assign[u]] = true
+	parts := make([]int, len(nodes))
+	for i, u := range nodes {
+		parts[i] = r.Assign[u]
 	}
-	parts := make([]int, 0, len(set))
-	for p := range set {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts
+	slices.Sort(parts)
+	return slices.Compact(parts)
 }
 
 // NodesInParts returns all node ids assigned to any of the given parts, in
-// ascending order.
+// ascending order: one pass over Assign against a flag per part id. Part
+// ids are non-negative; a negative id matches no node.
 func (r *Result) NodesInParts(parts []int) []int {
-	want := make(map[int]bool, len(parts))
+	top := -1
 	for _, p := range parts {
-		want[p] = true
+		top = max(top, p)
+	}
+	want := make([]bool, top+1)
+	for _, p := range parts {
+		if p >= 0 {
+			want[p] = true
+		}
 	}
 	var nodes []int
 	for u, p := range r.Assign {
-		if want[p] {
+		if p >= 0 && p < len(want) && want[p] {
 			nodes = append(nodes, u)
 		}
 	}

@@ -2,6 +2,8 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"ceps/internal/graph"
@@ -328,6 +330,54 @@ func TestKWayLargerSweep(t *testing.T) {
 			if sz == 0 {
 				t.Errorf("k=%d part %d empty", k, p)
 			}
+		}
+	}
+}
+
+// TestPartHelpersMatchMapReference pins PartsContaining and NodesInParts
+// to the map-based constructions they replaced, on unsorted query sets
+// with repeats and on part lists with repeats, gaps and unknown ids.
+func TestPartHelpersMatchMapReference(t *testing.T) {
+	g := randomConnected(t, 300, 600, 31)
+	res, err := KWay(g, 7, Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for iter := 0; iter < 200; iter++ {
+		queries := make([]int, 1+rng.Intn(6))
+		for i := range queries {
+			queries[i] = rng.Intn(g.N())
+		}
+		set := make(map[int]bool)
+		for _, u := range queries {
+			set[res.Assign[u]] = true
+		}
+		wantParts := make([]int, 0, len(set))
+		for p := range set {
+			wantParts = append(wantParts, p)
+		}
+		sort.Ints(wantParts)
+		if got := res.PartsContaining(queries); !slices.Equal(got, wantParts) {
+			t.Fatalf("PartsContaining(%v) = %v, want %v", queries, got, wantParts)
+		}
+
+		parts := make([]int, rng.Intn(5))
+		for i := range parts {
+			parts[i] = rng.Intn(res.K+2) - 1 // -1 and K name no part
+		}
+		want := make(map[int]bool)
+		for _, p := range parts {
+			want[p] = true
+		}
+		var wantNodes []int
+		for u, p := range res.Assign {
+			if want[p] {
+				wantNodes = append(wantNodes, u)
+			}
+		}
+		if got := res.NodesInParts(parts); !slices.Equal(got, wantNodes) {
+			t.Fatalf("NodesInParts(%v) = %v, want %v", parts, got, wantNodes)
 		}
 	}
 }

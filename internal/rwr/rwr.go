@@ -135,13 +135,18 @@ type Solver struct {
 	rev *Reversibility
 }
 
-// NewSolver builds the normalized transition matrix for g under cfg.
+// NewSolver builds the normalized transition matrix for g under cfg. W̃ is
+// filled row by row straight from g's CSR: g's weights are symmetric
+// (Graph.Validate), so row r of W̃ holds one entry per neighbour c of r,
+// already in ascending column order, and no coordinate list is sorted.
 func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	n := g.N()
-	entries := make([]linalg.Triple, 0, 2*g.M())
+	rowPtr := make([]int, n+1)
+	colIdx := make([]int, 0, 2*g.M())
+	vals := make([]float64, 0, 2*g.M())
 	// x[u] is the reversibility scale X_u (0 for isolated nodes), computed
 	// from the very values the entries are built from; entryRoundings
 	// counts the roundings between a stored entry and the exactly
@@ -163,43 +168,56 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 		for r := range pow {
 			pow[r] = penalty(g.WeightedDegree(r), alpha)
 		}
+		// Column sums run down each column in adjacency order. A zero sum
+		// (an isolated node) leaves the column empty: walk mass restarts
+		// only.
+		colSum := make([]float64, n)
 		for c := 0; c < n; c++ {
 			nbrs, ws := g.Neighbors(c)
-			var colSum float64
+			var sum float64
 			for i, r := range nbrs {
-				colSum += ws[i] / pow[r]
+				sum += ws[i] / pow[r]
 			}
-			if colSum == 0 {
-				continue // isolated node: zero column, walk mass restarts only
+			colSum[c] = sum
+			if sum != 0 {
+				x[c] = pow[c] / sum
 			}
-			for i, r := range nbrs {
+		}
+		for r := 0; r < n; r++ {
+			nbrs, ws := g.Neighbors(r)
+			for i, c := range nbrs {
+				if colSum[c] == 0 {
+					continue
+				}
 				pen := ws[i] / pow[r]
-				p := pen / colSum
+				p := pen / colSum[c]
 				tiny = tiny || pen < 0x1p-1022 || p < 0x1p-1022
-				entries = append(entries, linalg.Triple{Row: r, Col: c, Val: p})
+				colIdx = append(colIdx, c)
+				vals = append(vals, p)
 			}
-			x[c] = pow[c] / colSum
+			rowPtr[r+1] = len(colIdx)
 		}
 		entryRoundings = 2
 	case NormSymmetric:
 		// The stored matrix is exactly symmetric (edge weights are, and
 		// d_r·d_c rounds like d_c·d_r), so X = I with no entry rounding.
-		for c := 0; c < n; c++ {
-			dc := g.WeightedDegree(c)
-			if dc == 0 {
-				continue
+		for r := 0; r < n; r++ {
+			dr := g.WeightedDegree(r)
+			if dr != 0 {
+				x[r] = 1
 			}
-			nbrs, ws := g.Neighbors(c)
-			for i, r := range nbrs {
-				dr := g.WeightedDegree(r)
-				entries = append(entries, linalg.Triple{Row: r, Col: c, Val: ws[i] / math.Sqrt(dr*dc)})
+			nbrs, ws := g.Neighbors(r)
+			for i, c := range nbrs {
+				dc := g.WeightedDegree(c)
+				colIdx = append(colIdx, c)
+				vals = append(vals, ws[i]/math.Sqrt(dr*dc))
 			}
-			x[c] = 1
+			rowPtr[r+1] = len(colIdx)
 		}
 	default:
 		return nil, fmt.Errorf("rwr: unknown normalization %v", cfg.Norm)
 	}
-	trans, err := linalg.NewCSR(n, n, entries)
+	trans, err := linalg.NewCSRFromRows(n, n, rowPtr, colIdx, vals)
 	if err != nil {
 		return nil, err
 	}

@@ -201,7 +201,11 @@ func (e *Engine) queryCall(cfg Config, pt *Partitioned, queries []int, noDegrade
 				return nil, fmt.Errorf("%w: no query nodes given", ErrBadQuery)
 			}
 			if fast {
-				return pt.CePSServingCtx(ctx, queries, cfg, e.serving())
+				// A degenerate union falls back to the cached full-graph
+				// runner, built on the first fallback if Prepare has not.
+				sv := e.serving()
+				sv.FullGraph = e.runnerFor
+				return pt.CePSServingCtx(ctx, queries, cfg, sv)
 			}
 			runner, err := e.runnerFor(cfg.RWR)
 			if err != nil {
