@@ -112,21 +112,25 @@ coalesce-smoke:
 # Subteam-replacement smoke: the title-paper workload on a tiny substrate.
 # Floors on rank stability (warm repeats reproduce the ranking from the
 # cache, bit-identical across serving configurations) and panel usage
-# (blocked kernel, cold misses, warm hits), plus the core ranking and
-# HTTP/CLI surface tests under the race detector.
+# (blocked kernel, cold misses, warm hits), the top-N certificate on an
+# artifact-backed engine, plus the core ranking and HTTP/CLI surface
+# tests under the race detector.
 replace-smoke:
 	$(GO) test -count=1 . -run 'TestReplaceSmoke|TestReplaceBitIdentical'
 	$(GO) test -race -count=1 . -run 'TestEngineReplaceSubteam|TestReplaceReconfigureHammer'
 	$(GO) test -race -count=1 ./internal/core -run 'TestReplaceSubteam|TestCertifiedTopN|TestSelectExactRule'
+	$(GO) test -count=1 . -run 'TestReplaceCertifiedOnArtifactEngine'
 	$(GO) test -count=1 ./cmd/ceps -run 'TestDecodeReplaceRequestV1|TestV1Replace|TestRunReplaceVerb'
 
 # Precompute-tier smoke: golden artifact-vs-iterative identity on all
 # three normalizations, the Reconfigure invalidation regression, the
-# artifact-vs-Reconfigure race hammer, cepspre build/verify/corruption
-# round-trips, and the cold-start floor (artifact hit rate >= 0.9,
-# artifact-served cold pass within 2x of warm-cache latency).
+# refusal of older dense-class directories, the bypass log firing only on
+# a real mismatch, the artifact-vs-Reconfigure race hammer, cepspre
+# build/verify/corruption round-trips, and the cold-start floor (artifact
+# hit rate >= 0.9, artifact-served cold pass within 2x of warm-cache
+# latency).
 precompute-smoke:
-	$(GO) test -count=1 . -run 'TestArtifactGoldenAllNorms|TestArtifactFastModeServing|TestArtifactReconfigureInvalidation|TestReplaceExactViaArtifactTier|TestArtifactDirRejectsDamage|TestArtifactMismatchBypasses|TestPrecomputeSmoke'
+	$(GO) test -count=1 . -run 'TestArtifactGoldenAllNorms|TestArtifactFastModeServing|TestArtifactReconfigureInvalidation|TestArtifactDirRejectsDamage|TestArtifactDirRejectsDenseClass|TestArtifactMismatchBypasses|TestArtifactBypassLogOnlyOnMismatch|TestPrecomputeSmoke'
 	$(GO) test -race -count=2 . -run 'TestArtifactReconfigureRaceHammer'
 	$(GO) test -race -count=1 ./internal/artifact
 	$(GO) test -count=1 ./cmd/cepspre

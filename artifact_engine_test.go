@@ -2,10 +2,13 @@ package ceps_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
-	"math"
+	"hash/fnv"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +22,8 @@ import (
 // directory, the in-process equivalent of running cepspre. parts = 0
 // builds the full-graph artifact only; otherwise the full graph plus one
 // artifact per part (seed must match the engine's fast-mode seed). The
-// byte budget picks the class: unions whose dense inverse fits become
-// ClassDense, the rest top-source panels.
+// byte budget sets the coverage: a union covers every source once its
+// N² rows fit, its top sources by weighted degree otherwise.
 func buildArtifactDir(t testing.TB, g *ceps.Graph, rc ceps.RWRConfig, parts int, seed int64, budget int64) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -63,23 +66,19 @@ func corruptOneArtifact(t testing.TB, dir string) {
 	t.Fatal("no artifact file to corrupt")
 }
 
-// panelBudget forces ClassPanel with n-1 sources: one byte short of the
-// dense inverse, so the builder falls back to a panel that still covers
-// every node except the single lowest-weighted-degree one.
+// panelBudget covers n-1 sources: eight bytes short of full coverage, so
+// the artifact holds every node except the single lowest-weighted-degree
+// one.
 func panelBudget(g *ceps.Graph) int64 {
 	n := int64(g.N())
 	return 8 * n * (n - 1)
 }
 
 // TestArtifactGoldenAllNorms compares artifact-served engines against
-// plain iterative ones on all three normalizations, for both artifact
-// classes.
-//
-// Panel-class rows are the iterative solver's own output, so the whole
-// Result must be bit-identical. Dense-class rows are the converged fixed
-// point (1−c)(I−cW̃)⁻¹e_q rather than the m-sweep iterate; with m = 50
-// and c = 0.5 the truncation gap is bounded by c^(m+1)/(1−c) ≈ 9e-16 per
-// entry, so the combined scores must agree to 1e-9 with huge margin.
+// plain iterative ones on all three normalizations, at two coverages:
+// "panel" leaves one source uncovered, "dense" covers every source. Every
+// artifact row is the iterative solver's own m-sweep iterate, so the whole
+// Result must be bit-identical either way.
 func TestArtifactGoldenAllNorms(t *testing.T) {
 	ds := smallDataset(t)
 	g := ds.Graph
@@ -129,25 +128,23 @@ func TestArtifactGoldenAllNorms(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Stages.ArtifactHits != len(queries) {
-				t.Fatalf("artifact hits = %d, want %d (dense artifact covers every source)",
+				t.Fatalf("artifact hits = %d, want %d (the artifact covers every source)",
 					got.Stages.ArtifactHits, len(queries))
 			}
 			if got.Stages.SolveKernel != "artifact" {
 				t.Fatalf("kernel %q, want artifact", got.Stages.SolveKernel)
 			}
-			for j := range want.Combined {
-				if d := math.Abs(got.Combined[j] - want.Combined[j]); d > 1e-9 {
-					t.Fatalf("node %d: dense-served score %v vs iterative %v (diff %g > 1e-9)",
-						j, got.Combined[j], want.Combined[j], d)
-				}
+			if !resultEquals(want, got) {
+				t.Fatal("fully covered artifact's result is not bit-identical to the iterative one")
 			}
 		})
 	}
 }
 
 // TestArtifactFastModeServing exercises the per-partition artifacts: a
-// fast-mode engine whose single-part unions are precomputed answers cold
-// queries out of the mmapped rows, bit-identically (panel class).
+// fast-mode engine whose single-part unions are precomputed (every source
+// covered) answers cold queries out of the mmapped rows, bit-identically,
+// at quickConfig's m = 25.
 func TestArtifactFastModeServing(t *testing.T) {
 	ds := smallDataset(t)
 	g := ds.Graph
@@ -178,16 +175,8 @@ func TestArtifactFastModeServing(t *testing.T) {
 			t.Fatal(err)
 		}
 		hits += got.Stages.ArtifactHits
-		// Dense rows are the converged fixed point; compare with the same
-		// tolerance argument as the golden test (quickConfig's m = 25 gives
-		// a truncation gap ≈ 3e-8).
-		if len(got.Combined) != len(want.Combined) {
-			t.Fatalf("work graphs differ: %d vs %d nodes", len(got.Combined), len(want.Combined))
-		}
-		for j := range want.Combined {
-			if d := math.Abs(got.Combined[j] - want.Combined[j]); d > 1e-6 {
-				t.Fatalf("node %d: %v vs %v (diff %g)", j, got.Combined[j], want.Combined[j], d)
-			}
+		if !resultEquals(want, got) {
+			t.Fatalf("queries %v: artifact-served fast-mode result is not bit-identical to the iterative one", queries)
 		}
 	}
 	if hits == 0 {
@@ -337,50 +326,176 @@ func TestArtifactReconfigureRaceHammer(t *testing.T) {
 	}
 }
 
-// TestReplaceExactViaArtifactTier: with a dense-class artifact bound,
-// ReplaceSubteam's exact scoring reads the shared mmapped inverse instead
-// of factorizing a per-Runner one — and since dense rows are
-// Float64bits-identical to the PreSolver's, the rankings must match the
-// artifact-free engine exactly.
-func TestReplaceExactViaArtifactTier(t *testing.T) {
+// TestReplaceCertifiedOnArtifactEngine: an engine whose full-graph
+// artifact covers every source answers ReplaceSubteam bit for bit like a
+// plain engine, with the top-N certificate on — Step 1 looks up the few
+// member and surviving candidate walks, not the whole pool.
+func TestReplaceCertifiedOnArtifactEngine(t *testing.T) {
+	ds := smallDataset(t)
+	team, departed := replaceTeam(ds)
+	for _, tc := range []struct {
+		name string
+		cfg  ceps.Config
+	}{{"default", ceps.DefaultConfig()}, {"m25", quickConfig()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := buildArtifactDir(t, ds.Graph, tc.cfg.RWR, 0, 1, 64<<20)
+			ref := newEngine(t, ds.Graph, ceps.WithConfig(tc.cfg), ceps.WithBipartite(ds.Papers))
+			want, err := ref.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := newEngine(t, ds.Graph, ceps.WithConfig(tc.cfg), ceps.WithBipartite(ds.Papers),
+				ceps.WithCache(8<<20), ceps.WithArtifactDir(dir))
+			defer eng.Close()
+			got, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareReplacements(t, "artifact engine vs plain", want.Replacements, got.Replacements)
+			lookups := got.Stages.CacheHits + got.Stages.CacheMisses
+			if got.Stages.ArtifactHits == 0 || got.Stages.ArtifactHits != got.Stages.CacheMisses {
+				t.Fatalf("stages = %+v, want every cold lookup served by the artifact", got.Stages)
+			}
+			if lookups*4 > got.PoolSize {
+				t.Fatalf("Step 1 looked up %d walks for a pool of %d: the certificate did not run", lookups, got.PoolSize)
+			}
+		})
+	}
+}
+
+// denseClassDir rewrites every artifact in dir the way an older build's
+// dense-class directory looks: class word 1 (checksum recomputed, so the
+// class is the only thing wrong) and "dense" in the index.
+func denseClassDir(t testing.TB, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		path := filepath.Join(dir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case filepath.Ext(e.Name()) == ".cpa":
+			binary.LittleEndian.PutUint32(data[12:], 1)
+			h := fnv.New64a()
+			h.Write(data[:64])
+			h.Write(data[72:])
+			binary.LittleEndian.PutUint64(data[64:], h.Sum64())
+		case e.Name() == artifact.IndexFile:
+			data = []byte(strings.ReplaceAll(string(data), `"class": "panel"`, `"class": "dense"`))
+		default:
+			continue
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestArtifactDirRejectsDenseClass: a directory of dense-class artifacts
+// from an older build (closed-form rows, not m-sweep iterates) must fail
+// engine construction with a message that says to rebuild it, rather than
+// serve rows that would change answers.
+func TestArtifactDirRejectsDenseClass(t *testing.T) {
 	ds := smallDataset(t)
 	cfg := quickConfig()
 	dir := buildArtifactDir(t, ds.Graph, cfg.RWR, 0, 1, 64<<20)
+	denseClassDir(t, dir)
+	_, err := ceps.NewEngine(ds.Graph, ceps.WithConfig(cfg), ceps.WithArtifactDir(dir))
+	if !errors.Is(err, ceps.ErrBadConfig) || !strings.Contains(err.Error(), "cepspre") {
+		t.Fatalf("NewEngine on a dense-class artifact dir: %v, want ErrBadConfig saying to rebuild with cepspre", err)
+	}
+}
 
-	team, departed := replaceTeam(ds)
-	ref := newEngine(t, ds.Graph, ceps.WithConfig(cfg), ceps.WithBipartite(ds.Papers))
-	want, err := ref.ReplaceSubteam(context.Background(), team,
-		ceps.WithDeparting(departed), ceps.WithExactScores())
+// logBuffer collects the standard logger's output, which the engine's
+// artifact tier writes its bind-pass notes to.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) count(substr string) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return strings.Count(b.buf.String(), substr)
+}
+
+// captureLog redirects the standard logger into a buffer until the test
+// ends.
+func captureLog(t *testing.T) *logBuffer {
+	b := &logBuffer{}
+	out, flags := log.Writer(), log.Flags()
+	log.SetOutput(b)
+	t.Cleanup(func() {
+		log.SetOutput(out)
+		log.SetFlags(flags)
+	})
+	return b
+}
+
+// TestArtifactBypassLogOnlyOnMismatch: an engine opened on a part-only
+// directory and given its partition afterwards (how cepspre's default
+// build and `ceps -artifacts DIR -partitions N` meet) binds the parts
+// without first reporting the directory as a mismatch. A directory built
+// for another config still logs the bypass once per binding generation.
+func TestArtifactBypassLogOnlyOnMismatch(t *testing.T) {
+	ds := smallDataset(t)
+	g := ds.Graph
+	cfg := quickConfig()
+	const parts = 4
+	const bypass = "tier bypassed"
+	logs := captureLog(t)
+	pt, err := ceps.PrePartition(g, parts, ceps.PartitionOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	eng := newEngine(t, ds.Graph, ceps.WithConfig(cfg), ceps.WithBipartite(ds.Papers),
-		ceps.WithCache(8<<20), ceps.WithArtifactDir(dir))
-	defer eng.Close()
-	before, _ := eng.ArtifactStats()
-	got, err := eng.ReplaceSubteam(context.Background(), team,
-		ceps.WithDeparting(departed), ceps.WithExactScores())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, _ := eng.ArtifactStats()
-	if after.Hits <= before.Hits {
-		t.Fatal("exact scoring did not read the artifact tier")
-	}
-	if got.Stages.SolveKernel != "exact" {
-		t.Fatalf("kernel %q, want exact", got.Stages.SolveKernel)
-	}
-	if len(got.Replacements) != len(want.Replacements) {
-		t.Fatalf("%d replacements vs %d", len(got.Replacements), len(want.Replacements))
-	}
-	for i := range want.Replacements {
-		w, g := want.Replacements[i], got.Replacements[i]
-		if w.Node != g.Node ||
-			math.Float64bits(w.Score) != math.Float64bits(g.Score) ||
-			math.Float64bits(w.RWRProximity) != math.Float64bits(g.RWRProximity) {
-			t.Fatalf("rank %d: tier-served %+v vs presolve %+v", i, g, w)
+	build := func(rc ceps.RWRConfig) string {
+		dir := t.TempDir()
+		if _, err := artifact.Build(context.Background(), g, artifact.BuildConfig{RWR: rc, Partition: pt.Partition}, dir); err != nil {
+			t.Fatal(err)
 		}
+		return dir
+	}
+
+	eng := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithCache(8<<20), ceps.WithArtifactDir(build(cfg.RWR)))
+	defer eng.Close()
+	eng.SetPartitioned(pt)
+	if n := logs.count(bypass); n != 0 {
+		t.Fatalf("a matching part-only directory logged %d bypass lines", n)
+	}
+	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stages.ArtifactHits != 1 {
+		t.Fatalf("stages = %+v, want the single-part query served by its part's artifact", res.Stages)
+	}
+
+	other := cfg
+	other.RWR.C = 0.7
+	mis := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithArtifactDir(build(other.RWR)),
+		ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
+	defer mis.Close()
+	if n := logs.count(bypass); n != 1 {
+		t.Fatalf("a mismatched directory logged %d bypass lines at construction, want 1", n)
+	}
+	third := cfg
+	third.RWR.C = 0.6
+	if err := mis.Reconfigure(third); err != nil {
+		t.Fatal(err)
+	}
+	if n := logs.count(bypass); n != 2 {
+		t.Fatalf("%d bypass lines after a rebind, want one more for the new generation", n)
 	}
 }
 

@@ -37,8 +37,7 @@ import (
 //	  "weight_overlap": 0.3,
 //	  "timeout_ms": 250,          // per-request deadline (caps the server default)
 //	  "no_degrade": true,         // fail 503 instead of a reduced-fidelity panel
-//	  "coalesce": false,          // opt the panel out of (or into) solve coalescing
-//	  "exact": true               // dense pre-solved inverse (small graphs only)
+//	  "coalesce": false           // opt the panel out of (or into) solve coalescing
 //	}
 type replaceRequestV1 struct {
 	Team          []int    `json:"team,omitempty"`
@@ -54,7 +53,6 @@ type replaceRequestV1 struct {
 	TimeoutMS     int      `json:"timeout_ms,omitempty"`
 	NoDegrade     bool     `json:"no_degrade,omitempty"`
 	Coalesce      *bool    `json:"coalesce,omitempty"`
-	Exact         bool     `json:"exact,omitempty"`
 }
 
 // jsonReplacement is one ranked candidate of a replace response.
@@ -73,7 +71,6 @@ type jsonReplaceResult struct {
 	Remaining    []int             `json:"remaining"`
 	PoolStrategy string            `json:"pool_strategy"`
 	PoolSize     int               `json:"pool_size"`
-	Exact        bool              `json:"exact,omitempty"`
 	Replacements []jsonReplacement `json:"replacements"`
 	SolveKernel  string            `json:"solve_kernel,omitempty"`
 	SolveSweeps  int               `json:"solve_sweeps,omitempty"`
@@ -166,9 +163,6 @@ func replaceOptionsV1(req replaceRequestV1, departing []int, defaultTimeout time
 	if req.WeightRWR != nil && req.WeightOverlap != nil {
 		opts = append(opts, ceps.WithScoreWeights(*req.WeightRWR, *req.WeightOverlap))
 	}
-	if req.Exact {
-		opts = append(opts, ceps.WithExactScores())
-	}
 	timeout := defaultTimeout
 	if d := time.Duration(req.TimeoutMS) * time.Millisecond; d > 0 && (timeout <= 0 || d < timeout) {
 		timeout = d
@@ -193,7 +187,6 @@ func buildJSONReplaceResult(g *ceps.Graph, res *ceps.ReplaceResult) jsonReplaceR
 		Remaining:    res.Remaining,
 		PoolStrategy: res.PoolStrategy,
 		PoolSize:     res.PoolSize,
-		Exact:        res.Exact,
 		Replacements: make([]jsonReplacement, len(res.Replacements)),
 		SolveKernel:  res.Stages.SolveKernel,
 		SolveSweeps:  res.Stages.SolveSweeps,
@@ -264,7 +257,6 @@ func runReplace(argv []string, stdout, stderr io.Writer) int {
 		maxCand    = fs.Int("max-candidates", 0, "cap the scored pool (0 = 256, negative = unlimited)")
 		wRWR       = fs.Float64("weight-rwr", 0, "blend weight of walk proximity (give both weights or neither)")
 		wOverlap   = fs.Float64("weight-overlap", 0, "blend weight of structural overlap")
-		exact      = fs.Bool("exact", false, "score the panel with the dense pre-solved inverse (small graphs only)")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		cacheMB    = fs.Int("cache-mb", 64, "score-cache budget in MiB (0 = disable caching)")
 		workers    = fs.Int("workers", 0, "max concurrent random-walk solves (0 = GOMAXPROCS)")
@@ -355,9 +347,6 @@ func runReplace(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *wRWR != 0 || *wOverlap != 0 {
 		opts = append(opts, ceps.WithScoreWeights(*wRWR, *wOverlap))
-	}
-	if *exact {
-		opts = append(opts, ceps.WithExactScores())
 	}
 
 	res, err := eng.ReplaceSubteam(ctx, team, opts...)

@@ -8,14 +8,19 @@
 //	cepspre -graph g.txt -out artifacts/ [-partitions 16] [flags]
 //	cepspre -verify -out artifacts/
 //
-// Build mode factors each partition union offline: small unions get the
-// dense pre-solved inverse (rows bit-identical to the engine's exact
-// kernel), larger ones a panel of iteratively solved per-source vectors
-// for the highest-weighted-degree sources that fit -budget (rows
-// bit-identical to the engine's iterative kernel). The RWR flags (-c, -m,
-// -alpha, -norm, -tol) and -partitions/-seed must match the serving
-// engine's configuration, or the artifacts will not bind — fingerprints
-// enforce this; the tool cannot check a config it never sees.
+// Build mode solves each partition union offline with the engine's own
+// blocked kernel: a panel of per-source score vectors for the
+// highest-weighted-degree sources that fit -budget (every source when the
+// union's N² rows fit), each row the m-sweep iterate the engine would
+// compute, bit for bit. The RWR flags (-c, -m, -alpha, -norm, -tol) and
+// -partitions/-seed must match the serving engine's configuration, or the
+// artifacts will not bind — fingerprints enforce this; the tool cannot
+// check a config it never sees.
+//
+// Directories written by older builds may hold dense-class artifacts
+// (rows from the closed-form inverse). This build refuses them — the
+// engine fails to start on such a directory and -verify reports each
+// file — so rebuild them.
 //
 // Verify mode is an artifact fsck: it re-validates every indexed file
 // (magic, version, shape, checksum) and flags stray artifact files the
@@ -59,9 +64,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		outDir    = fs.String("out", "", "artifact directory to write or verify (required)")
 		parts     = fs.Int("partitions", 0, "partition the graph into this many parts and precompute each part's union (0 = full graph only)")
 		seed      = fs.Int64("seed", 1, "partitioner seed; must match the serving engine's fast-mode seed")
-		budgetMB  = fs.Int("budget", 64, "per-unit byte budget in MiB: unions whose dense inverse fits become dense artifacts, the rest get a top-source panel sized to fit")
+		budgetMB  = fs.Int("budget", 64, "per-unit byte budget in MiB: each union covers as many of its top-weighted-degree sources as fit (all of them once N² rows fit)")
 		full      = fs.Bool("full", false, "also precompute the full-graph artifact when -partitions is set (it always is without)")
-		workers   = fs.Int("workers", 0, "concurrent per-source solves and dense factorization columns (0 = GOMAXPROCS)")
+		workers   = fs.Int("workers", 0, "concurrent blocked solves of up to 16 sources each (0 = GOMAXPROCS)")
 		verify    = fs.Bool("verify", false, "verify an existing artifact directory instead of building")
 		verbose   = fs.Bool("v", false, "log per-unit progress to stderr")
 
@@ -175,8 +180,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  skip %-12s %6d nodes: %s\n", name, u.N, u.Reason)
 			continue
 		}
-		fmt.Fprintf(stdout, "  %-5s %-12s %6d nodes, %6d sources, %10d bytes -> %s\n",
-			u.Class, name, u.N, u.Sources, u.Bytes, u.File)
+		fmt.Fprintf(stdout, "  %-12s %6d nodes, %6d sources, %10d bytes -> %s\n",
+			name, u.N, u.Sources, u.Bytes, u.File)
 	}
 	fmt.Fprintf(stdout, "wrote %d artifacts, %d bytes to %s\n", res.Written, res.Bytes, *outDir)
 	return exitOK

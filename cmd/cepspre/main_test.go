@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,42 +71,62 @@ func TestBuildThenVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyFlagsCorruption: -verify names a damaged file, and a
+// dense-class file from an older build (class word 1, checksum intact) as
+// one to rebuild.
 func TestVerifyFlagsCorruption(t *testing.T) {
+	damage := []struct {
+		name, want string
+		hurt       func(data []byte)
+	}{
+		{"flipped byte", "BAD", func(data []byte) { data[len(data)-1] ^= 0xff }},
+		{"dense class word", "rebuild", func(data []byte) {
+			binary.LittleEndian.PutUint32(data[12:], 1)
+			h := fnv.New64a()
+			h.Write(data[:64])
+			h.Write(data[72:])
+			binary.LittleEndian.PutUint64(data[64:], h.Sum64())
+		}},
+	}
 	graphPath := writeTestGraph(t)
-	out := filepath.Join(t.TempDir(), "artifacts")
-	if code := run([]string{"-graph", graphPath, "-out", out}, &strings.Builder{}, &strings.Builder{}); code != exitOK {
-		t.Fatalf("build exit %d", code)
-	}
-	ents, err := os.ReadDir(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := false
-	for _, e := range ents {
-		if filepath.Ext(e.Name()) != ".cpa" {
-			continue
-		}
-		path := filepath.Join(out, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)-1] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		corrupted = true
-		break
-	}
-	if !corrupted {
-		t.Fatal("no artifact file written")
-	}
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-verify", "-out", out}, &stdout, &stderr); code != exitError {
-		t.Fatalf("verify of corrupt dir: exit %d\n%s", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "BAD") {
-		t.Fatalf("verify should name the damaged file:\n%s", stdout.String())
+	for _, d := range damage {
+		t.Run(d.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "artifacts")
+			if code := run([]string{"-graph", graphPath, "-out", out}, &strings.Builder{}, &strings.Builder{}); code != exitOK {
+				t.Fatalf("build exit %d", code)
+			}
+			ents, err := os.ReadDir(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hurt := false
+			for _, e := range ents {
+				if filepath.Ext(e.Name()) != ".cpa" {
+					continue
+				}
+				path := filepath.Join(out, e.Name())
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.hurt(data)
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				hurt = true
+				break
+			}
+			if !hurt {
+				t.Fatal("no artifact file written")
+			}
+			var stdout, stderr strings.Builder
+			if code := run([]string{"-verify", "-out", out}, &stdout, &stderr); code != exitError {
+				t.Fatalf("verify of a %s: exit %d\n%s", d.name, code, stdout.String())
+			}
+			if !strings.Contains(stdout.String(), "BAD") || !strings.Contains(stdout.String(), d.want) {
+				t.Fatalf("verify should name the damaged file (%q):\n%s", d.want, stdout.String())
+			}
+		})
 	}
 }
 

@@ -177,13 +177,14 @@ func WithFastMode(p int, opts PartitionOptions) Option {
 // cepspre tool: per-partition solve artifacts are mmapped at construction
 // and consulted on the serving miss path, between the score cache and the
 // iterative solver, so a cold query over a precomputed partition union
-// becomes one mat-vec row read. Artifacts are content-keyed by graph, RWR
-// config, and partition fingerprints; any mismatch with the live engine
-// state (including after Reconfigure) cleanly bypasses the tier — answers
-// are then identical to an engine without this option. A directory that
-// exists but fails to open (corrupt or truncated artifacts, bad index)
-// rejects construction with ErrBadConfig rather than silently serving
-// nothing.
+// becomes one row read. Artifact rows are the solver's m-sweep iterates,
+// bit for bit, so answers are identical to an engine without this option.
+// Artifacts are content-keyed by graph, RWR config, and partition
+// fingerprints; any mismatch with the live engine state (including after
+// Reconfigure) cleanly bypasses the tier. A directory that exists but
+// fails to open (corrupt or truncated artifacts, bad index, dense-class
+// artifacts from an older cepspre) rejects construction with ErrBadConfig
+// rather than silently serving nothing.
 func WithArtifactDir(dir string) Option {
 	return func(ec *engineConfig) error {
 		if dir == "" {

@@ -11,16 +11,14 @@
 // picture from the other end: the burden is paid once, offline, within
 // an explicit byte budget, and the result survives process restarts.
 //
-// Two artifact classes split the budget:
-//
-//   - ClassDense: every source of the (partition-union) graph is covered;
-//     the rows are read from the dense inverse (rwr.PreSolver), so they
-//     are Float64bits-identical to what the in-process PreSolver would
-//     compute. Chosen when 8·N² fits the byte budget.
-//   - ClassPanel: only the top-k sources by weighted degree are covered
-//     (k = budget / (8·N)); the rows are iterative solves, bit-identical
-//     to the serving path's own solver. Uncovered sources miss the tier
-//     and fall through to the iterative solver.
+// Every artifact is a panel of m-sweep iterates: it covers the top-k
+// sources of its (partition-union) graph by weighted degree, with
+// k = min(N, budget / (8·N)), so a budget of 8·N² bytes or more covers
+// every source. Each row is the blocked kernel's solve of its source,
+// Float64bits-identical to what the serving path's own solver computes
+// (ScoresSetBlockedCtx, hence ScoresCtx), so a vector read from an
+// artifact never changes an answer. Uncovered sources miss the tier and
+// fall through to the iterative solver.
 //
 // Artifacts are keyed by content fingerprints (graph, RWR config,
 // partition, part set) rather than by the process-local identities the
@@ -45,7 +43,7 @@ const Version = 1
 //
 //	off  0  magic            [8]byte  "CEPSART1"
 //	off  8  version          uint32
-//	off 12  class            uint32
+//	off 12  class            uint32   always classPanel
 //	off 16  graph fp         uint64
 //	off 24  config fp        uint64
 //	off 32  partition fp     uint64
@@ -68,42 +66,15 @@ const IndexFile = "index.json"
 // FileExt is the artifact file extension.
 const FileExt = ".cpa"
 
-// Class distinguishes how an artifact's rows were computed and what they
-// promise (see the package comment).
-type Class uint32
-
+// classPanel is the only header class word (and index "class" value) this
+// build writes or reads. The word stays in the format so that a file of
+// any other class — older builds wrote a dense class, word 1, whose rows
+// were the closed-form inverse rather than the iterate — fails Open
+// instead of being misread.
 const (
-	// ClassDense covers every source; rows come from the dense inverse and
-	// are Float64bits-identical to rwr.PreSolver output.
-	ClassDense Class = 1
-	// ClassPanel covers the top-k sources by weighted degree; rows are
-	// iterative solves, bit-identical to the serving solver's own.
-	ClassPanel Class = 2
+	classPanel     = 2
+	classPanelName = "panel"
 )
-
-// String names the class for logs and the index file.
-func (c Class) String() string {
-	switch c {
-	case ClassDense:
-		return "dense"
-	case ClassPanel:
-		return "panel"
-	default:
-		return "unknown"
-	}
-}
-
-// classFromString is the inverse of Class.String for index decoding.
-func classFromString(s string) (Class, bool) {
-	switch s {
-	case "dense":
-		return ClassDense, true
-	case "panel":
-		return ClassPanel, true
-	default:
-		return 0, false
-	}
-}
 
 // Key states everything an artifact's vectors depend on, in content
 // (process-independent) terms: the graph, the walk configuration, and —

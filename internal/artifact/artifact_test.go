@@ -2,6 +2,8 @@ package artifact
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"os"
@@ -40,7 +42,10 @@ func mustPartition(t testing.TB, g *graph.Graph, k int) *partition.Result {
 	return pt
 }
 
-func TestBuildOpenRoundTripDenseExact(t *testing.T) {
+// TestBuildOpenRoundTripFullCoverage: under the default budget every
+// source of the 90-node graph fits, and each row read back is the
+// iterative solver's own, Float64bits-identical to ScoresCtx.
+func TestBuildOpenRoundTripFullCoverage(t *testing.T) {
 	g := testGraph(t, 90, 240, 61)
 	pt := mustPartition(t, g, 3)
 	dir := t.TempDir()
@@ -57,35 +62,29 @@ func TestBuildOpenRoundTripDenseExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Full-graph artifact: dense rows must be Float64bits-identical to
-		// an in-process PreSolver on the same graph and config.
 		a, ok := store.Find(Key{GraphFP: g.Fingerprint(), ConfigFP: cfg.Fingerprint()})
 		if !ok {
 			t.Fatal("full-graph artifact not found by key")
 		}
-		if a.Class != ClassDense {
-			t.Fatalf("class = %s, want dense (n=%d fits the default budget)", a.Class, g.N())
+		if len(a.Sources) != g.N() {
+			t.Fatalf("artifact covers %d of %d sources under the default budget", len(a.Sources), g.N())
 		}
 		s, err := rwr.NewSolver(g, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := rwr.NewPreSolver(s, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range []int{0, 45, 89} {
+		for q := 0; q < g.N(); q++ {
 			got, ok := a.Row(q)
 			if !ok {
-				t.Fatalf("dense artifact misses source %d", q)
+				t.Fatalf("artifact misses source %d", q)
 			}
-			want, err := ps.Scores(q)
+			want, _, err := s.ScoresCtx(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("norm %v q %d node %d: artifact %v vs presolver %v", norm, q, j, got[j], want[j])
+					t.Fatalf("norm %v q %d node %d: artifact %v vs iterative %v", norm, q, j, got[j], want[j])
 				}
 			}
 		}
@@ -95,8 +94,8 @@ func TestBuildOpenRoundTripDenseExact(t *testing.T) {
 		if !ok {
 			t.Fatal("part-0 artifact not found by key")
 		}
-		if pa.N != pt.PartSizes[0] {
-			t.Fatalf("part-0 artifact has %d nodes, part has %d", pa.N, pt.PartSizes[0])
+		if pa.N != pt.PartSizes[0] || len(pa.Sources) != pa.N {
+			t.Fatalf("part-0 artifact has %d nodes and %d sources, part has %d", pa.N, len(pa.Sources), pt.PartSizes[0])
 		}
 		store.Close()
 	}
@@ -119,9 +118,6 @@ func TestBuildPanelBitIdenticalToIterative(t *testing.T) {
 	a, ok := store.Find(Key{GraphFP: g.Fingerprint(), ConfigFP: cfg.Fingerprint()})
 	if !ok {
 		t.Fatal("artifact not found")
-	}
-	if a.Class != ClassPanel {
-		t.Fatalf("class = %s, want panel under a %d-byte budget", a.Class, budget)
 	}
 	if len(a.Sources) != 40 {
 		t.Fatalf("panel covers %d sources, want 40", len(a.Sources))
@@ -240,6 +236,17 @@ func TestOpenRejectsCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// An older build's dense-class file: intact, but a class this
+		// build refuses.
+		{"dense class word", func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, denseImage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, d := range damage {
 		t.Run(d.name, func(t *testing.T) {
@@ -313,12 +320,8 @@ func TestTierBindReadRebind(t *testing.T) {
 	if !ok || len(vec) != g.N() {
 		t.Fatalf("bound read failed: ok=%v len=%d", ok, len(vec))
 	}
-	// Exact reads are allowed on the dense class.
-	if _, ok := tier.ReadExact(space, 3); !ok {
-		t.Fatal("ReadExact must serve from a dense artifact")
-	}
 	st := tier.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Bound != 1 || st.Loaded != 1 {
+	if st.Hits != 1 || st.Misses != 1 || st.Bound != 1 || st.Loaded != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -353,31 +356,17 @@ func TestTierBindReadRebind(t *testing.T) {
 	}
 }
 
-func TestTierReadExactRequiresDense(t *testing.T) {
-	g := testGraph(t, 100, 240, 73)
-	cfg := testCfg(rwr.NormColumn)
-	dir := t.TempDir()
-	budget := int64(10 * g.N() * 8) // force panel
-	if _, err := Build(context.Background(), g, BuildConfig{RWR: cfg, ByteBudget: budget}, dir); err != nil {
-		t.Fatal(err)
-	}
-	store, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	tier := NewTier(store, nil)
-	key := Key{GraphFP: g.Fingerprint(), ConfigFP: cfg.Fingerprint()}
-	if !tier.Bind(7, key, g.N()) {
-		t.Fatal("bind failed")
-	}
-	covered := store.Artifacts()[0].Sources[0]
-	if _, ok := tier.ReadVector(7, covered); !ok {
-		t.Fatal("panel must serve ReadVector for a covered source")
-	}
-	if _, ok := tier.ReadExact(7, covered); ok {
-		t.Fatal("ReadExact must refuse panel-class rows (not PreSolver-exact)")
-	}
+// denseImage rewrites an artifact image as an older build's dense-class
+// file: class word 1 and a recomputed checksum, so the class is the only
+// thing wrong with it.
+func denseImage(image []byte) []byte {
+	old := append([]byte(nil), image...)
+	binary.LittleEndian.PutUint32(old[12:], 1)
+	h := fnv.New64a()
+	h.Write(old[:64])
+	h.Write(old[headerSize:])
+	binary.LittleEndian.PutUint64(old[64:], h.Sum64())
+	return old
 }
 
 func TestBuildSkipsWhenBudgetBelowOneRow(t *testing.T) {

@@ -15,9 +15,15 @@ import (
 )
 
 // DefaultByteBudget is the per-artifact payload budget when BuildConfig
-// leaves it unset: 64 MiB, enough for a dense inverse up to ~2800 nodes
-// and a few thousand panel rows beyond that.
+// leaves it unset: 64 MiB, enough to cover every source of a union up to
+// ~2900 nodes and a few thousand top sources beyond that.
 const DefaultByteBudget int64 = 64 << 20
+
+// chunkWidth is how many sources one blocked solve takes: the fused
+// sweep's column group width (linalg.Sweep), so each chunk streams the
+// transition matrix once per sweep and a worker holds O(chunkWidth·N) of
+// panel at a time.
+const chunkWidth = 16
 
 // BuildConfig parameterizes one offline precompute run (cmd/cepspre).
 type BuildConfig struct {
@@ -33,15 +39,12 @@ type BuildConfig struct {
 	// Partition is nil — there is nothing else to build).
 	IncludeFull bool
 	// ByteBudget caps each artifact's row payload; ≤ 0 means
-	// DefaultByteBudget. Within budget the builder prefers the dense
-	// class (full coverage, PreSolver-exact rows); otherwise it writes a
-	// panel of the budget's worth of top-weighted-degree sources.
+	// DefaultByteBudget. Each unit covers its top-k sources by weighted
+	// degree, k = min(N, ByteBudget / (8·N)): every source once 8·N²
+	// fits.
 	ByteBudget int64
-	// DenseLimit caps the node count eligible for the dense class; ≤ 0
-	// means rwr.DefaultPreSolveLimit.
-	DenseLimit int
-	// Workers bounds build parallelism (per-artifact row solves and the
-	// dense factorization); ≤ 0 means GOMAXPROCS.
+	// Workers bounds build parallelism (concurrent chunk solves of up to
+	// 16 sources each); ≤ 0 means GOMAXPROCS.
 	Workers int
 	// Log (nil for silent) receives per-artifact progress lines.
 	Log func(format string, args ...any)
@@ -53,7 +56,6 @@ type UnitSummary struct {
 	Parts []int
 	// File is empty when the unit was skipped.
 	File    string
-	Class   Class
 	N       int
 	Sources int
 	Bytes   int64
@@ -72,11 +74,10 @@ type BuildResult struct {
 	Bytes       int64
 }
 
-// Build factors the graph (and each partition union) under cfg and writes
+// Build solves the graph (and each partition union) under cfg and writes
 // the artifact files plus the index into dir. Solves are deterministic, so
-// rebuilding with identical inputs reproduces identical files; rows are
-// bit-identical to what the serving path would compute (iterative rows)
-// or to the in-process PreSolver (dense rows).
+// rebuilding with identical inputs reproduces identical files, whatever
+// Workers is; rows are bit-identical to what the serving path computes.
 func Build(ctx context.Context, g *graph.Graph, cfg BuildConfig, dir string) (*BuildResult, error) {
 	if g == nil {
 		return nil, fmt.Errorf("artifact: nil graph")
@@ -86,9 +87,6 @@ func Build(ctx context.Context, g *graph.Graph, cfg BuildConfig, dir string) (*B
 	}
 	if cfg.ByteBudget <= 0 {
 		cfg.ByteBudget = DefaultByteBudget
-	}
-	if cfg.DenseLimit <= 0 {
-		cfg.DenseLimit = rwr.DefaultPreSolveLimit
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -132,8 +130,8 @@ func Build(ctx context.Context, g *graph.Graph, cfg BuildConfig, dir string) (*B
 			cfg.Log("skip %s: %s", unitName(u.parts), sum.Reason)
 			continue
 		}
-		cfg.Log("wrote %s: %s, %d nodes, %d sources, %d bytes (%s)",
-			unitName(u.parts), sum.File, sum.N, sum.Sources, sum.Bytes, sum.Class)
+		cfg.Log("wrote %s: %s, %d nodes, %d sources, %d bytes",
+			unitName(u.parts), sum.File, sum.N, sum.Sources, sum.Bytes)
 		idx.Artifacts = append(idx.Artifacts, *entry)
 		res.Written++
 		res.Bytes += sum.Bytes
@@ -168,60 +166,32 @@ func buildUnit(ctx context.Context, g *graph.Graph, cfg BuildConfig, res *BuildR
 			return nil, nil, fmt.Errorf("artifact: inducing %s: %w", unitName(parts), err)
 		}
 	}
+	n := work.N()
+	sum := &UnitSummary{Parts: parts, N: n}
+	k := int(min(cfg.ByteBudget/(int64(n)*8), int64(n)))
+	if k <= 0 {
+		sum.Skipped = true
+		sum.Reason = fmt.Sprintf("byte budget %d below one %d-node row", cfg.ByteBudget, n)
+		return sum, nil, nil
+	}
 	solver, err := rwr.NewSolver(work, cfg.RWR)
 	if err != nil {
 		return nil, nil, fmt.Errorf("artifact: solver for %s: %w", unitName(parts), err)
 	}
-
-	n := work.N()
-	sum := &UnitSummary{Parts: parts, N: n}
-	var sources []int
-	var rows [][]float64
-	if denseBytes := int64(n) * int64(n) * 8; n <= cfg.DenseLimit && denseBytes <= cfg.ByteBudget {
-		sum.Class = ClassDense
-		ps, err := rwr.NewPreSolverParallel(solver, cfg.DenseLimit, cfg.Workers)
-		if err != nil {
-			return nil, nil, fmt.Errorf("artifact: presolving %s: %w", unitName(parts), err)
-		}
-		sources = make([]int, n)
-		for q := range sources {
-			sources[q] = q
-		}
-		rows, err = computeRows(ctx, sources, cfg.Workers,
-			func(_ context.Context, q int) ([]float64, error) { return ps.Scores(q) })
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		sum.Class = ClassPanel
-		k := int(cfg.ByteBudget / (int64(n) * 8))
-		if k <= 0 {
-			sum.Skipped = true
-			sum.Reason = fmt.Sprintf("byte budget %d below one %d-node row", cfg.ByteBudget, n)
-			return sum, nil, nil
-		}
-		if k > n {
-			k = n
-		}
-		sources = topSources(work, k)
-		rows, err = computeRows(ctx, sources, cfg.Workers,
-			func(ctx context.Context, q int) ([]float64, error) {
-				vec, _, err := solver.ScoresCtx(ctx, q)
-				return vec, err
-			})
-		if err != nil {
-			return nil, nil, err
-		}
+	sources := topSources(work, k)
+	rows, err := computeRows(ctx, solver, sources, cfg.Workers)
+	if err != nil {
+		return nil, nil, err
 	}
 
-	file, bytes, err := writeFile(dir, sum.Class, key, n, 1-cfg.RWR.C, sources, rows)
+	file, bytes, err := writeFile(dir, key, n, 1-cfg.RWR.C, sources, rows)
 	if err != nil {
 		return nil, nil, fmt.Errorf("artifact: writing %s: %w", unitName(parts), err)
 	}
 	sum.File, sum.Sources, sum.Bytes = file, len(sources), bytes
 	entry := &indexEntry{
 		File:        file,
-		Class:       sum.Class.String(),
+		Class:       classPanelName,
 		GraphFP:     fpString(key.GraphFP),
 		ConfigFP:    fpString(key.ConfigFP),
 		PartitionFP: fpString(key.PartitionFP),
@@ -253,24 +223,35 @@ func topSources(g *graph.Graph, k int) []int {
 	return top
 }
 
-// computeRows runs fn over every source with bounded parallelism,
-// preserving source order in the result. Each solve is independent and
-// deterministic, so the rows are identical across worker counts.
-func computeRows(ctx context.Context, sources []int, workers int, fn func(ctx context.Context, q int) ([]float64, error)) ([][]float64, error) {
+// computeRows solves every source with the blocked kernel, in chunks of
+// at most chunkWidth sources and with at most workers chunks in flight,
+// preserving source order in the result. Each column of a blocked solve
+// is bit-identical to ScoresCtx for its source, so the rows are identical
+// across worker counts and chunkings.
+func computeRows(ctx context.Context, solver *rwr.Solver, sources []int, workers int) ([][]float64, error) {
 	rows := make([][]float64, len(sources))
-	if workers > len(sources) {
-		workers = len(sources)
+	chunks := (len(sources) + chunkWidth - 1) / chunkWidth
+	solve := func(ctx context.Context, c int) error {
+		lo := c * chunkWidth
+		hi := min(lo+chunkWidth, len(sources))
+		R, _, err := solver.ScoresSetBlockedCtx(ctx, sources[lo:hi], 1)
+		if err != nil {
+			return err
+		}
+		copy(rows[lo:hi], R)
+		return nil
+	}
+	if workers > chunks {
+		workers = chunks
 	}
 	if workers <= 1 {
-		for i, q := range sources {
+		for c := 0; c < chunks; c++ {
 			if err := fault.FromContext(ctx); err != nil {
 				return nil, err
 			}
-			row, err := fn(ctx, q)
-			if err != nil {
+			if err := solve(ctx, c); err != nil {
 				return nil, err
 			}
-			rows[i] = row
 		}
 		return rows, nil
 	}
@@ -283,9 +264,9 @@ func computeRows(ctx context.Context, sources []int, workers int, fn func(ctx co
 	defer cancel()
 	go func() {
 		defer close(next)
-		for i := range sources {
+		for c := 0; c < chunks; c++ {
 			select {
-			case next <- i:
+			case next <- c:
 			case <-cctx.Done():
 				return
 			}
@@ -295,14 +276,12 @@ func computeRows(ctx context.Context, sources []int, workers int, fn func(ctx co
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range next {
-				row, err := fn(cctx, sources[i])
-				if err != nil {
+			for c := range next {
+				if err := solve(cctx, c); err != nil {
 					errs[w] = err
 					cancel()
 					return
 				}
-				rows[i] = row
 			}
 		}(w)
 	}

@@ -17,7 +17,7 @@ func fuzzArtifactDir(f *testing.F) (dir, file string, image []byte) {
 	f.Helper()
 	g := testGraph(f, 12, 10, 3)
 	dir = f.TempDir()
-	res, err := Build(context.Background(), g, BuildConfig{RWR: testCfg(rwr.NormColumn), ByteBudget: 3 * 8 * 12, DenseLimit: 1}, dir)
+	res, err := Build(context.Background(), g, BuildConfig{RWR: testCfg(rwr.NormColumn), ByteBudget: 3 * 8 * 12}, dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -69,6 +69,8 @@ func FuzzArtifactDecode(f *testing.F) {
 	huge := append([]byte(nil), image...)
 	binary.LittleEndian.PutUint32(huge[52:], 1<<30)
 	f.Add(huge)
+	// An older build's dense-class file, checksum intact: refused by class.
+	f.Add(denseImage(image))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := decode(data)

@@ -21,15 +21,13 @@ import (
 type Artifact struct {
 	// File is the file name within the store directory.
 	File string
-	// Class says how the rows were computed (dense inverse vs iterative).
-	Class Class
 	// Key is the content identity the rows were solved under.
 	Key Key
 	// N is the node count of the solved (union) graph; every row has N
 	// scores.
 	N int
 	// Sources lists the covered source ids (local to the union graph), in
-	// ascending order. ClassDense covers all of [0, N).
+	// ascending order.
 	Sources []int
 	// Restart is 1 − c at build time (informational; the config
 	// fingerprint is what actually gates a match).
@@ -266,14 +264,9 @@ func loadOne(dir string, e indexEntry) (*Artifact, error) {
 		return nil, err
 	}
 	a.File, a.mapped = e.File, mapped
-	wantClass, ok := classFromString(e.Class)
-	if !ok {
-		a.close()
-		return nil, fmt.Errorf("index lists unknown class %q", e.Class)
-	}
 	switch {
-	case a.Class != wantClass:
-		err = fmt.Errorf("class %s, index says %s", a.Class, e.Class)
+	case e.Class != classPanelName:
+		err = fmt.Errorf("index lists class %q, this build reads only %q; rebuild the directory with cepspre", e.Class, classPanelName)
 	case !a.Key.Equal(wantKey):
 		err = fmt.Errorf("key %s does not match index entry", fpString(a.Key.ID()))
 	case a.N != e.N:
@@ -304,9 +297,8 @@ func decode(data []byte) (*Artifact, error) {
 	if v := u32(8); v != Version {
 		return nil, fmt.Errorf("version %d, this build reads %d", v, Version)
 	}
-	class := Class(u32(12))
-	if class != ClassDense && class != ClassPanel {
-		return nil, fmt.Errorf("unknown class %d", class)
+	if class := u32(12); class != classPanel {
+		return nil, fmt.Errorf("class %d, this build reads only class %d (%s); rebuild the directory with cepspre", class, classPanel, classPanelName)
 	}
 	n := int(u32(48))
 	nParts := int(u32(52))
@@ -343,11 +335,7 @@ func decode(data []byte) (*Artifact, error) {
 		}
 		prev = sources[i]
 	}
-	if class == ClassDense && nSources != n {
-		return nil, fmt.Errorf("dense artifact covers %d of %d sources", nSources, n)
-	}
 	return &Artifact{
-		Class:   class,
 		Key:     key,
 		N:       n,
 		Sources: sources,
@@ -371,11 +359,11 @@ func payloadRowOffset(nParts, nSources int) int {
 // writeFile streams one artifact to dir atomically (temp + rename),
 // computing the checksum as the payload is written. rows are indexed in
 // source-list order; each must have n entries.
-func writeFile(dir string, class Class, key Key, n int, restart float64, sources []int, rows [][]float64) (file string, bytes int64, err error) {
+func writeFile(dir string, key Key, n int, restart float64, sources []int, rows [][]float64) (file string, bytes int64, err error) {
 	header := make([]byte, headerSize)
 	copy(header, Magic)
 	binary.LittleEndian.PutUint32(header[8:], Version)
-	binary.LittleEndian.PutUint32(header[12:], uint32(class))
+	binary.LittleEndian.PutUint32(header[12:], classPanel)
 	binary.LittleEndian.PutUint64(header[16:], key.GraphFP)
 	binary.LittleEndian.PutUint64(header[24:], key.ConfigFP)
 	binary.LittleEndian.PutUint64(header[32:], key.PartitionFP)

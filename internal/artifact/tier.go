@@ -101,6 +101,19 @@ func (t *Tier) Bind(space uint64, key Key, wantN int) bool {
 	return true
 }
 
+// Probes reports whether a bind pass probes any artifact the store holds:
+// a full-graph one always, a part one only when the pass has partition
+// state to bind it against. A store whose every artifact went unprobed is
+// no mismatch, so NoteBypass has nothing to report for it.
+func (t *Tier) Probes(partitioned bool) bool {
+	for _, a := range t.store.Artifacts() {
+		if partitioned || len(a.Key.Parts) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // NoteBypass records that the engine's bind pass matched nothing — the
 // store was built for a different graph, config, or partition — logging
 // once per binding generation so a fingerprint mismatch is visible without
@@ -133,39 +146,6 @@ func (t *Tier) ReadVector(space uint64, source int) ([]float64, bool) {
 	}
 	t.hits.Add(1)
 	return vec, true
-}
-
-// ReadExact is ReadVector restricted to ClassDense artifacts, whose rows
-// are Float64bits-identical to rwr.PreSolver output. Exact-scoring callers
-// (ReplaceSubteam's WithExactScores) use it so the shared tier can replace
-// their per-Runner dense presolve without changing a single bit.
-func (t *Tier) ReadExact(space uint64, source int) ([]float64, bool) {
-	t.mu.RLock()
-	a := t.bind[space]
-	t.mu.RUnlock()
-	if a == nil || a.Class != ClassDense {
-		t.misses.Add(1)
-		return nil, false
-	}
-	vec, ok := a.Row(source)
-	if !ok {
-		t.misses.Add(1)
-		return nil, false
-	}
-	t.hits.Add(1)
-	return vec, true
-}
-
-// ServesIterates reports whether every row ReadVector can serve for space
-// is an m-sweep iterate of the iterative solver: true when nothing is
-// bound there or the bound artifact is panel-class, false for a
-// dense-class binding, whose rows are the closed-form fixed point.
-// ReplaceSubteam's rank phase certifies bounds only for iterates.
-func (t *Tier) ServesIterates(space uint64) bool {
-	t.mu.RLock()
-	a := t.bind[space]
-	t.mu.RUnlock()
-	return a == nil || a.Class == ClassPanel
 }
 
 // Stats snapshots the tier counters.

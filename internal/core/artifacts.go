@@ -17,9 +17,12 @@ import (
 // combinatorial, and single-node queries (the common cold case) always hit
 // exactly one part.
 //
-// It returns how many spaces were bound. When the store holds artifacts
-// but none matched — built for a different graph, config, or partition —
-// the tier logs a bypass note once so the mismatch is visible.
+// It returns how many spaces were bound. When the pass probed artifacts
+// the store holds but none matched — built for a different graph, config,
+// or partition — the tier logs a bypass note once so the mismatch is
+// visible. Part artifacts are probed only once partition state is
+// attached, so an engine that gets its partition after construction does
+// not report its part-only directory as a mismatch first.
 func BindArtifacts(t *artifact.Tier, g *graph.Graph, graphFP uint64, cfg rwr.Config, pt *Partitioned) int {
 	if t == nil {
 		return 0
@@ -29,7 +32,8 @@ func BindArtifacts(t *artifact.Tier, g *graph.Graph, graphFP uint64, cfg rwr.Con
 	if t.Bind(fullGraphSpace(cfg), artifact.Key{GraphFP: graphFP, ConfigFP: cfgFP}, g.N()) {
 		bound++
 	}
-	if pt != nil && pt.Partition != nil {
+	partitioned := pt != nil && pt.Partition != nil
+	if partitioned {
 		partFP := pt.Partition.Fingerprint()
 		for p := 0; p < pt.Partition.K; p++ {
 			key := artifact.Key{GraphFP: graphFP, ConfigFP: cfgFP, PartitionFP: partFP, Parts: []int{p}}
@@ -38,7 +42,7 @@ func BindArtifacts(t *artifact.Tier, g *graph.Graph, graphFP uint64, cfg rwr.Con
 			}
 		}
 	}
-	if bound == 0 && t.Stats().Loaded > 0 {
+	if bound == 0 && t.Probes(partitioned) {
 		t.NoteBypass("no artifact matches the live graph/config/partition fingerprints")
 	}
 	return bound

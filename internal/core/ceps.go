@@ -102,10 +102,9 @@ type StageTimings struct {
 	ArtifactHits int
 	// SolveKernel names how Step 1 ran: "blocked" (one fused SpMM sweep
 	// advancing every missing walk, or no solve at all when every source
-	// was cached), "artifact" (every resolved source came from the
-	// precompute tier — no iterative solve ran), or "exact" (ReplaceSubteam
-	// read the dense pre-solved inverse). Empty when Step 1 was skipped
-	// entirely.
+	// was cached) or "artifact" (every resolved source came from the
+	// precompute tier — no iterative solve ran). Either way every row is
+	// the same m-sweep iterate. Empty when Step 1 was skipped entirely.
 	SolveKernel string
 	// SolveSweeps is the total number of power-iteration sweeps across
 	// the query set (the Q·m of the paper's Step 1 cost model, or less

@@ -255,36 +255,6 @@ func TestOrderStatVariantRuns(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersMatchSequential(t *testing.T) {
-	ds := testDataset(t, 31)
-	rng := rand.New(rand.NewSource(9))
-	queries, err := ds.RandomQueries(rng, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqCfg := fastConfig()
-	seq, err := CePS(ds.Graph, queries, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{-1, 2, 8} {
-		cfg := fastConfig()
-		cfg.Workers = workers
-		par, err := CePS(ds.Graph, queries, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.Subgraph.Nodes) != len(seq.Subgraph.Nodes) {
-			t.Fatalf("workers=%d changed the subgraph size", workers)
-		}
-		for i := range seq.Subgraph.Nodes {
-			if par.Subgraph.Nodes[i] != seq.Subgraph.Nodes[i] {
-				t.Fatalf("workers=%d changed the extraction", workers)
-			}
-		}
-	}
-}
-
 func TestSymmetricNormalizationVariantRuns(t *testing.T) {
 	ds := testDataset(t, 8)
 	cfg := fastConfig()

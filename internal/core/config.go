@@ -40,12 +40,6 @@ type Config struct {
 	// ceil(Budget / K) (§7 "Parameter Setting").
 	MaxPathLen int
 
-	// Workers is the intra-sweep worker count of the blocked Step 1
-	// kernel: how many goroutines multiply the rows of each fused sweep.
-	// 0 or 1 is serial, negative uses GOMAXPROCS. A width-1 panel always
-	// sweeps serially.
-	Workers int
-
 	// NoCoalesce opts this query out of the engine's cross-request solve
 	// coalescer (when one is attached): its cache misses solve directly
 	// instead of joining a shared panel. Coalescing never changes answers
@@ -75,20 +69,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: max path length %d must be non-negative", fault.ErrBadConfig, c.MaxPathLen)
 	}
 	return nil
-}
-
-// blockedWorkers maps cfg.Workers onto the blocked kernel's intra-sweep
-// worker count: sequential settings (0 or 1) stay serial, negative means
-// GOMAXPROCS (the kernel's 0), and positive counts carry over.
-func blockedWorkers(w int) int {
-	switch {
-	case w < 0:
-		return 0
-	case w == 0:
-		return 1
-	default:
-		return w
-	}
 }
 
 // solveKernel names how Step 1 resolved a query set — the value reported

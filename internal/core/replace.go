@@ -117,14 +117,6 @@ type ReplaceSpec struct {
 	// co-authored-paper counts on the author–paper incidence structure.
 	// Authors beyond its range fall back to the projected-graph kernel.
 	Bipartite *bipartite.Graph
-	// Exact routes the candidate panel through the dense pre-solved
-	// inverse (rwr.PreSolver) instead of the iterative kernel — §6's
-	// precompute strategy, viable only below the pre-solve node limit.
-	// Exact scores are the converged fixed point, not the m-sweep
-	// iterate, so they may differ from the iterative path in the last
-	// few ulps; the ranking contract (deterministic, reproducible) holds
-	// either way.
-	Exact bool
 }
 
 // Replacement is one ranked candidate with its score breakdown.
@@ -153,9 +145,6 @@ type ReplaceResult struct {
 	PoolStrategy string
 	// PoolSize is the number of candidates scored (after the cap).
 	PoolSize int
-	// Exact reports whether the dense pre-solved inverse answered the
-	// panel.
-	Exact bool
 	// Stages attributes Elapsed to the pipeline stages: Partition is pool
 	// construction, Solve both Step 1 phases (the member walks and the
 	// candidate walks), Combine the overlap, the top-N selection, the
@@ -379,76 +368,6 @@ func overlapScore(g *graph.Graph, bp *bipartite.Graph, c int, departing []int) f
 	return total
 }
 
-// exactScoresSet answers a candidate panel from the dense pre-solved
-// inverse (I − cW̃)⁻¹. When the serving layer carries a precompute tier
-// with a dense-class artifact bound for this runner's key space, the rows
-// come straight from the mmapped file — the artifact's rows are
-// Float64bits-identical to PreSolver.Scores, so this swap never changes an
-// answer. Otherwise the inverse is built lazily on first use (in parallel
-// when a solve pool suggests a worker count) and shared by every
-// subsequent exact query on this Runner. Graphs beyond
-// rwr.DefaultPreSolveLimit nodes refuse with ErrBadConfig — the inverse is
-// O(n²) memory and O(n³) to factor, the precompute strategy the paper
-// reserves for small graphs.
-//
-// The read runs under its own solve span and fills st's Solve stage with
-// the kernel "exact".
-func (r *Runner) exactScoresSet(ctx context.Context, queries []int, st *StageTimings) ([][]float64, error) {
-	_, span := obs.StartSpan(ctx, "solve")
-	span.SetAttr(obs.Str("kernel", "exact"), obs.Int("queries", len(queries)), obs.Int("nodes", r.g.N()))
-	start := time.Now()
-	R, err := r.exactRows(queries)
-	st.Solve, st.SolveKernel = time.Since(start), "exact"
-	span.SetError(err)
-	span.End()
-	return R, err
-}
-
-// exactRows reads the exact panel: a bound dense-class artifact when one
-// covers it, the lazily built inverse otherwise.
-func (r *Runner) exactRows(queries []int) ([][]float64, error) {
-	if R, ok := r.exactFromArtifacts(queries); ok {
-		return R, nil
-	}
-	r.preOnce.Do(func() {
-		workers := 0
-		if r.sv.Pool != nil {
-			workers = r.sv.Pool.Size()
-		}
-		r.pre, r.preErr = rwr.NewPreSolverParallel(r.solver, 0, workers)
-	})
-	if r.preErr != nil {
-		return nil, fmt.Errorf("%w: exact candidate scoring unavailable: %v", fault.ErrBadConfig, r.preErr)
-	}
-	return r.pre.ScoresSet(queries)
-}
-
-// exactReader is the dense-class read the precompute tier offers beyond
-// the plain rwr.ArtifactReader contract: rows bit-identical to the dense
-// inverse, the only class exactScoresSet may substitute for it.
-type exactReader interface {
-	ReadExact(space uint64, source int) ([]float64, bool)
-}
-
-// exactFromArtifacts serves the whole candidate panel from a bound
-// dense-class artifact, all or nothing: a partial panel would silently mix
-// exact rows with rows the caller still expects to be exact.
-func (r *Runner) exactFromArtifacts(queries []int) ([][]float64, bool) {
-	er, ok := r.sv.Artifacts.(exactReader)
-	if !ok {
-		return nil, false
-	}
-	R := make([][]float64, len(queries))
-	for i, q := range queries {
-		vec, ok := er.ReadExact(r.space, q)
-		if !ok || len(vec) != r.g.N() {
-			return nil, false
-		}
-		R[i] = vec
-	}
-	return R, true
-}
-
 // ReplaceSubteam answers a subteam-replacement query with the cached
 // solver; see ReplaceSubteamCtx.
 func (r *Runner) ReplaceSubteam(spec ReplaceSpec, cfg Config) (*ReplaceResult, error) {
@@ -507,7 +426,7 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 	// Step 1: the candidates that can reach the top N, and their exact
 	// proximities.
 	sel := replaceSelection{weights: weights, ov: ov, maxOverlap: maxOverlap, topN: topN}
-	exact, prox, certified, err := r.replaceStep1(ctx, spec, cfg, pool, remaining, sel, &stages)
+	exact, prox, certified, err := r.replaceStep1(ctx, cfg, pool, remaining, sel, &stages)
 	if err != nil {
 		return nil, err
 	}
@@ -559,7 +478,6 @@ func (r *Runner) ReplaceSubteamCtx(ctx context.Context, spec ReplaceSpec, cfg Co
 		Remaining:    remaining,
 		PoolStrategy: strategy.String(),
 		PoolSize:     len(pool),
-		Exact:        spec.Exact,
 		Stages:       stages,
 		Elapsed:      time.Since(start),
 	}, nil
@@ -608,19 +526,11 @@ type replaceSelection struct {
 // the exact set is the whole pool, one candidate-sourced walk each, as
 // the plain pipeline has always solved it. Both phases run under one
 // solve span; selection time counts toward st.Combine.
-func (r *Runner) replaceStep1(ctx context.Context, spec ReplaceSpec, cfg Config, pool, remaining []int, sel replaceSelection, st *StageTimings) (exact []int, prox []float64, certified bool, err error) {
+func (r *Runner) replaceStep1(ctx context.Context, cfg Config, pool, remaining []int, sel replaceSelection, st *StageTimings) (exact []int, prox []float64, certified bool, err error) {
 	exact = make([]int, len(pool))
 	for i := range exact {
 		exact[i] = i
 	}
-	var R [][]float64
-	if spec.Exact {
-		if R, err = r.exactScoresSet(ctx, pool, st); err != nil {
-			return nil, nil, false, err
-		}
-		return exact, proximities(R, remaining), false, nil
-	}
-
 	solveCtx, span := obs.StartSpan(ctx, "solve")
 	var stats rwr.ServeStats
 	resolved := 0
@@ -641,7 +551,7 @@ func (r *Runner) replaceStep1(ctx context.Context, spec ReplaceSpec, cfg Config,
 	for k, i := range exact {
 		queries[k] = pool[i]
 	}
-	R, _, err = serveStep(solveCtx, r.solver, queries, cfg, r.sv, r.space, st, &stats)
+	R, _, err := serveStep(solveCtx, r.solver, queries, cfg, r.sv, r.space, st, &stats)
 	span.SetAttr(obs.Int("queries", resolved+len(queries)), obs.Int("nodes", r.g.N()))
 	endSolve(span, st, stats, err)
 	if err != nil {
@@ -663,18 +573,11 @@ func proximities(R [][]float64, remaining []int) []float64 {
 	return prox
 }
 
-// iterateTier is the precompute tier's report of whether every row it can
-// serve for a key space is an m-sweep iterate (a panel-class artifact or
-// none) rather than a dense closed-form row the certificate does not
-// cover.
-type iterateTier interface {
-	ServesIterates(space uint64) bool
-}
-
 // certificate returns the solver's reversibility certificate when the
 // rank phase may use it: a ranking shorter than the pool, a solver that
-// gives one (Tol = 0), rows that are all m-sweep iterates, and no
-// isolated remaining member (its X is undefined).
+// gives one (Tol = 0), and no isolated remaining member (its X is
+// undefined). Every row the serving funnel returns — cached, artifact or
+// solved — is the m-sweep iterate the certificate bounds.
 func (r *Runner) certificate(topN, poolSize int, remaining []int) (*rwr.Reversibility, bool) {
 	if topN < 0 || topN >= poolSize {
 		return nil, false
@@ -682,11 +585,6 @@ func (r *Runner) certificate(topN, poolSize int, remaining []int) (*rwr.Reversib
 	rv, ok := r.solver.Reversibility()
 	if !ok {
 		return nil, false
-	}
-	if r.sv.Artifacts != nil {
-		if t, ok := r.sv.Artifacts.(iterateTier); !ok || !t.ServesIterates(r.space) {
-			return nil, false
-		}
 	}
 	for _, m := range remaining {
 		if !rv.Covers(m) {

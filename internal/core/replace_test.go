@@ -187,39 +187,6 @@ func TestReplaceSubteamBipartiteKernel(t *testing.T) {
 	}
 }
 
-func TestReplaceSubteamExact(t *testing.T) {
-	r, cfg, repo := replaceRunner(t, 419)
-	team := repo[:3]
-	spec := ReplaceSpec{Team: team, Departing: team[:1], TopN: -1}
-	iter, err := r.ReplaceSubteamCtx(context.Background(), spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Exact = true
-	exact, err := r.ReplaceSubteamCtx(context.Background(), spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.Exact || exact.Stages.SolveKernel != "exact" {
-		t.Errorf("exact path not taken: Exact=%v kernel=%q", exact.Exact, exact.Stages.SolveKernel)
-	}
-	// 30 sweeps at c=0.5 leaves a residual ~1e-9; the converged fixed point
-	// must agree with the iterate to well inside that.
-	prox := map[int]float64{}
-	for _, rep := range iter.Replacements {
-		prox[rep.Node] = rep.RWRProximity
-	}
-	for _, rep := range exact.Replacements {
-		it, ok := prox[rep.Node]
-		if !ok {
-			t.Fatalf("exact ranked %d, iterative did not", rep.Node)
-		}
-		if diff := math.Abs(it - rep.RWRProximity); diff > 1e-6 {
-			t.Errorf("candidate %d: exact %v vs iterative %v (diff %v)", rep.Node, rep.RWRProximity, it, diff)
-		}
-	}
-}
-
 func TestReplaceSubteamMaxCandidatesCap(t *testing.T) {
 	r, cfg, repo := replaceRunner(t, 421)
 	spec := ReplaceSpec{Team: repo[:3], Departing: repo[:1], MaxCandidates: 5, TopN: -1}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"ceps/internal/fault"
@@ -24,13 +23,6 @@ type Runner struct {
 	rwrCfg rwr.Config
 	sv     Serving
 	space  uint64 // cache key space for this runner's full-graph solves
-
-	// Lazily built dense pre-solved inverse for exact candidate scoring
-	// (ReplaceSubteam with Exact); nil until first requested. Guarded by
-	// preOnce so concurrent exact queries build it once.
-	preOnce sync.Once
-	pre     *rwr.PreSolver
-	preErr  error
 }
 
 // NewRunner materializes the transition matrix for g under the given RWR

@@ -55,7 +55,7 @@ func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Confi
 // folds the call into st and stats: Solve and SolveSweeps add up across
 // calls, as stats does (see rwr.ServeStats.Add).
 func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats) ([][]float64, []rwr.Diagnostics, error) {
-	opt := rwr.ServeOptions{Workers: blockedWorkers(cfg.Workers), Artifacts: sv.Artifacts}
+	opt := rwr.ServeOptions{Artifacts: sv.Artifacts}
 	if !cfg.NoCoalesce {
 		opt.Coalesce = sv.Coalescer
 	}

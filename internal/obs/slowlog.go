@@ -55,9 +55,9 @@ type SlowQueryEntry struct {
 	// (empty when tracing is off or the trace was not sampled).
 	TraceID string `json:"trace_id,omitempty"`
 	// SolveKernel and SolveSweeps summarize Step 1: which kernel answered
-	// ("blocked", "artifact", or "exact" for ReplaceSubteam's dense
-	// inverse) and the total power-iteration sweeps across the query's
-	// sources (0 when every source was a cache hit).
+	// ("blocked" or "artifact") and the total power-iteration sweeps
+	// across the query's sources (0 when every source was a cache hit or
+	// an artifact row).
 	SolveKernel string `json:"solve_kernel,omitempty"`
 	SolveSweeps int    `json:"solve_sweeps"`
 	// Error is set when the query failed (failures slower than the

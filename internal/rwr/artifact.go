@@ -9,13 +9,16 @@ package rwr
 type ArtifactReader interface {
 	// ReadVector returns a fresh (caller-owned) copy of the precomputed
 	// score vector for (space, source), or false when nothing is bound for
-	// the space or the source is not covered.
+	// the space or the source is not covered. A vector is the m-sweep
+	// iterate of the walk from source, Float64bits-identical to its column
+	// of ScoresSetBlockedCtx (hence to ScoresCtx) under the bound config,
+	// so serving it never changes an answer.
 	ReadVector(space uint64, source int) ([]float64, bool)
 }
 
 // artifactDiag is the Diagnostics attached to artifact-served vectors: no
-// sweeps ran, and a stored vector is a converged solution by construction
-// (dense rows are closed-form, panel rows are completed iterative solves).
+// sweeps ran here, and a stored row is a completed blocked solve — the
+// same m-sweep iterate ScoresSetBlockedCtx returns for its source.
 func artifactDiag() Diagnostics { return Diagnostics{Converged: true} }
 
 // readArtifact consults the tier for (space, q), rejecting any vector

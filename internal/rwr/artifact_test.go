@@ -64,20 +64,19 @@ func assertBitEqual(t *testing.T, s *Solver, queries []int, R [][]float64) {
 	}
 }
 
-// TestArtifactServingPaths runs the artifact tier through the blocked
-// panel swept serially ("scalar", one worker) and row-parallel
-// ("blocked", two workers).
+// TestArtifactServingPaths runs the artifact tier beside a width-1 panel
+// for the one uncovered source ("scalar") and a two-column panel for two
+// ("blocked").
 func TestArtifactServingPaths(t *testing.T) {
 	g := randomGraph(t, 60, 150, 91)
 	const space = uint64(77)
-	queries := []int{3, 9, 21, 40} // 3, 9 covered; 21, 40 not
 	covered := []int{3, 9}
 	paths := []struct {
-		name string
-		opt  ServeOptions
+		name    string
+		queries []int
 	}{
-		{"scalar", ServeOptions{Workers: 1}},
-		{"blocked", ServeOptions{Workers: 2}},
+		{"scalar", []int{3, 9, 21}},      // 3, 9 covered; 21 not
+		{"blocked", []int{3, 9, 21, 40}}, // 3, 9 covered; 21, 40 not
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {
@@ -86,8 +85,8 @@ func TestArtifactServingPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			fa := newFakeArtifacts(t, s, space, covered)
-			opt := p.opt
-			opt.Artifacts = fa
+			queries := p.queries
+			opt := ServeOptions{Artifacts: fa}
 			cache := NewScoreCache(1 << 20)
 			R, diags, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
 			if err != nil {
@@ -134,7 +133,7 @@ func TestArtifactServingCoalesced(t *testing.T) {
 	fa := newFakeArtifacts(t, s, space, []int{5, 12})
 	cache := NewScoreCache(1 << 20)
 	coal := NewCoalescer(CoalesceOptions{})
-	opt := ServeOptions{Coalesce: coal, Artifacts: fa, Workers: 2}
+	opt := ServeOptions{Coalesce: coal, Artifacts: fa}
 	R, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -148,23 +147,20 @@ func TestArtifactServingCoalesced(t *testing.T) {
 func TestArtifactServingNoCache(t *testing.T) {
 	g := randomGraph(t, 50, 120, 95)
 	const space = uint64(99)
-	for _, workers := range []int{1, 2} {
-		s, err := NewSolver(g, colConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fa := newFakeArtifacts(t, s, space, []int{2, 8})
-		queries := []int{2, 8, 17}
-		opt := ServeOptions{Workers: workers, Artifacts: fa}
-		R, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, nil, space, nil, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.ArtifactHits != 2 || stats.Misses != 3 {
-			t.Fatalf("workers=%d: cache-off stats = %+v", workers, stats)
-		}
-		assertBitEqual(t, s, queries, R)
+	s, err := NewSolver(g, colConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
+	fa := newFakeArtifacts(t, s, space, []int{2, 8})
+	queries := []int{2, 8, 17}
+	R, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, nil, space, nil, ServeOptions{Artifacts: fa})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ArtifactHits != 2 || stats.Misses != 3 {
+		t.Fatalf("cache-off stats = %+v", stats)
+	}
+	assertBitEqual(t, s, queries, R)
 }
 
 func TestArtifactBadLengthRejected(t *testing.T) {

@@ -220,7 +220,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	pool := NewPool(2)
 	space := Space(colConfig().Fingerprint(), 1, nil)
-	opt := ServeOptions{Workers: 2}
+	var opt ServeOptions
 	ctx := context.Background()
 
 	queries := []int{1, 2, 3}
@@ -271,7 +271,7 @@ func TestServingBlockedCanceledLeaderCleansFlights(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	pool := NewPool(1)
 	space := Space(colConfig().Fingerprint(), 2, nil)
-	opt := ServeOptions{Workers: 1}
+	var opt ServeOptions
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -436,9 +436,6 @@ func (st *ServeStats) Add(o ServeStats) {
 // trusted solutions, the options never influence cache keys or answers —
 // only scheduling.
 type ServeOptions struct {
-	// Workers bounds the intra-sweep row-parallelism of the blocked panel
-	// (≤ 0 means GOMAXPROCS; a width-1 panel always sweeps serially).
-	Workers int
 	// Coalesce, when non-nil, routes this call's misses through a shared
 	// cross-request coalescer: they join a forming panel, possibly
 	// alongside other callers' misses for the same key space, instead of
@@ -448,10 +445,8 @@ type ServeOptions struct {
 	// Artifacts, when non-nil, is consulted for every miss this call leads,
 	// between the cache and the solver: a covered source becomes one row
 	// read (stored into the cache like a solved vector would be) instead of
-	// an iterative solve. Artifact rows are bit-identical to iterative
-	// solves for panel-class artifacts and within documented tolerance
-	// (~1e-9, the solver's own convergence tolerance) for dense-inverse
-	// ones.
+	// an iterative solve. Artifact rows are m-sweep iterates,
+	// bit-identical to the solves they replace.
 	Artifacts ArtifactReader
 }
 
@@ -543,7 +538,7 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 		if opt.Coalesce != nil && cache != nil {
 			err = s.solveCoalesced(ctx, unsolved, cache, space, pool, opt, R, diags, &stats)
 		} else {
-			err = s.solvePanel(ctx, unsolved, cache, space, pool, opt.Workers, R, diags)
+			err = s.solvePanel(ctx, unsolved, cache, space, pool, R, diags)
 		}
 		if err != nil {
 			return nil, nil, stats, err
@@ -584,12 +579,12 @@ func (s *Solver) resolveOne(ctx context.Context, q int, cache *ScoreCache, space
 // source instead of once per source — and finishes their flights. Every
 // flight is finished even when the solve fails, or concurrent followers of
 // these sources would wait forever.
-func (s *Solver) solvePanel(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, workers int, R [][]float64, diags []Diagnostics) error {
+func (s *Solver) solvePanel(ctx context.Context, leaders []pendingFlight, cache *ScoreCache, space uint64, pool *Pool, R [][]float64, diags []Diagnostics) error {
 	queries := make([]int, len(leaders))
 	for k, p := range leaders {
 		queries[k] = p.q
 	}
-	mR, mD, err := s.blockedPooled(ctx, queries, workers, pool)
+	mR, mD, err := s.blockedPooled(ctx, queries, pool)
 	for k, p := range leaders {
 		if err != nil {
 			cache.finish(space, p.q, p.fl, nil, Diagnostics{}, err)
@@ -609,7 +604,7 @@ func (s *Solver) solveCoalesced(ctx context.Context, leaders []pendingFlight, ca
 	for k, p := range leaders {
 		entries[k] = panelEntry{q: p.q, fl: p.fl}
 	}
-	panels := opt.Coalesce.enqueue(s, cache, space, pool, opt.Workers, entries)
+	panels := opt.Coalesce.enqueue(s, cache, space, pool, entries)
 	for k, p := range leaders {
 		vec, d, retry, err := opt.Coalesce.wait(ctx, panels[k], p.fl)
 		if retry {
@@ -632,14 +627,14 @@ func (s *Solver) solveCoalesced(ctx context.Context, leaders []pendingFlight, ca
 }
 
 // blockedPooled runs one blocked multi-source solve under a single pool
-// slot: the whole panel is one kernel invocation whose intra-sweep
-// parallelism is bounded by workers, so it occupies one slot.
-func (s *Solver) blockedPooled(ctx context.Context, queries []int, workers int, pool *Pool) ([][]float64, []Diagnostics, error) {
+// slot: the whole panel is one serial kernel invocation, so it occupies
+// one slot.
+func (s *Solver) blockedPooled(ctx context.Context, queries []int, pool *Pool) ([][]float64, []Diagnostics, error) {
 	if pool != nil {
 		if err := pool.acquire(ctx); err != nil {
 			return nil, nil, err
 		}
 		defer pool.release()
 	}
-	return s.ScoresSetBlockedCtx(ctx, queries, workers)
+	return s.ScoresSetBlockedCtx(ctx, queries, 1)
 }

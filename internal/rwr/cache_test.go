@@ -446,7 +446,7 @@ func TestServingResolverTable(t *testing.T) {
 								if poolSize > 0 {
 									pool = NewPool(poolSize)
 								}
-								opt := ServeOptions{Workers: 2}
+								var opt ServeOptions
 								if withCoalescer {
 									opt.Coalesce = NewCoalescer(CoalesceOptions{})
 								}

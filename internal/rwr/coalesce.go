@@ -97,11 +97,10 @@ type panelEntry struct {
 // the solve, and may be read by waiters only after their flight's done
 // channel closed (seal happens-before finish).
 type cpanel struct {
-	co      *Coalescer
-	key     panelKey
-	cache   *ScoreCache
-	pool    *Pool
-	workers int
+	co    *Coalescer
+	key   panelKey
+	cache *ScoreCache
+	pool  *Pool
 
 	// ctx is detached from any single member (members come and go); it is
 	// canceled when the last interested waiter leaves, which aborts a
@@ -167,7 +166,7 @@ func (co *Coalescer) OnSolve(fn func(width int)) {
 // The returned slice parallels entries: the panel each entry joined. Every
 // entry holds one liveness reference on its panel; the caller must balance
 // it with wait or leave.
-func (co *Coalescer) enqueue(s *Solver, cache *ScoreCache, space uint64, pool *Pool, workers int, entries []panelEntry) []*cpanel {
+func (co *Coalescer) enqueue(s *Solver, cache *ScoreCache, space uint64, pool *Pool, entries []panelEntry) []*cpanel {
 	key := panelKey{solver: s, space: space}
 	joined := make([]*cpanel, len(entries))
 	var spawned []*cpanel
@@ -180,7 +179,6 @@ func (co *Coalescer) enqueue(s *Solver, cache *ScoreCache, space uint64, pool *P
 				key:     key,
 				cache:   cache,
 				pool:    pool,
-				workers: workers,
 				created: time.Now(),
 				full:    make(chan struct{}),
 			}
@@ -318,7 +316,7 @@ func (p *cpanel) run() {
 	for i, e := range entries {
 		queries[i] = e.q
 	}
-	R, diags, err := p.key.solver.ScoresSetBlockedCtx(p.ctx, queries, p.workers)
+	R, diags, err := p.key.solver.ScoresSetBlockedCtx(p.ctx, queries, 1)
 	if acquired {
 		p.pool.release()
 	}

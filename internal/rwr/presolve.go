@@ -13,9 +13,10 @@ import (
 //
 // The trade-off the paper calls out is exactly why Fast CePS exists: A is
 // a dense N×N matrix, "a heavy burden when N is big". PreSolver therefore
-// refuses graphs beyond a configurable node limit and exists (a) for
-// moderate graphs where sub-millisecond queries matter more than memory
-// and (b) as the exact reference the ablation benchmarks compare the
+// refuses graphs beyond a configurable node limit. It serves no query: its
+// rows are the converged fixed point, up to c^(m+1)/(1−c) per entry away
+// from the m-sweep iterate every serving path returns. It exists as the
+// closed-form reference the ablation benchmarks and the tests compare the
 // iterative solver against.
 type PreSolver struct {
 	n   int

@@ -104,16 +104,6 @@ func WithReplaceTopN(n int) ReplaceOption {
 	return func(ro *replaceOptions) { ro.spec.TopN = n }
 }
 
-// WithExactScores answers the candidate panel from the dense pre-solved
-// inverse (I − cW̃)⁻¹ instead of the iterative kernel — the paper's
-// precompute strategy, viable only below the pre-solve node limit (the
-// call fails with ErrBadConfig beyond it). Exact scores are the converged
-// fixed point rather than the m-sweep iterate, so rankings may differ in
-// the last ulps from the default path; use for small-graph ground truth.
-func WithExactScores() ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.Exact = true }
-}
-
 // WithReplaceTimeout arms a deadline on the call (≤ 0 = none beyond the
 // caller's context).
 func WithReplaceTimeout(d time.Duration) ReplaceOption {
