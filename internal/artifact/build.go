@@ -161,7 +161,7 @@ func buildUnit(ctx context.Context, g *graph.Graph, cfg BuildConfig, res *BuildR
 			return &UnitSummary{Parts: parts, Skipped: true, Reason: "empty part"}, nil, nil
 		}
 		var err error
-		work, _, _, err = g.Induced(nodes)
+		work, _, err = g.InducedIDs(nodes)
 		if err != nil {
 			return nil, nil, fmt.Errorf("artifact: inducing %s: %w", unitName(parts), err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ceps/internal/fault"
@@ -184,15 +185,14 @@ func (pt *Partitioned) queryUnion(queries []int) (work *graph.Graph, toOrig []in
 	if len(nodes) == 0 {
 		return nil, nil, nil, nil, "empty partition union"
 	}
-	var toWork map[int]int
 	var err error
-	work, toOrig, toWork, err = pt.G.Induced(nodes)
+	work, toOrig, err = pt.G.InducedIDs(nodes)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Sprintf("inducing the partition union failed: %v", err)
 	}
 	workQueries = make([]int, len(queries))
 	for i, q := range queries {
-		wq, ok := toWork[q]
+		wq, ok := slices.BinarySearch(toOrig, q)
 		if !ok {
 			return nil, nil, nil, nil, fmt.Sprintf("query node %d missing from its own partition", q)
 		}

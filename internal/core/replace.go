@@ -277,7 +277,7 @@ func twoHopPool(g *graph.Graph, remaining []int, inTeam map[int]bool) []int {
 func densestPool(g *graph.Graph, remaining, twoHop []int, inTeam map[int]bool) []int {
 	nodes := append(append([]int(nil), remaining...), twoHop...)
 	sort.Ints(nodes)
-	sub, orig, _, err := g.Induced(nodes)
+	sub, orig, err := g.InducedIDs(nodes)
 	if err != nil || sub.N() == 0 {
 		return nil
 	}

@@ -1,8 +1,12 @@
 package extract
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"ceps/internal/dblp"
+	"ceps/internal/rwr"
 	"ceps/internal/score"
 )
 
@@ -25,17 +29,66 @@ func BenchmarkExtractBudgets(b *testing.B) {
 	}
 }
 
-// BenchmarkKeyPathDP times one key path toward a mid-ranked destination:
-// "first" as a query's first path from its source (heap build, order
-// extension and uphill lists included), "reuse" as a later path of the same
-// query that finds the order already deep enough.
+// BenchmarkExtractRWR times whole EXTRACT runs at the engine's defaults
+// (budget 20, degree-penalized RWR rows at m = 50) on the scale-1 dblp
+// substrate (~4k authors), for repository query sets of 2, 3 and 4 nodes
+// under AND, OR and K_softAND with k = Q−1.
+func BenchmarkExtractRWR(b *testing.B) {
+	ds, err := dblp.Generate(dblp.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ds.Graph
+	s, err := rwr.NewSolver(g, rwr.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for q := 2; q <= 4; q++ {
+		queries, err := ds.RandomQueries(rng, q, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		R, err := s.ScoresSet(queries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			comb score.Combiner
+			k    int
+		}{
+			{"AND", score.AND{}, q},
+			{"OR", score.OR{}, 1},
+			{"KSoftAND", score.KSoftAND{K: q - 1}, q - 1},
+		} {
+			combined, err := score.CombineNodes(R, c.comb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := Input{G: g, Queries: queries, R: R, Combined: combined, K: c.k, Budget: 20}
+			b.Run(fmt.Sprintf("Q=%d/%s", q, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Extract(in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkKeyPathDP times one key path toward the best destination:
+// "build" as a query's first path from its source, which builds the
+// uphill lists it walks, and "reuse" as a later path of the same query,
+// which finds them built and pays only for the walk and the DP.
 func BenchmarkKeyPathDP(b *testing.B) {
 	g := randomGraph(b, 5000, 20000, 1)
 	queries := []int{3}
 	R, combined := scoresFor(b, g, queries, score.AND{})
 	inH := make([]bool, g.N())
 	inH[3] = true
-	// A mid-ranked destination so the candidate set is realistic.
 	pd := 0
 	bestScore := -1.0
 	for v := range combined {
@@ -44,7 +97,7 @@ func BenchmarkKeyPathDP(b *testing.B) {
 		}
 	}
 	sc := new(scratch)
-	b.Run("first", func(b *testing.B) {
+	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc.reset(g, R, combined, inH)
 			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {

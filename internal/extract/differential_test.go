@@ -10,8 +10,9 @@ import (
 	"ceps/internal/score"
 )
 
-// Differential tests: the incremental key-path DP and destination heap
-// against the reference implementation in reference_test.go.
+// Differential tests: the walk-based key-path DP and the batched
+// destination selection against the reference implementation in
+// reference_test.go.
 
 // hubGraph is a random connected graph with a few hubs adjacent to a large
 // share of the nodes, so uphill lists range from empty to most of the
@@ -200,4 +201,96 @@ func sameEdges(a, b []graph.Edge) bool {
 		}
 	}
 	return true
+}
+
+// keyPathCase is one fuzzed key-path call on a one-source query.
+type keyPathCase struct {
+	g               *graph.Graph
+	ri, combined    []float64
+	inH             []bool
+	src, pd, maxNew int
+	noSharing       bool
+}
+
+// decodeKeyPathCase reads a key-path call from fuzz bytes: a header of
+// four bytes (node count, src, pd, then maxNew in the low nibble and the
+// no-sharing flag in bit 4), one byte per node (r(i, ·) in 8 levels in bits
+// 0–2, H membership in bit 3, r(Q, ·) in 16 levels in bits 4–7; missing
+// bytes read as 0), and unit-weight edges as byte pairs. Eight score
+// levels over up to 64 nodes make ties the rule.
+func decodeKeyPathCase(data []byte) (keyPathCase, bool) {
+	if len(data) < 4 {
+		return keyPathCase{}, false
+	}
+	n := 1 + int(data[0])%64
+	c := keyPathCase{
+		src: int(data[1]) % n, pd: int(data[2]) % n,
+		maxNew: 1 + int(data[3]&15), noSharing: data[3]&16 != 0,
+		ri: make([]float64, n), combined: make([]float64, n), inH: make([]bool, n),
+	}
+	data = data[4:]
+	for v := 0; v < n; v++ {
+		var b byte
+		if v < len(data) {
+			b = data[v]
+		}
+		c.ri[v] = float64(b&7) / 8
+		c.inH[v] = b&8 != 0
+		c.combined[v] = float64(b>>4) / 16
+	}
+	data = data[min(n, len(data)):]
+	bld := graph.NewBuilder(n)
+	for ; len(data) >= 2; data = data[2:] {
+		bld.AddEdge(int(data[0])%n, int(data[1])%n, 1)
+	}
+	g, err := bld.Build()
+	if err != nil {
+		return keyPathCase{}, false
+	}
+	c.g = g
+	return c, true
+}
+
+// FuzzKeyPath holds the walk-based keyPath bit-identical to the reference
+// DP, which sorts every candidate, on fuzzed graphs with tied scores. Each
+// input makes two calls on one scratch, toward pd and then pd+1, so the
+// second reuses the first's uphill lists under a new stamp.
+func FuzzKeyPath(f *testing.F) {
+	// Header, node bytes, edges; node byte = r(Q) level<<4 | H<<3 | r(i) level.
+	seeds := [][]byte{
+		// Nodes 1 and 3 tie with src 2 on both sides of its id; 0 ranks above.
+		{4, 2, 4, 2, 0x57, 0x96, 0x3e, 0x76, 0x41,
+			0, 4, 1, 4, 2, 4, 3, 4, 1, 2, 2, 3, 0, 2},
+		// pd 2 ties with its neighbours 1 and 3.
+		{3, 0, 2, 3, 0x2f, 0x83, 0x53, 0x93,
+			0, 1, 1, 2, 2, 3, 0, 3, 0, 2},
+		// Isolated src 0.
+		{2, 0, 2, 1, 0x5f, 0x44, 0x62, 1, 2},
+		// pd 1's only neighbour scores below it: an empty uphill list.
+		{2, 0, 1, 2, 0x5f, 0x45, 0x62, 1, 2},
+		// A hub above everything but the source, no sharing.
+		{7, 0, 5, 0x14, 0x7f, 0x36, 0x45, 0x54, 0x63, 0x12, 0x21, 0x16,
+			0, 7, 7, 1, 7, 2, 7, 3, 7, 4, 7, 5, 7, 6, 1, 2, 2, 3, 3, 4, 4, 5, 0, 1},
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ok := decodeKeyPathCase(data)
+		if !ok {
+			return
+		}
+		n := c.g.N()
+		sc := new(scratch)
+		sc.reset(c.g, [][]float64{c.ri}, c.combined, c.inH)
+		ref := newRefPathDP(c.g, n)
+		for _, pd := range []int{c.pd, (c.pd + 1) % n} {
+			want, wantOK := ref.keyPath(c.ri, c.combined, c.src, pd, c.inH, c.maxNew, c.noSharing)
+			got, gotOK := sc.keyPath(0, c.src, pd, c.inH, c.maxNew, c.noSharing)
+			if !equalPath(got, gotOK, want, wantOK) {
+				t.Fatalf("keyPath(src %d, pd %d, maxNew %d, noSharing %v) = (%v, %v), reference (%v, %v)",
+					c.src, pd, c.maxNew, c.noSharing, got, gotOK, want, wantOK)
+			}
+		}
+	})
 }

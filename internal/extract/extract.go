@@ -16,15 +16,16 @@
 // display.
 //
 // A query's key paths share their structure instead of rebuilding it per
-// (source, destination) pair. Destinations come from a max-heap over
-// r(Q, ·) built once per query. Each active source keeps one node order by
-// descending r(i, ·), extended only as deep as the lowest destination
-// score asked of it: an O(n) scan each time a destination lies below all
-// earlier ones, and over the query one sort of the deepest candidate
-// prefix. An ordered node's uphill neighbours are kept as a rank list,
-// built the first time a key path needs it, so a key path toward pd runs
-// Table 3's DP over the prefix ending at pd, filling only pd's ancestors,
-// in O(Σ uphill-degree × (maxNew+1)).
+// (source, destination) pair, and none orders the graph. Destinations come
+// from a bounded selection over r(Q, ·): one O(n) pass gathers the next 64
+// in Eq. 11's order, and another runs only when those are used up. A key
+// path toward pd walks depth-first up the uphill lists from pd, entering
+// only nodes ranked at or below the source, so it reaches pd's ancestors
+// in the downhill DAG and nothing else, and runs Table 3's DP in the
+// walk's postorder, which is topological: O(Σ uphill-degree × (maxNew+1))
+// over those ancestors. A node's uphill list — its neighbours with a
+// strictly higher r(i, ·), in adjacency order — is built the first time a
+// key path of the query reads it, once per (source, node).
 package extract
 
 import (

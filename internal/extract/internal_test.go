@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 	"ceps/internal/score"
 )
 
-// pickDestination makes one Eq. 11 pick from a fresh destination heap.
+// pickDestination makes one Eq. 11 pick from a fresh scratch.
 func pickDestination(combined []float64, inH, excluded []bool) int {
 	sc := new(scratch)
 	sc.reset(nil, nil, combined, inH)
@@ -31,8 +33,9 @@ func TestPickDestination(t *testing.T) {
 	if got := pickDestination([]float64{1, 1}, []bool{true, true}, []bool{false, false}); got != -1 {
 		t.Fatalf("all-in-H pick = %d, want -1", got)
 	}
-	// Successive picks from one heap: ties go to the lowest id, nodes that
-	// joined H or were excluded since the heap was built are skipped.
+	// Successive picks from one scratch: ties go to the lowest id, nodes
+	// that joined H or were excluded since the batch was gathered are
+	// skipped.
 	combined = []float64{0.4, 0.7, 0.4, 0.7, 0.9, 0.4}
 	inH = make([]bool, 6)
 	excluded = make([]bool, 6)
@@ -44,6 +47,47 @@ func TestPickDestination(t *testing.T) {
 		if got := sc.nextDestination(inH, excluded); got != want {
 			t.Fatalf("successive pick = %d, want %d", got, want)
 		}
+	}
+
+	// Past batchSize and 2·batchSize picks: four score levels put tie
+	// groups across every batch boundary, and nodes join H or are excluded
+	// between picks, as key paths and failed destinations do, so each
+	// refill starts after the last node gathered and skips H.
+	rng := rand.New(rand.NewSource(11))
+	n := 3*batchSize + 37
+	combined = make([]float64, n)
+	for v := range combined {
+		switch rng.Intn(10) {
+		case 0:
+			combined[v] = 0
+		case 1:
+			combined[v] = math.NaN()
+		default:
+			combined[v] = float64(1+rng.Intn(4)) / 4
+		}
+	}
+	inH, excluded = make([]bool, n), make([]bool, n)
+	inH[rng.Intn(n)] = true
+	sc.reset(nil, nil, combined, inH)
+	picks := 0
+	for {
+		want := refPickDestination(combined, inH, excluded)
+		if got := sc.nextDestination(inH, excluded); got != want {
+			t.Fatalf("pick %d = %d, want %d", picks, got, want)
+		}
+		if want < 0 {
+			break
+		}
+		picks++
+		if rng.Intn(3) == 0 {
+			excluded[want] = true
+		} else {
+			inH[want] = true
+			inH[rng.Intn(n)] = true // a path brought another node along
+		}
+	}
+	if picks <= 2*batchSize {
+		t.Fatalf("only %d picks; the test must cross two batch boundaries", picks)
 	}
 }
 

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ceps/internal/graph"
@@ -205,4 +207,211 @@ func TestKeyPathRatioHandlesInfinity(t *testing.T) {
 		t.Fatalf("path = %v", path)
 	}
 	_ = math.Inf // keep math import honest
+}
+
+// bruteKeyPath is Table 3's objective by enumeration: over every strictly
+// descending path src → pd in g under ri that pays 1 ≤ s ≤ maxNew new
+// nodes (each node costs 1 unless it is in H and sharing is on), the
+// largest C/s, where C sums r(Q, ·) left to right from src as the DP adds
+// it. ok is false when no such path exists.
+func bruteKeyPath(g *graph.Graph, ri, combined []float64, src, pd int, inH []bool, maxNew int, noSharing bool) (best float64, ok bool) {
+	cost := func(v int) int {
+		if inH[v] && !noSharing {
+			return 0
+		}
+		return 1
+	}
+	var walk func(v int, c float64, s int)
+	walk = func(v int, c float64, s int) {
+		if s > maxNew { // s never falls along a path
+			return
+		}
+		if v == pd {
+			if ratio := c / float64(s); s >= 1 && (!ok || ratio > best) {
+				best, ok = ratio, true
+			}
+			return
+		}
+		nbrs, _ := g.Neighbors(v)
+		for _, w := range nbrs {
+			if ri[w] < ri[v] && (w == pd || ri[w] > ri[pd]) {
+				walk(w, c+combined[w], s+cost(w))
+			}
+		}
+	}
+	if ri[src] > ri[pd] {
+		walk(src, combined[src], cost(src))
+	}
+	return best, ok
+}
+
+// TestKeyPathMatchesBruteForce checks the DP against the mathematics it
+// implements rather than against another implementation: on small random
+// graphs, keyPath finds a path iff a descending path within the budget
+// exists, and the path it returns is descending, within budget, and
+// reaches the enumerated maximum of C/s bit for bit. Adding r(Q, v) and
+// dividing by s are both monotone under rounding, so the DP's maximum of
+// rounded sums is the maximum over paths; the test pins that exactness.
+func TestKeyPathMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var calls, found int
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(11)
+		g := hubGraph(rng, n)
+		R := [][]float64{tiedScores(rng, n, []int{0, 3, 6}[rng.Intn(3)])}
+		combined := tiedScores(rng, n, []int{0, 4}[rng.Intn(2)])
+		if trial%3 == 0 {
+			combined = quantize(combined, 3)
+		}
+		inH := make([]bool, n)
+		sc := new(scratch)
+		sc.reset(g, R, combined, inH)
+		for call := 0; call < 8; call++ {
+			for v := range inH {
+				inH[v] = rng.Intn(3) == 0
+			}
+			src, pd := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(2) == 0 { // a source at the top reaches most nodes
+				for v, x := range R[0] {
+					if x > R[0][src] {
+						src = v
+					}
+				}
+			}
+			maxNew := 1 + rng.Intn(6)
+			noSharing := rng.Intn(2) == 0
+			want, wantOK := bruteKeyPath(g, R[0], combined, src, pd, inH, maxNew, noSharing)
+			path, ok := sc.keyPath(0, src, pd, inH, maxNew, noSharing)
+			calls++
+			if ok != wantOK {
+				t.Fatalf("trial %d call %d: keyPath(src %d, pd %d, maxNew %d, noSharing %v) ok = %v, brute force %v",
+					trial, call, src, pd, maxNew, noSharing, ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			found++
+			if path[0] != src || path[len(path)-1] != pd {
+				t.Fatalf("trial %d call %d: path %v does not run %d → %d", trial, call, path, src, pd)
+			}
+			c, s := combined[src], 0
+			for k, v := range path {
+				if !inH[v] || noSharing {
+					s++
+				}
+				if k == 0 {
+					continue
+				}
+				u := path[k-1]
+				if !(R[0][v] < R[0][u]) || g.Weight(u, v) == 0 {
+					t.Fatalf("trial %d call %d: step %d → %d of %v is not a descending edge", trial, call, u, v, path)
+				}
+				c += combined[v]
+			}
+			if s < 1 || s > maxNew {
+				t.Fatalf("trial %d call %d: path %v pays %d new nodes, budget %d", trial, call, path, s, maxNew)
+			}
+			if got := c / float64(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d call %d: path %v has C/s = %v, brute-force maximum %v", trial, call, path, got, want)
+			}
+		}
+	}
+	if found < calls/4 || found > calls*3/4 {
+		t.Fatalf("weak coverage: %d calls, %d found paths", calls, found)
+	}
+}
+
+// TestKeyPathVisitsOnlyAncestors pads a small scored component with a
+// large one scoring below pd and checks the cost model: a key path builds
+// uphill lists only for pd and its ancestors ranked at or below src, never
+// for the padding or for nodes that lead elsewhere.
+func TestKeyPathVisitsOnlyAncestors(t *testing.T) {
+	const small, pad = 8, 2000
+	n := small + pad
+	b := graph.NewBuilder(n)
+	// Scored component, source 1 at 0.8 and pd = 6 at 0.2:
+	//   0 (0.9, above src) – 2, 0 – 6
+	//   1 → 2 (0.6) → 4 (0.4) → 6;  1 → 3 (0.5) → 6
+	//   1 → 5 (0.3), 5 – 7 (0.25): downhill from src, not toward pd
+	for _, e := range [][2]int{{0, 2}, {0, 6}, {1, 2}, {2, 4}, {4, 6}, {1, 3}, {3, 6}, {1, 5}, {5, 7}} {
+		b.AddEdge(e[0], e[1], 1)
+	}
+	ri := make([]float64, n)
+	copy(ri, []float64{0.9, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.25})
+	rng := rand.New(rand.NewSource(3))
+	for v := small; v < n; v++ { // padding: a random tree hung off pd
+		parent := 6
+		if v > small && rng.Intn(4) > 0 {
+			parent = small + rng.Intn(v-small)
+		}
+		b.AddEdge(v, parent, 1)
+		ri[v] = 0.1 * rng.Float64()
+	}
+	g := b.MustBuild()
+	combined := make([]float64, n)
+	for v := range combined {
+		combined[v] = ri[v]
+	}
+	inH := make([]bool, n)
+	inH[1] = true
+	sc := new(scratch)
+	sc.reset(g, [][]float64{ri}, combined, inH)
+	if _, ok := sc.keyPath(0, 1, 6, inH, 4, false); !ok {
+		t.Fatal("no key path from 1 to 6")
+	}
+	var built []int
+	for _, h := range sc.srcs[0].hdr {
+		built = append(built, int(h.node))
+	}
+	slices.Sort(built)
+	// pd and its ancestors 2, 3, 4 below src; not src (it pulls nothing),
+	// not 0 (above src), not 5 or 7 (no path to pd), not the padding.
+	if want := []int{2, 3, 4, 6}; !slices.Equal(built, want) {
+		t.Fatalf("uphill lists built for %v, want %v", built, want)
+	}
+	for _, w := range sc.up {
+		if w >= small {
+			t.Fatalf("padding node %d entered an uphill list", w)
+		}
+	}
+}
+
+// TestKeyPathStampWrap runs key paths across the wrap of the walk's 32-bit
+// stamp: marks left by the first key path carry stamp 1, which the stamp
+// takes again after wrapping, so they must be cleared rather than read as
+// members of the new walk.
+func TestKeyPathStampWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 60
+	g := hubGraph(rng, n)
+	ri := tiedScores(rng, n, 0)
+	combined := tiedScores(rng, n, 0)
+	src := 0
+	for v, x := range ri {
+		if x > ri[src] {
+			src = v
+		}
+	}
+	inH := make([]bool, n)
+	inH[src] = true
+	sc := new(scratch)
+	sc.reset(g, [][]float64{ri}, combined, inH)
+	ref := newRefPathDP(g, n)
+	var found int
+	for call, pd := range rng.Perm(n)[:6] {
+		if call == 1 {
+			sc.stamp = math.MaxUint32 // the next key path wraps to stamp 1
+		}
+		want, wantOK := ref.keyPath(ri, combined, src, pd, inH, 8, false)
+		got, gotOK := sc.keyPath(0, src, pd, inH, 8, false)
+		if !equalPath(got, gotOK, want, wantOK) {
+			t.Fatalf("call %d, pd %d: keyPath = (%v, %v), reference (%v, %v)", call, pd, got, gotOK, want, wantOK)
+		}
+		if gotOK {
+			found++
+		}
+	}
+	if found < 3 {
+		t.Fatalf("only %d of 6 key paths found a path", found)
+	}
 }

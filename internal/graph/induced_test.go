@@ -152,6 +152,16 @@ func TestInducedMatchesBuilder(t *testing.T) {
 			if !slices.Equal(orig, wantOrig) || !maps.Equal(toSub, wantToSub) {
 				t.Fatalf("iter %d %s: id maps differ: orig %v vs %v, toSub %v vs %v", iter, name, orig, wantOrig, toSub, wantToSub)
 			}
+			idsSub, idsOrig, err := g.InducedIDs(nodes)
+			if err != nil {
+				t.Fatalf("iter %d %s: InducedIDs: %v", iter, name, err)
+			}
+			if d := graphBitsDiff(idsSub, sub); d != "" {
+				t.Fatalf("iter %d %s: InducedIDs and Induced return different graphs: %s", iter, name, d)
+			}
+			if !slices.Equal(idsOrig, orig) {
+				t.Fatalf("iter %d %s: InducedIDs ids %v, Induced ids %v", iter, name, idsOrig, orig)
+			}
 			if err := sub.Validate(); err != nil {
 				t.Fatalf("iter %d %s: %v", iter, name, err)
 			}

@@ -9,19 +9,36 @@ import (
 // Induced returns the subgraph induced by the given node set together with
 // the mapping between the two id spaces. The i-th entry of origIDs is the
 // original id of subgraph node i; the returned map goes the other way.
+// Callers that need only a few lookups the other way should use InducedIDs
+// and search its ascending origIDs instead of paying for the map.
+func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]int, err error) {
+	sub, origIDs, err = g.InducedIDs(nodes)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	toSub = make(map[int]int, len(origIDs))
+	for i, u := range origIDs {
+		toSub[u] = i
+	}
+	return sub, origIDs, toSub, nil
+}
+
+// InducedIDs returns the subgraph induced by the given node set and, at
+// index i, the original id of subgraph node i. origIDs is strictly
+// ascending, so slices.BinarySearch(origIDs, u) finds u's subgraph id.
 // Duplicate nodes in the input are ignored. Labels are carried over.
 //
-// Induced is the workhorse of Fast CePS (Table 5, Step 1): the union of the
-// partitions containing the query nodes is materialized as a standalone
-// graph that the full CePS pipeline then runs on, once per request. It
-// costs O(|nodes| + Σ deg) beyond one position array over the parent's
-// nodes: strictly ascending input (what partition.NodesInParts returns)
-// skips the sort, and each row is the parent's row filtered through the
-// monotone id map, so it stays sorted with no Builder and no row sort.
-// Weighted degrees and the total weight are summed in the order
+// InducedIDs is the workhorse of Fast CePS (Table 5, Step 1): the union of
+// the partitions containing the query nodes is materialized as a
+// standalone graph that the full CePS pipeline then runs on, once per
+// request. It costs O(|nodes| + Σ deg) beyond one position array over the
+// parent's nodes: strictly ascending input (what partition.NodesInParts
+// returns) skips the sort, and each row is the parent's row filtered
+// through the monotone id map, so it stays sorted with no Builder and no
+// row sort. Weighted degrees and the total weight are summed in the order
 // Builder.Build sums them, so the result is bit-identical to building the
 // same edges through a Builder.
-func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]int, err error) {
+func (g *Graph) InducedIDs(nodes []int) (sub *Graph, origIDs []int, err error) {
 	n := g.N()
 	// pos[u] is u's subgraph id + 1, and 0 while u is not in the subgraph.
 	pos := make([]int32, n)
@@ -29,7 +46,7 @@ func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]i
 	ascending := true
 	for _, u := range nodes {
 		if u < 0 || u >= n {
-			return nil, nil, nil, fmt.Errorf("graph: induced node %d out of range [0,%d)", u, n)
+			return nil, nil, fmt.Errorf("graph: induced node %d out of range [0,%d)", u, n)
 		}
 		if pos[u] != 0 {
 			continue
@@ -41,16 +58,14 @@ func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]i
 		uniq = append(uniq, u)
 	}
 	if len(uniq) == 0 {
-		return nil, nil, nil, fmt.Errorf("graph: induced subgraph over empty node set")
+		return nil, nil, fmt.Errorf("graph: induced subgraph over empty node set")
 	}
 	if !ascending {
 		slices.Sort(uniq)
 	}
-	toSub = make(map[int]int, len(uniq))
 	arcs := 0
 	for i, u := range uniq {
 		pos[u] = int32(i + 1)
-		toSub[u] = i
 		arcs += g.Degree(u)
 	}
 
@@ -86,7 +101,7 @@ func (g *Graph) Induced(nodes []int) (sub *Graph, origIDs []int, toSub map[int]i
 			sub.labels[i] = g.labels[u]
 		}
 	}
-	return sub, uniq, toSub, nil
+	return sub, uniq, nil
 }
 
 // Subgraph is the output of an extraction algorithm: a small node set over
