@@ -27,11 +27,17 @@ import (
 // difference yields a NaN residual, though not necessarily with the same
 // payload).
 //
-// The inner loop is AVX-512F assembly on amd64 hosts whose CPU and OS
-// report it (CPUID and XGETBV, checked once at init), except in race
-// builds. Everywhere else register-blocked Go kernels store each group's
-// scaled rows and fold a block of rows right after, while it is still in
-// cache. The two kernels produce identical bits.
+// The inner loop is AVX-512 assembly on amd64 hosts whose CPU reports
+// AVX-512F and AVX-512VL and whose OS saves the 512-bit state (CPUID and
+// XGETBV, checked once at init), except in race builds. A group of up to
+// 2, 4 or 8 columns runs in one XMM, YMM or ZMM register and sweeps four
+// rows per loop with four independent accumulator chains; a group of 9 to
+// 16 columns runs in two ZMM registers, one row per loop. The kernels
+// address panel rows by int32 offsets, each column index premultiplied by
+// the panel width, rather than multiplying per nonzero. Everywhere else
+// register-blocked Go kernels store each group's scaled rows and fold a
+// block of rows right after, while it is still in cache. The two kernels
+// produce identical bits.
 //
 // A Sweep holds per-range scratch for one solve. It is not safe for
 // concurrent use; Run itself fans its row ranges out to goroutines.
@@ -51,8 +57,12 @@ type Sweep struct {
 	// order like their values, with every NaN above +Inf, so an unsigned
 	// max is the float max whenever no NaN occurs and is NaN whenever one
 	// does — the MaxDiff rule, mergeable across ranges in any order.
-	parts  [][]uint64
+	parts [][]uint64
+	// avx512 selects the assembly kernels, which address panel rows by
+	// offs: the nonzeros' column indices times q, as int32, built once per
+	// Sweep (one pass over the nonzeros against a solve's tens of sweeps).
 	avx512 bool
+	offs   []int32
 }
 
 // useAVX512 selects the assembly kernel for Sweeps built from now on. It
@@ -71,6 +81,10 @@ const (
 	infBits = 0x7ff0000000000000 // Float64bits(+Inf): magnitudes at or above it are non-finite
 )
 
+// offsetsFit reports whether every panel-row offset c·q of a matrix with
+// n columns fits in int32. Wider products sweep on the Go kernel.
+func offsetsFit(n, q int) bool { return q <= math.MaxInt32/max(n, 1) }
+
 // NewSweep prepares fused sweeps of m over panels with len(queries)
 // columns, where column j restarts at row queries[j] (duplicates allowed).
 // splits are the row-range bounds from NNZSplits; nil or a single range
@@ -86,7 +100,14 @@ func NewSweep(m *CSR, splits []int, queries []int, c, restart float64) *Sweep {
 	if len(ranges) < 2 {
 		ranges = []int{0, m.rows}
 	}
-	s := &Sweep{m: m, ranges: ranges, q: len(queries), c: c, restart: restart, avx512: useAVX512}
+	s := &Sweep{m: m, ranges: ranges, q: len(queries), c: c, restart: restart}
+	if useAVX512 && offsetsFit(m.cols, s.q) {
+		s.avx512 = true
+		s.offs = make([]int32, len(m.colIdx))
+		for i, col := range m.colIdx {
+			s.offs[i] = int32(col * s.q)
+		}
+	}
 	order := make([]int, len(queries))
 	for j := range order {
 		order[j] = j

@@ -41,10 +41,21 @@ func checkSweep(t *testing.T, name string, m *CSR, splits []int, src *Panel, que
 	t.Helper()
 	wantNext, wantRes, wantNF := refSweep(m, src, queries, c, restart)
 	q := len(queries)
-	dst := NewPanel(m.Rows(), q)
+	// dst's backing array holds one more row, a guard no store may reach.
+	dst := NewPanel(m.Rows()+1, q)
+	dst.Reset(m.Rows(), q)
+	guard := dst.data[len(dst.data):cap(dst.data)]
+	for i := range guard {
+		guard[i] = -1
+	}
 	res := make([]float64, q)
 	nonFinite := make([]bool, q)
 	NewSweep(m, splits, queries, c, restart).Run(dst, src, res, nonFinite)
+	for i, v := range guard {
+		if v != -1 {
+			t.Fatalf("%s: store past the last row: guard entry %d is %v", name, i, v)
+		}
+	}
 	for j := 0; j < q; j++ {
 		if !sameBits(res[j], wantRes[j]) {
 			t.Fatalf("%s: column %d residual %v (%#x), reference %v (%#x)",
@@ -74,10 +85,14 @@ func randPanel(rows, q int, gen func() float64) *Panel {
 // TestSweepConformance is the fused kernel's contract, run for every
 // kernel the host has: each column of the sweep, its residual and its
 // non-finite flag equal the scalar reference bit for bit (NaNs equal as
-// NaNs), for every width from 1 to 40 plus 64 and 256, for 1, 2 and 3 row
-// ranges, with restart rows at the first and last row and duplicated,
-// over matrices with empty rows, an empty matrix, subnormal operands, and
-// NaN and ±Inf planted in the current iterate.
+// NaNs), and no store lands past the panel, for every width from 1 to 40
+// plus 64 and 256, for 1, 2 and 3 row ranges, with restart rows at the
+// first and last row and duplicated, over matrices with empty rows, an
+// empty matrix, subnormal operands, and NaN and ±Inf planted in the
+// current iterate. At the widths either side of every register class
+// boundary it also sweeps row ranges of every length up to 7, so each
+// partial tail of the four-row kernels runs, restart rows at and inside
+// the ends of a four-row group, and matrices of 1 to 3 rows.
 func TestSweepConformance(t *testing.T) {
 	const n = 61
 	widths := []int{64, 256}
@@ -130,6 +145,37 @@ func TestSweepConformance(t *testing.T) {
 						src := randPanel(n, w, mc.gen)
 						name := fmt.Sprintf("%s/ranges=%d/width=%d", mc.name, ranges, w)
 						checkSweep(t, name, mc.m, splits, src, queries, 0.5, 0.5)
+					}
+				}
+			}
+			// Kernel call shapes: ranges of 1, 2, 3, 5, 6 and 7 rows (4
+			// is a full group), restart rows on the first, inner and last
+			// rows of a group, and matrices smaller than one group.
+			boundaryWidths := []int{1, 2, 3, 4, 5, 8, 9, 16, 17}
+			short := []int{0, 1, 3, 6, 11, 17, 24, n}
+			for _, w := range boundaryWidths {
+				for _, at := range [][]int{{24}, {25}, {26}, {27}, {24, 27}, {25, 26, 28}, {23, 31, n - 1}} {
+					queries := make([]int, w)
+					for j := range queries {
+						queries[j] = at[j%len(at)]
+					}
+					src := randPanel(n, w, rng.NormFloat64)
+					name := fmt.Sprintf("short ranges/restarts=%v/width=%d", at, w)
+					checkSweep(t, name, dense, short, src, queries, 0.5, 0.5)
+					checkSweep(t, "sparse "+name, sparse, short, src, queries, 0.5, 0.5)
+				}
+			}
+			for rows := 1; rows <= 3; rows++ {
+				tiny := randCSR(t, rng, rows, rows, 2*rows*rows)
+				for _, w := range boundaryWidths {
+					queries := make([]int, w)
+					for j := range queries {
+						queries[j] = rng.Intn(rows)
+					}
+					for ranges := 1; ranges <= rows; ranges++ {
+						src := randPanel(rows, w, rng.NormFloat64)
+						name := fmt.Sprintf("%d rows/ranges=%d/width=%d", rows, ranges, w)
+						checkSweep(t, name, tiny, tiny.NNZSplits(ranges), src, queries, 0.5, 0.5)
 					}
 				}
 			}
@@ -373,4 +419,31 @@ func TestSweepShapePanics(t *testing.T) {
 	check("dst rows", func() { sw.Run(NewPanel(9, 2), NewPanel(10, 2), res, nonFinite) })
 	check("col mismatch", func() { sw.Run(NewPanel(10, 3), NewPanel(10, 3), res, nonFinite) })
 	check("short output", func() { sw.Run(NewPanel(10, 2), NewPanel(10, 2), res[:1], nonFinite) })
+}
+
+// TestSweepOffsetsFallback covers the int32 limit of the kernels' panel-row
+// offsets: where some column index times the panel width would not fit,
+// no offsets are built and the sweep runs the Go kernel, whichever kernel
+// is selected.
+func TestSweepOffsetsFallback(t *testing.T) {
+	const n = 1 << 16
+	if !offsetsFit(n, math.MaxInt32/n) || offsetsFit(n, math.MaxInt32/n+1) || !offsetsFit(0, 5) {
+		t.Fatal("offsetsFit misplaces the int32 limit")
+	}
+	wide, err := NewCSR(n, n, []Triple{{0, n - 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range SweepKernels() {
+		t.Run(k, func(t *testing.T) {
+			t.Cleanup(UseSweepKernel(k))
+			q := math.MaxInt32/n + 1
+			if sw := NewSweep(wide, nil, make([]int, q), 0.5, 0.5); sw.avx512 || sw.offs != nil {
+				t.Errorf("width %d: assembly kernel %v, offsets built %v past the int32 limit", q, sw.avx512, sw.offs != nil)
+			}
+			if sw := NewSweep(wide, nil, make([]int, q-1), 0.5, 0.5); sw.avx512 != (k == "avx512") || (sw.offs != nil) != sw.avx512 {
+				t.Errorf("width %d: assembly kernel %v, offsets built %v", q-1, sw.avx512, sw.offs != nil)
+			}
+		})
+	}
 }

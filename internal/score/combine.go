@@ -77,12 +77,6 @@ func (s KSoftAND) String() string { return fmt.Sprintf("%d_softAND", s.K) }
 // queries one at a time, it maintains the distribution of "how many of the
 // particles seen so far are at the node".
 func AtLeastK(p []float64, k int) float64 {
-	return atLeastK(p, k, nil)
-}
-
-// atLeastK is AtLeastK running its recursion in buf when buf has room for
-// the k+1 states, so a caller folding many nodes reuses one buffer.
-func atLeastK(p []float64, k int, buf []float64) float64 {
 	q := len(p)
 	if q == 0 {
 		return 0
@@ -96,13 +90,7 @@ func atLeastK(p []float64, k int, buf []float64) float64 {
 	// f[c] = P[exactly c of the processed particles meet]; only counts up
 	// to k matter, so cap the state at k and accumulate overflow in f[k]
 	// meaning "at least k".
-	var f []float64
-	if cap(buf) > k {
-		f = buf[:k+1]
-		clear(f)
-	} else {
-		f = make([]float64, k+1)
-	}
+	f := make([]float64, k+1)
 	f[0] = 1
 	for _, pi := range p {
 		for c := k; c >= 1; c-- {
@@ -217,7 +205,10 @@ func KthLargest(p []float64, k int) float64 {
 
 // CombineNodes applies the combiner column-wise to the individual-score
 // matrix R (R[i][j] = r(q_i, j)) and returns the combined node scores
-// r(Q, ·).
+// r(Q, ·). AND, OR and K_softAND fold R into the nodes' state one query
+// row at a time, so the inner loops stream contiguous rows; per node they
+// perform Combine's operations in Combine's order, so every score equals
+// the per-node Combine bit for bit. Other combiners call Combine per node.
 func CombineNodes(R [][]float64, c Combiner) ([]float64, error) {
 	if len(R) == 0 {
 		return nil, fmt.Errorf("score: empty score matrix")
@@ -229,18 +220,82 @@ func CombineNodes(R [][]float64, c Combiner) ([]float64, error) {
 		}
 	}
 	out := make([]float64, n)
-	p := make([]float64, len(R))
-	combine := c.Combine
-	if s, ok := c.(KSoftAND); ok {
-		// One recursion buffer for every node instead of one per node.
-		buf := make([]float64, len(R)+1)
-		combine = func(p []float64) float64 { return atLeastK(p, s.K, buf) }
-	}
-	for j := 0; j < n; j++ {
-		for i := range R {
-			p[i] = R[i][j]
+	switch c := c.(type) {
+	case AND:
+		for j := range out {
+			out[j] = 1
 		}
-		out[j] = combine(p)
+		for _, row := range R {
+			for j, v := range row {
+				out[j] *= v
+			}
+		}
+	case OR:
+		for j := range out {
+			out[j] = 1
+		}
+		for _, row := range R {
+			for j, v := range row {
+				out[j] *= 1 - v
+			}
+		}
+		for j, prod := range out {
+			out[j] = 1 - prod
+		}
+	case KSoftAND:
+		atLeastKNodes(R, c.K, out)
+	default:
+		p := make([]float64, len(R))
+		for j := range out {
+			for i := range R {
+				p[i] = R[i][j]
+			}
+			out[j] = c.Combine(p)
+		}
 	}
 	return out, nil
+}
+
+// atLeastKBlock is how many nodes atLeastKNodes carries through the
+// recursion at once: its k state rows of this length stay in cache.
+const atLeastKBlock = 512
+
+// atLeastKNodes stores AtLeastK(R[·][j], k) in out[j] for every node j. It
+// runs the Eq. 9 recursion over blocks of nodes, holding each state count
+// c < k as a row f[c] across the block and the "at least k" state in out,
+// and per node updates the states in AtLeastK's order.
+func atLeastKNodes(R [][]float64, k int, out []float64) {
+	k = min(max(k, 1), len(R))
+	f := make([][]float64, k+1)
+	buf := make([]float64, k*atLeastKBlock)
+	for lo := 0; lo < len(out); lo += atLeastKBlock {
+		hi := min(lo+atLeastKBlock, len(out))
+		for c := 0; c < k; c++ {
+			f[c] = buf[c*atLeastKBlock : c*atLeastKBlock+hi-lo]
+			clear(f[c])
+		}
+		f[k] = out[lo:hi]
+		for j := range f[0] {
+			f[0][j] = 1
+		}
+		for _, row := range R {
+			p := row[lo:hi]
+			for c := k; c >= 1; c-- {
+				fc, fl := f[c][:len(p)], f[c-1][:len(p)]
+				if c == k {
+					for j, pi := range p {
+						fc[j] = fc[j] + fl[j]*pi // once at k, stay at "at least k"
+					}
+				} else {
+					for j, pi := range p {
+						fc[j] = fc[j]*(1-pi) + fl[j]*pi
+					}
+				}
+			}
+			f0 := f[0][:len(p)]
+			for j, pi := range p {
+				f0[j] *= 1 - pi
+			}
+		}
+	}
 }

@@ -208,17 +208,32 @@ func TestCombineNodes(t *testing.T) {
 	}
 }
 
-func TestCombineNodesSoftANDMatchesPerNode(t *testing.T) {
-	// CombineNodes reuses one recursion buffer across nodes; every node
-	// must still get exactly what a fresh AtLeastK call returns.
+// TestCombineNodesMatchesPerNode is the contract of CombineNodes'
+// row-wise folds: for AND, OR and K_softAND at every k (clamped ones
+// included), and for a combiner that goes node by node, each node's score
+// equals the per-node Combine bit for bit (NaNs equal as NaNs), on rows
+// that mix random probabilities with zeros, ones, subnormals and NaN, over
+// more nodes than one K_softAND block.
+func TestCombineNodesMatchesPerNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	specials := []float64{0, 1, 0x1p-1070, 0.75 * 0x1p-1022, math.NaN()}
+	const n = 2*atLeastKBlock + 37
 	for q := 1; q <= 6; q++ {
 		R := make([][]float64, q)
 		for i := range R {
-			R[i] = randProbs(rng, 50)
+			R[i] = randProbs(rng, n)
+			for j := range R[i] {
+				if rng.Intn(4) == 0 {
+					R[i][j] = specials[rng.Intn(len(specials))]
+				}
+			}
 		}
+		combiners := []Combiner{AND{}, OR{}, MinOrderStat{}}
 		for k := 0; k <= q+1; k++ {
-			got, err := CombineNodes(R, KSoftAND{K: k})
+			combiners = append(combiners, KSoftAND{K: k})
+		}
+		for _, c := range combiners {
+			got, err := CombineNodes(R, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,8 +242,10 @@ func TestCombineNodesSoftANDMatchesPerNode(t *testing.T) {
 				for i := range R {
 					p[i] = R[i][j]
 				}
-				if want := AtLeastK(p, k); math.Float64bits(got[j]) != math.Float64bits(want) {
-					t.Fatalf("q=%d k=%d node %d: %v, want %v", q, k, j, got[j], want)
+				want := c.Combine(p)
+				if math.Float64bits(got[j]) != math.Float64bits(want) && !(math.IsNaN(got[j]) && math.IsNaN(want)) {
+					t.Fatalf("q=%d %v node %d: %v (%#x), per-node %v (%#x)",
+						q, c, j, got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
 				}
 			}
 		}
