@@ -70,9 +70,9 @@ trace-smoke:
 # Short fuzz passes over the graph parsers, the v1 query decoders (the
 # /v1/query body and GET parameters, the /v1/batch envelope) and the
 # /v1/replace decoder, the precompute artifact reader (file images and
-# index.json), and EXTRACT's key-path DP against its reference on fuzzed
-# tied-score graphs; crashers land in testdata/fuzz and fail `make test`
-# from then on.
+# index.json), and EXTRACT's key-path DP and whole Table 4 loop against
+# their references on fuzzed tied-score graphs; crashers land in
+# testdata/fuzz and fail `make test` from then on.
 fuzz-smoke:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzReadEdgeList -fuzztime=$(FUZZTIME)
@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/artifact -run='^$$' -fuzz=FuzzArtifactDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/artifact -run='^$$' -fuzz=FuzzArtifactIndex -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/extract -run='^$$' -fuzz=FuzzKeyPath -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/extract -run='^$$' -fuzz=FuzzExtract -fuzztime=$(FUZZTIME)
 
 # Chaos suite under the race detector: every fault-injection point fires
 # at least once and must surface as a typed error or a Degraded-marked

@@ -229,6 +229,52 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	}
 }
 
+// TestChaosDegradedReplaceKeepsCertificate: on the breaker's degrade
+// route ReplaceSubteam caps the walks' iterations but keeps the exact
+// tolerance, so its top-N certificate still prunes the pool. The degraded
+// answer is marked, is the head of the whole pool's ranking at the capped
+// iterations bit for bit, and looks up far fewer walks than the pool has
+// candidates (a loosened tolerance would void the certificate and look up
+// every one).
+func TestChaosDegradedReplaceKeepsCertificate(t *testing.T) {
+	ds := smallDataset(t)
+	team, departed := replaceTeam(ds)
+	arm(t, fault.Injection{Point: fault.InjectSolveError, Count: 1})
+	const degradedIters = 12
+	cfg := ceps.DefaultConfig()
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(cfg), ceps.WithBipartite(ds.Papers), ceps.WithCache(8<<20),
+		ceps.WithResilience(ceps.ResilienceOptions{MinSamples: 1, OpenFor: time.Minute, DegradedIterations: degradedIters}))
+	defer eng.Close()
+	if _, err := eng.Do(context.Background(), team[:2]); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if st := eng.BreakerState(); st != ceps.BreakerOpen {
+		t.Fatalf("breaker = %v after failure, want open", st)
+	}
+	got, err := eng.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Degraded == nil || got.Degraded.Mode != "relaxed_tol" || !strings.Contains(got.Degraded.Reason, "tol=0,") {
+		t.Fatalf("Degraded = %+v, want relaxed_tol at tol=0", got.Degraded)
+	}
+
+	capped := cfg
+	capped.RWR.Iterations, capped.RWR.Tol = degradedIters, 0
+	ref := newEngine(t, ds.Graph, ceps.WithConfig(capped), ceps.WithBipartite(ds.Papers))
+	all, err := ref.ReplaceSubteam(context.Background(), team, ceps.WithDeparting(departed), ceps.WithReplaceTopN(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Replacements) == 0 || len(got.Replacements) > len(all.Replacements) {
+		t.Fatalf("degraded ranking has %d entries, the whole pool's %d", len(got.Replacements), len(all.Replacements))
+	}
+	compareReplacements(t, "degraded vs whole pool at capped iterations", got.Replacements, all.Replacements[:len(got.Replacements)])
+	if lookups := got.Stages.CacheHits + got.Stages.CacheMisses; lookups*4 > got.PoolSize {
+		t.Fatalf("Step 1 looked up %d walks for a pool of %d: the certificate did not run", lookups, got.PoolSize)
+	}
+}
+
 // TestChaosNoDegradeFailsFast: with degraded answers disabled, an open
 // breaker refuses queries with the typed unavailability error instead.
 func TestChaosNoDegradeFailsFast(t *testing.T) {

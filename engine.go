@@ -38,6 +38,9 @@ type Engine struct {
 	pt       *Partitioned
 	runner   *core.Runner // lazily built for cfg.RWR, serving-attached
 	dgRunner *core.Runner // lazily built for the degraded (relaxed-Tol) RWR config
+	// capRunner is lazily built for the degraded config that keeps Tol and
+	// caps iterations only (ReplaceSubteam's degrade route).
+	capRunner *core.Runner
 
 	cache *rwr.ScoreCache // nil when caching is off
 	pool  *rwr.Pool       // never nil
@@ -428,8 +431,7 @@ func (e *Engine) Reconfigure(cfg Config) error {
 	rwrChanged := cfg.RWR != e.cfg.RWR
 	e.cfg = cfg
 	if rwrChanged {
-		e.runner = nil
-		e.dgRunner = nil
+		e.runner, e.dgRunner, e.capRunner = nil, nil, nil
 	}
 	e.mu.Unlock()
 	if rwrChanged {
@@ -586,13 +588,12 @@ func (e *Engine) Prepare() error {
 // runner rather than an error.
 func (e *Engine) runnerFor(rc RWRConfig) (*core.Runner, error) {
 	e.mu.RLock()
-	r, dr := e.runner, e.dgRunner
+	published := [...]*core.Runner{e.runner, e.dgRunner, e.capRunner}
 	e.mu.RUnlock()
-	if r != nil && r.RWRConfig() == rc {
-		return r, nil
-	}
-	if dr != nil && dr.RWRConfig() == rc {
-		return dr, nil
+	for _, r := range published {
+		if r != nil && r.RWRConfig() == rc {
+			return r, nil
+		}
 	}
 	nr, err := core.NewRunner(e.g, rc)
 	if err != nil {
@@ -607,23 +608,29 @@ func (e *Engine) runnerFor(rc RWRConfig) (*core.Runner, error) {
 			return e.runner, nil // another goroutine won the build race
 		}
 		e.runner = nr
-	case e.res != nil && degradedRWR(e.cfg.RWR, e.res.Options()) == rc:
-		// The breaker's degraded config gets its own published runner —
+	case e.res != nil && degradedRWR(e.cfg.RWR, e.res.Options(), false) == rc:
+		// The breaker's degraded configs get their own published runners —
 		// otherwise every degraded query would pay the O(M) matrix
 		// normalization, defeating the point of a cheap fallback path.
 		if e.dgRunner != nil && e.dgRunner.RWRConfig() == rc {
 			return e.dgRunner, nil
 		}
 		e.dgRunner = nr
+	case e.res != nil && degradedRWR(e.cfg.RWR, e.res.Options(), true) == rc:
+		if e.capRunner != nil && e.capRunner.RWRConfig() == rc {
+			return e.capRunner, nil
+		}
+		e.capRunner = nr
 	}
 	return nr, nil
 }
 
 // degradedRWR relaxes an RWR config to the breaker's cheap fallback shape:
 // tolerance loosened to at least DegradedTol (so early stopping bites after
-// a handful of sweeps) and iterations capped at DegradedIterations.
-func degradedRWR(rc RWRConfig, o ResilienceOptions) RWRConfig {
-	if rc.Tol < o.DegradedTol {
+// a handful of sweeps) unless keepTol is set, and iterations capped at
+// DegradedIterations.
+func degradedRWR(rc RWRConfig, o ResilienceOptions, keepTol bool) RWRConfig {
+	if !keepTol && rc.Tol < o.DegradedTol {
 		rc.Tol = o.DegradedTol
 	}
 	if rc.Iterations > o.DegradedIterations {
@@ -636,8 +643,8 @@ func degradedRWR(rc RWRConfig, o ResilienceOptions) RWRConfig {
 // builds the Degradation marker the result will carry. The relaxed config
 // has a different fingerprint, so cached degraded vectors live in their own
 // key space and can never be served to full-fidelity queries.
-func degradeConfig(cfg Config, o ResilienceOptions) (Config, *core.Degradation) {
-	cfg.RWR = degradedRWR(cfg.RWR, o)
+func degradeConfig(cfg Config, o ResilienceOptions, keepTol bool) (Config, *core.Degradation) {
+	cfg.RWR = degradedRWR(cfg.RWR, o, keepTol)
 	return cfg, &core.Degradation{
 		Mode: "relaxed_tol",
 		Reason: fmt.Sprintf("circuit breaker open: solved with tol=%g, iterations<=%d",

@@ -29,7 +29,12 @@ type call[T any] struct {
 	// instead of running under a relaxed cfg. Types whose answer cannot
 	// carry a Degraded marker always set it.
 	noDegrade bool
-	run       func(ctx context.Context, cfg Config) (T, error)
+	// keepTol makes the degrade route apply only the iteration cap and
+	// keep cfg's tolerance. ReplaceSubteam sets it: its top-N certificate
+	// needs exact-tolerance walks, and without the certificate a degraded
+	// request would solve every candidate's walk.
+	keepTol bool
+	run     func(ctx context.Context, cfg Config) (T, error)
 	// settle stamps the span's trace id and the breaker's degradation (nil
 	// unless the call ran on the degrade route and succeeded) onto the
 	// answer, sets the type's own closing span attributes, and reports what
@@ -94,7 +99,7 @@ func serve[T any](e *Engine, ctx context.Context, c call[T]) (res T, err error) 
 					refused, shed = true, "breaker_open"
 					err = fmt.Errorf("%w: circuit breaker open", ErrUnavailable)
 				} else {
-					cfg, degraded = degradeConfig(cfg, e.res.Options())
+					cfg, degraded = degradeConfig(cfg, e.res.Options(), c.keepTol)
 				}
 			}
 		}

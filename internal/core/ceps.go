@@ -141,9 +141,11 @@ func (f *Fallback) String() string {
 // check this field.
 type Degradation struct {
 	// Mode names the fidelity reduction: "relaxed_tol" (circuit breaker
-	// routed the query to a loosened-tolerance, iteration-capped solve) or
-	// "full_graph_fallback" (Fast CePS union was unusable; answered on the
-	// full graph, exact but off the fast path).
+	// routed the query to an iteration-capped solve, with the tolerance
+	// loosened too except for subteam replacement, which keeps it so its
+	// top-N certificate still prunes the pool; Reason gives the tolerance
+	// and iterations used) or "full_graph_fallback" (Fast CePS union was
+	// unusable; answered on the full graph, exact but off the fast path).
 	Mode string
 	// Reason says what forced the degradation.
 	Reason string

@@ -81,8 +81,11 @@ func BenchmarkExtractRWR(b *testing.B) {
 
 // BenchmarkKeyPathDP times one key path toward the best destination:
 // "build" as a query's first path from its source, which builds the
-// uphill lists it walks, and "reuse" as a later path of the same query,
-// which finds them built and pays only for the walk and the DP.
+// uphill lists it walks; "reuse" as a later path of the same query after
+// a join made every stored state stale, which finds the lists built and
+// pays for the walk and the DP; and "stored" as a later path with the
+// destination's states current, which only reads them and reconstructs
+// the path.
 func BenchmarkKeyPathDP(b *testing.B) {
 	g := randomGraph(b, 5000, 20000, 1)
 	queries := []int{3}
@@ -105,12 +108,21 @@ func BenchmarkKeyPathDP(b *testing.B) {
 			}
 		}
 	})
-	b.Run("reuse", func(b *testing.B) {
-		sc.reset(g, R, combined, inH)
-		for i := 0; i < b.N; i++ {
+	for _, name := range []string{"reuse", "stored"} {
+		b.Run(name, func(b *testing.B) {
+			sc.reset(g, R, combined, inH)
 			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
 				b.Fatal("no path")
 			}
-		}
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if name == "reuse" {
+					sc.join(3) // the source ranks above every stored row
+				}
+				if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
+					b.Fatal("no path")
+				}
+			}
+		})
+	}
 }

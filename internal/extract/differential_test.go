@@ -77,13 +77,13 @@ func TestKeyPathMatchesReference(t *testing.T) {
 		}
 		combined := tiedScores(rng, n, 8)
 		inH := make([]bool, n)
-		sc.reset(g, R, combined, inH)
 		ref := newRefPathDP(g, n)
 		for call := 0; call < 42; call++ {
 			hProb := rng.Float64() * 0.5
 			for v := range inH {
 				inH[v] = rng.Float64() < hProb
 			}
+			sc.reset(g, R, combined, inH) // H is rewritten, not grown by joins
 			i := rng.Intn(q)
 			src := rng.Intn(n)
 			if rng.Intn(4) > 0 { // a source at the top reaches most nodes
@@ -254,7 +254,7 @@ func decodeKeyPathCase(data []byte) (keyPathCase, bool) {
 // FuzzKeyPath holds the walk-based keyPath bit-identical to the reference
 // DP, which sorts every candidate, on fuzzed graphs with tied scores. Each
 // input makes two calls on one scratch, toward pd and then pd+1, so the
-// second reuses the first's uphill lists under a new stamp.
+// second reuses the uphill lists and current states the first stored.
 func FuzzKeyPath(f *testing.F) {
 	// Header, node bytes, edges; node byte = r(Q) level<<4 | H<<3 | r(i) level.
 	seeds := [][]byte{
@@ -291,6 +291,160 @@ func FuzzKeyPath(f *testing.F) {
 				t.Fatalf("keyPath(src %d, pd %d, maxNew %d, noSharing %v) = (%v, %v), reference (%v, %v)",
 					c.src, pd, c.maxNew, c.noSharing, got, gotOK, want, wantOK)
 			}
+		}
+	})
+}
+
+// extractCase is a fuzzed EXTRACT query in readable form: r(i, ·) levels
+// out of 8 per source, r(Q, ·) levels out of 16, unit-weight edges.
+type extractCase struct {
+	queries   []int
+	k, budget int
+	maxLen    int // 0: the default ceil(budget/k)
+	noSharing bool
+	ri        [][]byte // ri[i][v]: r(i, v) level
+	combined  []byte
+	edges     [][2]int
+}
+
+// encode writes c in decodeExtractCase's format.
+func (c extractCase) encode() []byte {
+	n, q := len(c.combined), len(c.queries)
+	flags := byte(c.maxLen & 15)
+	if c.noSharing {
+		flags |= 16
+	}
+	data := []byte{byte(n - 1), byte(q-1) | byte(c.k-1)<<2, byte(c.budget - 1), flags}
+	for _, v := range c.queries {
+		data = append(data, byte(v))
+	}
+	for v := 0; v < n; v++ {
+		data = append(data, c.combined[v])
+		for i := 0; i < q; i++ {
+			data = append(data, c.ri[i][v])
+		}
+	}
+	for _, e := range c.edges {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	return data
+}
+
+// decodeExtractCase reads an EXTRACT input from fuzz bytes: a header of
+// four bytes (node count; query count in bits 0–1 and k in bits 2–3;
+// budget; MaxPathLen in the low nibble and the no-sharing flag in bit 4),
+// one byte per query node (taken mod n, the next free node on a clash),
+// then per node one byte of r(Q, ·) in 16 levels and one byte per source of
+// r(i, ·) in 8 levels (missing bytes read as 0), and unit-weight edges as
+// byte pairs. Eight levels over up to 64 nodes make ties the rule.
+func decodeExtractCase(data []byte) (Input, bool) {
+	if len(data) < 4 {
+		return Input{}, false
+	}
+	n := 1 + int(data[0])%64
+	q := min(1+int(data[1]&3), n)
+	in := Input{
+		K:          1 + int(data[1]>>2&3),
+		Budget:     1 + int(data[2])%24,
+		MaxPathLen: int(data[3] & 15),
+		NoSharing:  data[3]&16 != 0,
+		Combined:   make([]float64, n),
+		R:          make([][]float64, q),
+	}
+	data = data[4:]
+	used := make([]bool, n)
+	for i := 0; i < q; i++ {
+		v := 0
+		if i < len(data) {
+			v = int(data[i]) % n
+		}
+		for used[v] {
+			v = (v + 1) % n
+		}
+		used[v] = true
+		in.Queries = append(in.Queries, v)
+	}
+	data = data[min(q, len(data)):]
+	for i := range in.R {
+		in.R[i] = make([]float64, n)
+	}
+	at := func(j int) byte {
+		if j < len(data) {
+			return data[j]
+		}
+		return 0
+	}
+	for v := 0; v < n; v++ {
+		in.Combined[v] = float64(at(v*(q+1))&15) / 16
+		for i := range in.R {
+			in.R[i][v] = float64(at(v*(q+1)+1+i)&7) / 8
+		}
+	}
+	data = data[min(n*(q+1), len(data)):]
+	bld := graph.NewBuilder(n)
+	for ; len(data) >= 2; data = data[2:] {
+		bld.AddEdge(int(data[0])%n, int(data[1])%n, 1)
+	}
+	g, err := bld.Build()
+	if err != nil {
+		return Input{}, false
+	}
+	in.G = g
+	return in, true
+}
+
+// FuzzExtract holds whole EXTRACT runs bit-identical to the reference
+// Table 4 loop on fuzzed tied-score graphs. refExtract also drives a
+// shadow scratch through the same rounds, joins included, and checks each
+// pick and key path, so stored states are checked across every key path
+// of the query.
+func FuzzExtract(f *testing.F) {
+	for _, c := range []extractCase{
+		{ // Node 2 ties with source 1 and ranks below it, so the walk
+			// from destination 5 enters it but no path from 1 does; 4
+			// ties with 5.
+			queries: []int{1}, k: 1, budget: 4,
+			ri:       [][]byte{{7, 6, 6, 4, 2, 2}},
+			combined: []byte{3, 9, 9, 6, 5, 8},
+			edges:    [][2]int{{0, 1}, {1, 2}, {1, 4}, {2, 4}, {4, 5}, {0, 3}, {3, 5}, {2, 3}},
+		},
+		{ // A hub, 0, adjacent to every node, two sources, no sharing.
+			queries: []int{1, 6}, k: 2, budget: 6, noSharing: true,
+			ri:       [][]byte{{5, 7, 6, 4, 3, 2, 1, 1}, {5, 1, 2, 3, 4, 5, 7, 6}},
+			combined: []byte{8, 4, 6, 7, 9, 7, 4, 6},
+			edges: [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}, {0, 7},
+				{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 7}, {7, 6}},
+		},
+		{ // Source 0's first key path stores 1, 2 and 3, and the joins
+			// that follow make them stale before its path to 6.
+			queries: []int{0, 4}, k: 2, budget: 8, maxLen: 4,
+			ri:       [][]byte{{7, 6, 5, 4, 1, 3, 2}, {1, 2, 3, 4, 7, 6, 5}},
+			combined: []byte{2, 9, 5, 12, 2, 4, 10},
+			edges:    [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 6}, {4, 5}, {5, 3}, {5, 6}, {0, 5}},
+		},
+		{ // Budget 5 with paths of up to 4 new nodes: the width narrows
+			// once H holds two new nodes.
+			queries: []int{0}, k: 1, budget: 5, maxLen: 4,
+			ri:       [][]byte{{7, 6, 5, 4, 3, 2, 1, 5, 4}},
+			combined: []byte{1, 2, 3, 4, 5, 6, 15, 9, 14},
+			edges:    [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {0, 7}, {7, 8}, {8, 6}},
+		},
+	} {
+		f.Add(c.encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, ok := decodeExtractCase(data)
+		if !ok {
+			return
+		}
+		want := refExtract(t, in)
+		got, err := Extract(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := diffResults(got, want); msg != "" {
+			t.Fatalf("queries %v k=%d budget=%d maxLen=%d noSharing=%v: %s",
+				in.Queries, in.K, in.Budget, in.MaxPathLen, in.NoSharing, msg)
 		}
 	})
 }

@@ -26,6 +26,14 @@
 // over those ancestors. A node's uphill list — its neighbours with a
 // strictly higher r(i, ·), in adjacency order — is built the first time a
 // key path of the query reads it, once per (source, node).
+//
+// The DP states are kept too, per (source, node), for the whole query. A
+// node's states depend only on whether it and its ancestors ranked at or
+// below the source are in H, and those ancestors rank above it; H only
+// grows, so a stored row stays exact until a node ranked at or above it
+// joins H. ExtractCtx reports each node it adds to H, and a key path
+// recomputes only the rows such a join made stale, pulling the rest as
+// stored without walking above them.
 package extract
 
 import (
@@ -183,6 +191,7 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 			res.PathsFound++
 			for idx, u := range path {
 				if addNode(u) {
+					sc.join(u)
 					newNodes++
 					res.Provenance[u] = Provenance{Source: src, Dest: pd, Path: path}
 				}

@@ -11,14 +11,21 @@ import (
 // scores gathers.
 const batchSize = 64
 
-// slotMask selects the slot half of a mark word; the stamp is the other.
-const slotMask = 1<<32 - 1
-
 // scratch is the per-query state of one EXTRACT run: the Eq. 11 destination
-// batch, every source's uphill lists, and the Table 3 DP buffers that each
-// key path of the query reuses. Nothing in it is O(n) per source except the
-// sparse uphill index, which is never cleared. A scratch serves one query
+// batch, and every source's uphill lists and Table 3 states, which all key
+// paths of the query share. Nothing in it is O(n) per source except the
+// sparse entry index, which is never cleared. A scratch serves one query
 // at a time; reset readies it for the next.
+//
+// A node's states for source i depend only on whether it and its uphill
+// ancestors ranked at or below the source are in H, and every such
+// ancestor ranks strictly above it. H only grows during a query, so a
+// stored row stays exact until a node ranked at or above it joins H; key
+// paths therefore keep every row and recompute only the stale ones. That
+// holds while, between resets, H grows only through join, each source's
+// query node is fixed and never joins, and no key path is wider than the
+// first or has another cost rule; ExtractCtx keeps all four, and a caller
+// that does not must reset the scratch.
 type scratch struct {
 	g             *graph.Graph
 	combined      []float64
@@ -31,47 +38,57 @@ type scratch struct {
 
 	srcs []source
 	up   []int32 // the query's uphill lists, all sources
-
-	// mark[v] is stamp<<32 | v's slot while v belongs to the walk stamped
-	// stamp: one word per node, read with one load, and never cleared
-	// between key paths.
-	mark  []uint64
-	stamp uint32
-	nodes []int32   // nodes[k]: the node in slot k, in the walk's preorder, pd first
-	best  []float64 // best[k*width+s]: C_s of slot k's node, -Inf while unreached
-	reach []span    // reach[k] covers every finite state of slot k
-	stack []frame
+	// best holds the query's stored states, all sources: row r is
+	// best[r : r+stride], C_s at best[r+s]. Row 0 is the running key
+	// path's source, rewritten by each call.
+	best []float64
+	// stride is the rows' length: the query's first key path's width, the
+	// widest, since the remaining budget only shrinks. width is the running
+	// key path's; every stored state below it is computed.
+	stride, width int
+	noSharing     bool  // the query's cost rule
+	gen           int32 // the generation: join batches so far
+	joined        bool  // a node joined H during gen
+	stack         []frame
 }
 
 // source is source q_i's view of the graph for one query: its scores, and
-// the uphill lists built so far. A node's uphill list holds its neighbours
-// with a strictly higher r(i, ·), in adjacency order: exactly the
-// "specified downhill" edges into it. at and hdr form a sparse set, so v's
-// list is built iff at[v] < len(hdr) and hdr[at[v]].node == v, and at is
-// never cleared.
+// an entry for every node a key path from it has walked. at and hdr form a
+// sparse set, so v has an entry iff at[v] < len(hdr) and hdr[at[v]].node ==
+// v, and at is never cleared. joinMax[g] is the highest r(i, ·) among
+// walked nodes that joined H during generation g or later, -Inf when none
+// did.
 type source struct {
-	ri  []float64
-	at  []uint32
-	hdr []upList
+	ri      []float64
+	at      []uint32
+	hdr     []entry
+	joinMax []float64
 }
 
-// upList locates one node's uphill list in the scratch's arena.
-type upList struct{ node, start, end int32 }
+// entry is one walked node of a source: its r(i, ·), its uphill list in
+// the scratch's up arena — its neighbours with a strictly higher r(i, ·),
+// in adjacency order, exactly the "specified downhill" edges into it — and
+// its states: row in the best arena, computed at generation gen, with every
+// finite state inside [lo, hi]. The row is current iff r > joinMax[gen].
+type entry struct {
+	r           float64
+	node, gen   int32
+	row, lo, hi int32
+	start, end  int32
+}
 
-// frame is a node on the walk's stack: its slot, the unread part of its
-// uphill list (up[cur:end]), and what a path pays and gains at it.
+// frame is a node on the walk's stack: its entry and row, the unread part
+// of its uphill list (up[cur:end]), what a path pays and gains at it, and
+// the span of its states reached so far.
 type frame struct {
-	k, cur, end, cost int32
-	cv                float64
+	a, row, cur, end, cost, lo, hi int32
+	cv                             float64
 }
-
-// span is an inclusive range of path lengths s; lo > hi when empty.
-type span struct{ lo, hi int32 }
 
 // reset readies sc for a query on g with individual scores R and combined
 // scores combined, and gathers the first destination batch: nodes already
 // in H (the queries) and nodes with no positive combined score never enter
-// it.
+// it. Every stored state and uphill list is dropped.
 func (sc *scratch) reset(g *graph.Graph, R [][]float64, combined []float64, inH []bool) {
 	sc.g, sc.combined, sc.last = g, combined, -1
 	if cap(sc.srcs) < len(R) {
@@ -81,17 +98,14 @@ func (sc *scratch) reset(g *graph.Graph, R [][]float64, combined []float64, inH 
 	for i := range sc.srcs {
 		o := &sc.srcs[i]
 		o.ri, o.hdr = R[i], o.hdr[:0]
+		o.joinMax = append(o.joinMax[:0], math.Inf(-1))
 		if cap(o.at) < len(o.ri) {
 			o.at = make([]uint32, len(o.ri))
 		}
 		o.at = o.at[:len(o.ri)]
 	}
-	sc.up = sc.up[:0]
-	if n := len(combined); cap(sc.mark) < n {
-		sc.mark, sc.stamp = make([]uint64, n), 0
-	} else {
-		sc.mark = sc.mark[:n]
-	}
+	sc.up, sc.best = sc.up[:0], sc.best[:0]
+	sc.stride, sc.width, sc.noSharing, sc.gen, sc.joined = 0, 0, false, 0, false
 	sc.gather(inH)
 }
 
@@ -216,13 +230,53 @@ func siftDown(score []float64, h []int32, i int) {
 	h[i] = v
 }
 
-// uphill returns the bounds of v's uphill list for source o in the arena,
-// building it on first use.
-func (sc *scratch) uphill(o *source, v int32) (start, end int32) {
-	if a := o.at[v]; int(a) < len(o.hdr) && o.hdr[a].node == v {
-		return o.hdr[a].start, o.hdr[a].end
+// join records that node v joined H: each source that has walked v marks
+// every stored row ranked at or below v as stale (a source that has not
+// walked v stores no row that depends on it), and the next key path starts
+// a new generation. Without sharing costs ignore H, so nothing goes stale.
+func (sc *scratch) join(v int) {
+	if sc.noSharing {
+		return
 	}
-	start = int32(len(sc.up))
+	sc.joined = true
+	for i := range sc.srcs {
+		o := &sc.srcs[i]
+		a := o.at[v]
+		if int(a) >= len(o.hdr) || o.hdr[a].node != int32(v) {
+			continue
+		}
+		// joinMax is non-increasing in g, so the raised suffix ends at the
+		// first generation already at or above r(i, v).
+		for g, x := len(o.joinMax)-1, o.hdr[a].r; g >= 0 && o.joinMax[g] < x; g-- {
+			o.joinMax[g] = x
+		}
+	}
+}
+
+// prepare readies the stored states for a key path of width width under
+// the cost rule noSharing: the query's first key path sets both, and a key
+// path after a join opens a new generation.
+func (sc *scratch) prepare(width int, noSharing bool) {
+	if sc.stride == 0 {
+		sc.stride, sc.noSharing = width, noSharing
+		sc.best = append(sc.best[:0], make([]float64, width)...) // the source row
+	} else if width > sc.stride || noSharing != sc.noSharing {
+		panic("extract: key path wider than the query's first, or under another cost rule")
+	}
+	sc.width = width
+	if sc.joined {
+		sc.joined = false
+		sc.gen++
+		for i := range sc.srcs {
+			sc.srcs[i].joinMax = append(sc.srcs[i].joinMax, math.Inf(-1))
+		}
+	}
+}
+
+// enter gives v an entry for source o: its uphill list, built from the
+// graph, and a row. The caller opens the row with renew.
+func (sc *scratch) enter(o *source, v int32) int32 {
+	start := int32(len(sc.up))
 	nbrs, _ := sc.g.Neighbors(int(v))
 	rv := o.ri[v]
 	for _, w := range nbrs {
@@ -230,45 +284,30 @@ func (sc *scratch) uphill(o *source, v int32) (start, end int32) {
 			sc.up = append(sc.up, int32(w))
 		}
 	}
-	end = int32(len(sc.up))
-	o.at[v] = uint32(len(o.hdr))
-	o.hdr = append(o.hdr, upList{v, start, end})
-	return start, end
+	row := int32(len(sc.best))
+	sc.best = append(sc.best, make([]float64, sc.stride)...)
+	a := int32(len(o.hdr))
+	o.at[v] = uint32(a)
+	o.hdr = append(o.hdr, entry{r: rv, node: v, row: row, start: start, end: int32(len(sc.up))})
+	return a
 }
 
-// slot gives v the next slot, with every state unreached.
-func (sc *scratch) slot(v int32, stamp uint64, width int) int32 {
-	k := int32(len(sc.nodes))
-	sc.nodes = append(sc.nodes, v)
-	sc.mark[v] = stamp | uint64(k)
-	for j := 0; j < width; j++ {
-		sc.best = append(sc.best, math.Inf(-1))
+// renew opens entry a of source o for recomputation in this generation,
+// with every state unreached, and returns its frame: the walk pulls each
+// uphill neighbour into it before it is final.
+func (sc *scratch) renew(o *source, a int32, inH []bool) frame {
+	e := &o.hdr[a]
+	e.gen = sc.gen
+	row := sc.best[e.row : int(e.row)+sc.width]
+	for s := range row {
+		row[s] = math.Inf(-1)
 	}
-	sc.reach = append(sc.reach, span{int32(width), -1})
-	return k
-}
-
-// pull offers the node of frame f every state of its uphill neighbour in
-// slot u: state s pulls state s-cost of u, and replaces the current value
-// only when strictly larger. Only the span of states u can have reached is
-// scanned; the spans are supersets, and the -Inf states inside them give
-// -Inf or NaN, never an update.
-func (sc *scratch) pull(f *frame, u int32, width int) {
-	cost := int(f.cost)
-	sLo, sHi := int(sc.reach[u].lo)+cost, min(int(sc.reach[u].hi)+cost, width-1)
-	if sLo > sHi {
-		return
+	cost := int32(1)
+	if inH[e.node] && !sc.noSharing {
+		cost = 0
 	}
-	got := &sc.reach[f.k]
-	got.lo, got.hi = min(got.lo, int32(sLo)), max(got.hi, int32(sHi))
-	from, to, cv := int(u)*width-cost, int(f.k)*width, f.cv
-	prev := sc.best[from+sLo : from+sHi+1]
-	cur := sc.best[to+sLo : to+sHi+1][:len(prev)]
-	for j, p := range prev {
-		if c := p + cv; c > cur[j] {
-			cur[j] = c
-		}
-	}
+	return frame{a: a, row: e.row, cur: e.start, end: e.end, cost: cost,
+		lo: int32(sc.width), hi: -1, cv: sc.combined[e.node]}
 }
 
 // keyPath discovers the best downhill path from source i (query node src)
@@ -288,7 +327,9 @@ func (sc *scratch) pull(f *frame, u int32, width int) {
 // (Table 3's "fill the extracted matrix C in topological order") — and it
 // pulls each neighbour's final states as the walk returns from it, in
 // adjacency order, so values and tie-breaks match a DP over the whole
-// candidate set in score order.
+// candidate set in score order. A neighbour whose stored row is current
+// is pulled without walking above it: its ancestors' rows are current too,
+// since they rank above it.
 func (sc *scratch) keyPath(i, src, pd int, inH []bool, maxNew int, noSharing bool) ([]int, bool) {
 	o := &sc.srcs[i]
 	ri := o.ri
@@ -296,68 +337,90 @@ func (sc *scratch) keyPath(i, src, pd int, inH []bool, maxNew int, noSharing boo
 	if !(srcScore > ri[pd]) {
 		return nil, false // source not uphill of destination: no downhill path
 	}
-	costOf := func(v int32) int32 { // new nodes a path pays for v
-		if inH[v] && !noSharing {
-			return 0
-		}
-		return 1
+	srcCost := 0 // sources are normally in H already; be safe
+	if !inH[src] || noSharing {
+		srcCost = 1
 	}
-	srcCost := costOf(int32(src)) // sources are normally in H already; be safe
-	if int(srcCost) > maxNew {
+	if srcCost > maxNew {
 		return nil, false
 	}
-	sc.stamp++
-	if sc.stamp == 0 { // wrapped: marks of 2^32 key paths ago would match
-		clear(sc.mark)
-		sc.stamp = 1
+	src32, width := int32(src), maxNew+1
+	sc.prepare(width, noSharing)
+	// Row 0 is the source's: its one path, src alone, pays srcCost.
+	srcRow := sc.best[:width]
+	for s := range srcRow {
+		srcRow[s] = math.Inf(-1)
 	}
-	stamp, src32, width := uint64(sc.stamp)<<32, int32(src), maxNew+1
-	mark := sc.mark
-	sc.nodes, sc.best, sc.reach = sc.nodes[:0], sc.best[:0], sc.reach[:0]
+	srcRow[srcCost] = sc.combined[src]
+	srcEntry := entry{node: src32, lo: int32(srcCost), hi: int32(srcCost)}
 
-	start, end := sc.uphill(o, int32(pd))
-	sc.stack = append(sc.stack[:0], frame{sc.slot(int32(pd), stamp, width), start, end, costOf(int32(pd)), sc.combined[pd]})
+	// Walk from pd unless its stored row is current.
+	sc.stack = sc.stack[:0]
+	a := o.at[pd]
+	if int(a) >= len(o.hdr) || o.hdr[a].node != int32(pd) {
+		a = uint32(sc.enter(o, int32(pd)))
+		sc.stack = append(sc.stack, sc.renew(o, int32(a), inH))
+	} else if e := &o.hdr[a]; !(e.r > o.joinMax[e.gen]) {
+		sc.stack = append(sc.stack, sc.renew(o, int32(a), inH))
+	}
 	for len(sc.stack) > 0 {
 		f := &sc.stack[len(sc.stack)-1]
-		up := sc.up
+		up, at, hdr, best := sc.up, o.at, o.hdr, sc.best
 		for f.cur < f.end {
 			w := up[f.cur]
-			if m := mark[w]; m&^slotMask == stamp {
-				sc.pull(f, int32(m&slotMask), width)
-				f.cur++
-				continue
-			}
-			if x := ri[w]; x > srcScore || x == srcScore && w < src32 {
+			var u *entry
+			if a := at[w]; int(a) < len(hdr) && hdr[a].node == w {
+				if u = &hdr[a]; !(u.r > o.joinMax[u.gen]) {
+					sc.stack = append(sc.stack, sc.renew(o, int32(a), inH))
+					break // f may have moved; the walk resumes it after w finishes
+				}
+			} else if x := ri[w]; x > srcScore || x == srcScore && w < src32 {
 				f.cur++ // ranked above the source: unreachable from it
 				continue
+			} else if w == src32 { // no uphill neighbour ranks at or below src
+				u = &srcEntry
+			} else {
+				sc.stack = append(sc.stack, sc.renew(o, sc.enter(o, w), inH))
+				break
 			}
-			k := sc.slot(w, stamp, width)
-			if w == src32 { // no uphill neighbour ranks at or below src
-				sc.best[int(k)*width+int(srcCost)] = sc.combined[src]
-				sc.reach[k] = span{srcCost, srcCost}
-				continue // pulled on the next pass, as a finished neighbour
+			f.cur++
+			// Pull u's states: state s pulls state s-cost of u, and replaces
+			// the current value only when strictly larger. Only the span of
+			// states u can have reached is scanned; the spans are supersets,
+			// and the -Inf states inside them give -Inf or NaN, never an
+			// update.
+			cost := int(f.cost)
+			sLo, sHi := int(u.lo)+cost, min(int(u.hi)+cost, width-1)
+			if sLo > sHi {
+				continue
 			}
-			start, end := sc.uphill(o, w)
-			sc.stack = append(sc.stack, frame{k, start, end, costOf(w), sc.combined[w]})
-			break // f may have moved; the walk resumes it after w finishes
+			f.lo, f.hi = min(f.lo, int32(sLo)), max(f.hi, int32(sHi))
+			from, to, cv := int(u.row)-cost, int(f.row), f.cv
+			prev := best[from+sLo : from+sHi+1]
+			cur := best[to+sLo : to+sHi+1][:len(prev)]
+			for j, p := range prev {
+				if c := p + cv; c > cur[j] {
+					cur[j] = c
+				}
+			}
 		}
 		if t := len(sc.stack) - 1; sc.stack[t].cur == sc.stack[t].end {
-			sc.stack = sc.stack[:t] // finished: every uphill neighbour pulled
+			f := &sc.stack[t] // finished: every uphill neighbour pulled
+			o.hdr[f.a].lo, o.hdr[f.a].hi = f.lo, f.hi
+			sc.stack = sc.stack[:t]
 		}
-	}
-	if mark[src]&^slotMask != stamp {
-		return nil, false
 	}
 
-	// Output the path maximizing C_s(i, pd)/s with s ≥ 1 (Table 3 step 3);
-	// pd holds slot 0.
-	best := sc.best
+	// Output the path maximizing C_s(i, pd)/s with s ≥ 1 (Table 3 step 3).
+	// No finite state means src does not reach pd within the budget.
+	e := o.hdr[a]
+	pdRow := sc.best[e.row:][:width]
 	bestS, bestRatio := -1, math.Inf(-1)
 	for s := 1; s < width; s++ {
-		if math.IsInf(best[s], -1) {
+		if math.IsInf(pdRow[s], -1) {
 			continue
 		}
-		if ratio := best[s] / float64(s); ratio > bestRatio {
+		if ratio := pdRow[s] / float64(s); ratio > bestRatio {
 			bestRatio, bestS = ratio, s
 		}
 	}
@@ -367,24 +430,33 @@ func (sc *scratch) keyPath(i, src, pd int, inH []bool, maxNew int, noSharing boo
 	// Reconstruct pd → src, then reverse. The DP replaced a state only by
 	// a strictly larger value, so a state's predecessor is the first
 	// walked uphill neighbour, in adjacency order, whose pull equals its
-	// value.
+	// value. Every walked uphill neighbour of a current row is current.
 	rev := []int{pd}
-	for k, s := 0, bestS; sc.nodes[k] != src32; {
-		v := sc.nodes[k]
-		want, cv, from := best[k*width+s], sc.combined[v], -1
-		s -= int(costOf(v))
-		start, end := sc.uphill(o, v)
-		for _, w := range sc.up[start:end] {
-			if m := mark[w]; m&^slotMask == stamp && best[int(m&slotMask)*width+s]+cv == want {
-				from = int(m & slotMask)
+	for s := bestS; e.node != src32; {
+		want, cv := sc.best[int(e.row)+s], sc.combined[e.node]
+		if !inH[e.node] || noSharing {
+			s--
+		}
+		var from *entry
+		for _, w := range sc.up[e.start:e.end] {
+			u := &srcEntry
+			if w != src32 {
+				a := o.at[w]
+				if int(a) >= len(o.hdr) || o.hdr[a].node != w {
+					continue
+				}
+				u = &o.hdr[a]
+			}
+			if sc.best[int(u.row)+s]+cv == want {
+				from = u
 				break
 			}
 		}
-		if from < 0 {
+		if from == nil {
 			panic("extract: key path state has no predecessor")
 		}
-		k = from
-		rev = append(rev, int(sc.nodes[k]))
+		e = *from
+		rev = append(rev, int(e.node))
 	}
 	slices.Reverse(rev)
 	return rev, true

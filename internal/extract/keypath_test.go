@@ -61,8 +61,12 @@ func TestKeyPathRespectsLengthCap(t *testing.T) {
 	if _, ok := dp.keyPath(0, 0, 3, inH, 2, false); ok {
 		t.Fatal("path should be blocked by the new-node cap")
 	}
-	// With the middle nodes already in H the path costs only 1 new node.
-	inH = []bool{true, true, true, false}
+	// With the middle nodes joined to H the path costs only 1 new node. The
+	// first call stored their states; the joins make them stale.
+	for _, v := range []int{1, 2} {
+		inH[v] = true
+		dp.join(v)
+	}
 	path, ok := dp.keyPath(0, 0, 3, inH, 1, false)
 	if !ok {
 		t.Fatal("path through existing nodes should fit in cap 1")
@@ -265,11 +269,11 @@ func TestKeyPathMatchesBruteForce(t *testing.T) {
 		}
 		inH := make([]bool, n)
 		sc := new(scratch)
-		sc.reset(g, R, combined, inH)
 		for call := 0; call < 8; call++ {
 			for v := range inH {
 				inH[v] = rng.Intn(3) == 0
 			}
+			sc.reset(g, R, combined, inH) // H is rewritten, not grown by joins
 			src, pd := rng.Intn(n), rng.Intn(n)
 			if rng.Intn(2) == 0 { // a source at the top reaches most nodes
 				for v, x := range R[0] {
@@ -376,42 +380,46 @@ func TestKeyPathVisitsOnlyAncestors(t *testing.T) {
 	}
 }
 
-// TestKeyPathStampWrap runs key paths across the wrap of the walk's 32-bit
-// stamp: marks left by the first key path carry stamp 1, which the stamp
-// takes again after wrapping, so they must be cleared rather than read as
-// members of the new walk.
-func TestKeyPathStampWrap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 60
-	g := hubGraph(rng, n)
-	ri := tiedScores(rng, n, 0)
-	combined := tiedScores(rng, n, 0)
-	src := 0
-	for v, x := range ri {
-		if x > ri[src] {
-			src = v
-		}
+// TestKeyPathJoinInvalidatesStoredStates checks that a join makes the
+// stored states it changes stale. Source 0 reaches node 3 through 1 or 2,
+// and pd 5 through 3 or 6:
+//
+//	0 (1.0) – 1 (0.8), 2 (0.7), 6 (0.45);  1, 2 – 3 (0.5);  3 – 4 (0.3);  3, 6 – 5 (0.2)
+//
+// The first key path, toward 4, stores the states of 1, 2 and 3. Then a
+// node joins H: 1, which changes 3's best route, or 3 itself, which ties
+// with its own stored row. The second key path, toward 5, must see the
+// join.
+func TestKeyPathJoinInvalidatesStoredStates(t *testing.T) {
+	b := graph.NewBuilder(7)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 6}, {1, 3}, {2, 3}, {3, 4}, {3, 5}, {6, 5}} {
+		b.AddEdge(e[0], e[1], 1)
 	}
-	inH := make([]bool, n)
-	inH[src] = true
-	sc := new(scratch)
-	sc.reset(g, [][]float64{ri}, combined, inH)
-	ref := newRefPathDP(g, n)
-	var found int
-	for call, pd := range rng.Perm(n)[:6] {
-		if call == 1 {
-			sc.stamp = math.MaxUint32 // the next key path wraps to stamp 1
+	g := b.MustBuild()
+	ri := []float64{1, 0.8, 0.7, 0.5, 0.3, 0.2, 0.45}
+	combined := []float64{0.1, 0.3, 0.4, 0.2, 0.5, 0.5, 0.45}
+	for _, c := range []struct {
+		join int
+		want []int
+	}{
+		{1, []int{0, 1, 3, 5}}, // 3 pays nothing for 1 now: (0.1+0.3+0.2+0.5)/2
+		{3, []int{0, 2, 3, 5}}, // 3 is free: (0.1+0.4+0.2+0.5)/2 beats 0→6→5
+	} {
+		inH := make([]bool, g.N())
+		inH[0] = true
+		sc := testScratch(g, ri, combined)
+		if path, ok := sc.keyPath(0, 0, 4, inH, 4, false); !ok || !slices.Equal(path, []int{0, 2, 3, 4}) {
+			t.Fatalf("first key path = (%v, %v), want [0 2 3 4]", path, ok)
 		}
-		want, wantOK := ref.keyPath(ri, combined, src, pd, inH, 8, false)
-		got, gotOK := sc.keyPath(0, src, pd, inH, 8, false)
-		if !equalPath(got, gotOK, want, wantOK) {
-			t.Fatalf("call %d, pd %d: keyPath = (%v, %v), reference (%v, %v)", call, pd, got, gotOK, want, wantOK)
+		if a := sc.srcs[0].at[3]; int(a) >= len(sc.srcs[0].hdr) || sc.srcs[0].hdr[a].node != 3 {
+			t.Fatal("the first key path stored no states for node 3")
 		}
-		if gotOK {
-			found++
+		inH[c.join] = true
+		sc.join(c.join)
+		want, wantOK := newRefPathDP(g, g.N()).keyPath(ri, combined, 0, 5, inH, 4, false)
+		got, gotOK := sc.keyPath(0, 0, 5, inH, 4, false)
+		if !equalPath(got, gotOK, want, wantOK) || !slices.Equal(got, c.want) {
+			t.Fatalf("after %d joined: keyPath = (%v, %v), reference (%v, %v), want %v", c.join, got, gotOK, want, wantOK, c.want)
 		}
-	}
-	if found < 3 {
-		t.Fatalf("only %d of 6 key paths found a path", found)
 	}
 }

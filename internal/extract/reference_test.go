@@ -223,6 +223,9 @@ func refExtract(t *testing.T, in Input) *Result {
 			res.PathsFound++
 			for idx, u := range path {
 				if addNode(u) {
+					if shadow != nil {
+						shadow.join(u)
+					}
 					newNodes++
 					res.Provenance[u] = Provenance{Source: src, Dest: pd, Path: path}
 				}

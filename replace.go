@@ -175,6 +175,7 @@ func (e *Engine) replaceCall(cfg Config, spec core.ReplaceSpec, noDegrade bool) 
 		queries:   spec.Team,
 		cfg:       cfg,
 		noDegrade: noDegrade,
+		keepTol:   true,
 		run: func(ctx context.Context, cfg Config) (*ReplaceResult, error) {
 			runner, err := e.runnerFor(cfg.RWR)
 			if err != nil {
