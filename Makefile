@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke bench bench-smoke bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
+.PHONY: check fmt vet build test race race-hammer obs-smoke trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke bench bench-rwr bench-resilience bench-coalesce bench-replace bench-precompute bench-flight clean
 
 check: fmt vet build race race-hammer trace-smoke fuzz-smoke kernel-smoke chaos-smoke coalesce-smoke replace-smoke precompute-smoke flight-smoke
 
@@ -35,7 +35,8 @@ race:
 # engine-level Reconfigure hammer under the race detector. These are the
 # tests that caught (and now pin) the stale-store cache bug. The resolver
 # table covers every cache/coalescer/artifact/pool combination of the
-# Step-1 serving path. The engine run includes Fast CePS fallbacks building
+# Step-1 serving path, and the bitmask test the uphill bitmasks stored
+# entries carry (one build under concurrent first hits). The engine run includes Fast CePS fallbacks building
 # the shared full-graph runner under contention beside Reconfigure. The
 # extract run pins the pooled per-query EXTRACT scratch against cross-call
 # sharing. The linalg run hammers the fused
@@ -43,7 +44,7 @@ race:
 # cannot see memory accesses made by assembly, so the AVX-512 arms would
 # prove nothing here.
 race-hammer:
-	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable'
+	$(GO) test -race -count=4 ./internal/rwr -run 'TestFinishAfterPurgeDropsStore|TestPurgeBetweenFlightsNoDeadSpace|TestServingResolverTable|TestCacheUphillBitmask'
 	$(GO) test -race -count=10 ./internal/rwr -run 'TestCacheConcurrentHitStorePurge'
 	$(GO) test -race -count=4 . -run 'TestReconfigurePurgeRace|TestEngineConcurrentReconfigure|TestFastFallbackConcurrentSharedRunner'
 	$(GO) test -race -count=10 ./internal/extract -run 'TestExtractConcurrentMatchesSequential'
@@ -157,11 +158,6 @@ bench:
 # Q x workers grid) written to BENCH_rwr.json, which is checked in.
 bench-rwr:
 	BENCH_RWR_OUT=$(CURDIR)/BENCH_rwr.json $(GO) test -run '^TestRWRKernelSmoke$$' -count=1 .
-
-# Serving-layer headline numbers (cache hit rate, cold vs warm ns/query)
-# written to BENCH_serving.json, which is checked in.
-bench-smoke:
-	BENCH_SERVING_OUT=$(CURDIR)/BENCH_serving.json $(GO) test -run '^TestServingSmoke$$' -count=1 .
 
 # Overload comparison (64 closed-loop clients at 2x measured capacity,
 # resilience off vs on) written to BENCH_resilience.json, which is

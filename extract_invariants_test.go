@@ -14,7 +14,7 @@ import (
 // TestEngineExtractInvariants checks every answer against what EXTRACT
 // (Table 4) promises, not against another serving configuration: on random
 // dblpgen substrates, for AND, OR and K_softAND queries on plain, cached,
-// coalesced and fast-mode engines,
+// coalesced, fast-mode and artifact-backed engines,
 //
 //   - H holds the queries and at most Budget other nodes;
 //   - every path edge is a graph edge and carries its weight;
@@ -22,17 +22,23 @@ import (
 //     source query to its destination along path edges and passes through
 //     it (work-graph ids, mapped through ToOrig in fast mode);
 //   - path edges join every node of H to a query.
+//
+// Each set is asked three times, so on cached engines the second and third
+// asks read cached rows, whose uphill bitmasks EXTRACT then uses; the
+// full-graph cached engines must end up holding some.
 func TestEngineExtractInvariants(t *testing.T) {
 	configs := []struct {
-		name string
-		opts []ceps.Option
+		name     string
+		opts     []ceps.Option
+		artifact bool // also serve from artifacts covering all but one source
 	}{
-		{"plain", nil},
-		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}},
+		{"plain", nil, false},
+		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}, false},
 		{"coalesced", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}},
+			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}, false},
 		{"fast", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1})}},
+			ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1})}, false},
+		{"artifact", []ceps.Option{ceps.WithCache(16 << 20)}, true},
 	}
 	var checked, fastUnions, extracted int
 	for seed := int64(1); seed <= 2; seed++ {
@@ -55,7 +61,11 @@ func TestEngineExtractInvariants(t *testing.T) {
 		for _, c := range configs {
 			cfg := quickConfig()
 			cfg.Budget = 12
-			eng := newEngine(t, g, append([]ceps.Option{ceps.WithConfig(cfg)}, c.opts...)...)
+			opts := append([]ceps.Option{ceps.WithConfig(cfg)}, c.opts...)
+			if c.artifact {
+				opts = append(opts, ceps.WithArtifactDir(buildArtifactDir(t, g, cfg.RWR, 0, 0, panelBudget(g))))
+			}
+			eng := newEngine(t, g, opts...)
 			for _, set := range sets {
 				for _, k := range []int{0, 1, len(set) - 1} { // AND, OR, K_softAND
 					label := fmt.Sprintf("seed %d %s %v k=%d", seed, c.name, set, k)
@@ -70,6 +80,12 @@ func TestEngineExtractInvariants(t *testing.T) {
 						fastUnions++
 					}
 				}
+			}
+			// The cache charges a vector 8 bytes per score and 128 bytes
+			// of overhead; what is left are the uphill bitmasks.
+			if st, ok := eng.CacheStats(); ok && c.name != "fast" &&
+				st.BytesUsed <= int64(st.Entries)*int64(8*g.N()+128) {
+				t.Fatalf("seed %d %s: cache %+v holds no uphill bitmask", seed, c.name, st)
 			}
 			eng.Close()
 		}

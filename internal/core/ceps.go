@@ -230,7 +230,8 @@ func runPipeline(ctx context.Context, g *graph.Graph, queries []int, cfg Config,
 // bit-identical by construction.
 func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config, sv Serving, space uint64) (*Result, error) {
 	var st StageTimings
-	R, diags, err := solveStep(ctx, solver, queries, cfg, sv, space, &st)
+	uphill := func(vec []float64) []uint64 { return extract.UphillMask(g, vec) }
+	R, diags, up, err := solveStep(ctx, solver, queries, cfg, sv, space, &st, uphill)
 	if err != nil {
 		return nil, err
 	}
@@ -257,6 +258,7 @@ func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, qu
 		K:          cfg.EffectiveK(len(queries)),
 		Budget:     cfg.Budget,
 		MaxPathLen: cfg.MaxPathLen,
+		Uphill:     up,
 	})
 	if err != nil {
 		extractSpan.SetError(err)

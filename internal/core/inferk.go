@@ -78,7 +78,7 @@ func (r *Runner) InferKCtx(ctx context.Context, queries []int, cfg Config, tau f
 	if len(queries) < 2 {
 		return 0, nil, fmt.Errorf("%w: inferring k needs at least 2 queries, got %d", fault.ErrBadQuery, len(queries))
 	}
-	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st)
+	R, _, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st, nil)
 	if err != nil {
 		return 0, nil, err
 	}

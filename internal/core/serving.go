@@ -41,33 +41,36 @@ type Serving struct {
 // span, resolves the score matrix through sv — the zero Serving is the
 // plain path, one blocked panel with no cache, pool, coalescer or
 // artifacts — and fills the Step 1 fields of st. space is the cache key
-// space of solver's graph.
-func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings) ([][]float64, []rwr.Diagnostics, error) {
+// space of solver's graph. uphill is serveStep's.
+func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, uphill func([]float64) []uint64) ([][]float64, []rwr.Diagnostics, [][]uint64, error) {
 	solveCtx, span := obs.StartSpan(ctx, "solve")
 	span.SetAttr(obs.Int("queries", len(queries)), obs.Int("nodes", solver.N()))
 	var stats rwr.ServeStats
-	R, diags, err := serveStep(solveCtx, solver, queries, cfg, sv, space, st, &stats)
+	R, diags, up, err := serveStep(solveCtx, solver, queries, cfg, sv, space, st, &stats, uphill)
 	endSolve(span, st, stats, err)
-	return R, diags, err
+	return R, diags, up, err
 }
 
 // serveStep resolves queries through sv under the caller's solve span and
 // folds the call into st and stats: Solve and SolveSweeps add up across
-// calls, as stats does (see rwr.ServeStats.Add).
-func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats) ([][]float64, []rwr.Diagnostics, error) {
-	opt := rwr.ServeOptions{Artifacts: sv.Artifacts}
+// calls, as stats does (see rwr.ServeStats.Add). uphill, non-nil only
+// when EXTRACT reads the rows, builds the uphill bitmask the cache keeps
+// beside a vector it serves more than once (rwr.ServeOptions.Uphill); up
+// holds the bitmasks of the rows that have one.
+func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats, uphill func([]float64) []uint64) (R [][]float64, diags []rwr.Diagnostics, up [][]uint64, err error) {
+	opt := rwr.ServeOptions{Artifacts: sv.Artifacts, Uphill: uphill}
 	if !cfg.NoCoalesce {
 		opt.Coalesce = sv.Coalescer
 	}
 	start := time.Now()
-	R, diags, s, err := solver.ScoresSetServingCtx(ctx, queries, sv.Cache, space, sv.Pool, opt)
+	R, diags, up, s, err := solver.ScoresSetServingCtx(ctx, queries, sv.Cache, space, sv.Pool, opt)
 	st.Solve += time.Since(start)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	stats.Add(s)
 	st.SolveSweeps += sumSweeps(diags)
-	return R, diags, nil
+	return R, diags, up, nil
 }
 
 // endSolve closes a solve span: on success it fills the kernel, cache and

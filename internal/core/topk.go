@@ -56,7 +56,7 @@ func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Conf
 	if err := r.check(queries, cfg); err != nil {
 		return nil, err
 	}
-	R, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st)
+	R, _, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st, nil)
 	if err != nil {
 		return nil, err
 	}

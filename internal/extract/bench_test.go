@@ -32,7 +32,9 @@ func BenchmarkExtractBudgets(b *testing.B) {
 // BenchmarkExtractRWR times whole EXTRACT runs at the engine's defaults
 // (budget 20, degree-penalized RWR rows at m = 50) on the scale-1 dblp
 // substrate (~4k authors), for repository query sets of 2, 3 and 4 nodes
-// under AND, OR and K_softAND with k = Q−1.
+// under AND, OR and K_softAND with k = Q−1, each scanning r(i, ·) ("scan")
+// and reading the rows' uphill bitmasks ("bitmask"), as a warm engine
+// does for rows its score cache serves.
 func BenchmarkExtractRWR(b *testing.B) {
 	ds, err := dblp.Generate(dblp.DefaultConfig())
 	if err != nil {
@@ -66,15 +68,20 @@ func BenchmarkExtractRWR(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := Input{G: g, Queries: queries, R: R, Combined: combined, K: c.k, Budget: 20}
-			b.Run(fmt.Sprintf("Q=%d/%s", q, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Extract(in); err != nil {
-						b.Fatal(err)
+			for _, up := range []struct {
+				name string
+				up   [][]uint64
+			}{{"scan", nil}, {"bitmask", uphillMasks(g, R)}} {
+				in := Input{G: g, Queries: queries, R: R, Combined: combined, K: c.k, Budget: 20, Uphill: up.up}
+				b.Run(fmt.Sprintf("Q=%d/%s/%s", q, c.name, up.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := Extract(in); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -102,7 +109,7 @@ func BenchmarkKeyPathDP(b *testing.B) {
 	sc := new(scratch)
 	b.Run("build", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sc.reset(g, R, combined, inH)
+			sc.reset(g, R, nil, combined, inH)
 			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
 				b.Fatal("no path")
 			}
@@ -110,7 +117,7 @@ func BenchmarkKeyPathDP(b *testing.B) {
 	})
 	for _, name := range []string{"reuse", "stored"} {
 		b.Run(name, func(b *testing.B) {
-			sc.reset(g, R, combined, inH)
+			sc.reset(g, R, nil, combined, inH)
 			if _, ok := sc.keyPath(0, 3, pd, inH, 20, false); !ok {
 				b.Fatal("no path")
 			}

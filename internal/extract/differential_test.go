@@ -83,7 +83,7 @@ func TestKeyPathMatchesReference(t *testing.T) {
 			for v := range inH {
 				inH[v] = rng.Float64() < hProb
 			}
-			sc.reset(g, R, combined, inH) // H is rewritten, not grown by joins
+			sc.reset(g, R, nil, combined, inH) // H is rewritten, not grown by joins
 			i := rng.Intn(q)
 			src := rng.Intn(n)
 			if rng.Intn(4) > 0 { // a source at the top reaches most nodes
@@ -156,16 +156,44 @@ func TestExtractMatchesReference(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				in.MaxPathLen = 1 + rng.Intn(21)
 			}
+			if trial%2 == 1 {
+				in.Uphill = uphillMasks(g, R)
+			}
 			want := refExtract(t, in) // also checks every pick and key path
 			got, err := Extract(in)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if msg := diffResults(got, want); msg != "" {
-				t.Fatalf("trial %d k=%d budget=%d maxLen=%d noSharing=%v: %s",
-					trial, k, in.Budget, in.MaxPathLen, in.NoSharing, msg)
+				t.Fatalf("trial %d k=%d budget=%d maxLen=%d noSharing=%v bitmasks %v: %s",
+					trial, k, in.Budget, in.MaxPathLen, in.NoSharing, in.Uphill != nil, msg)
 			}
 		}
+	}
+}
+
+// TestExtractIgnoresMisfitBitmask: a bitmask one word short of G's
+// adjacency, all clear, is ignored rather than read, so the answer is the
+// scan's.
+func TestExtractIgnoresMisfitBitmask(t *testing.T) {
+	g := randomGraph(t, 300, 900, 4)
+	queries := []int{1, 2}
+	R, combined := scoresFor(t, g, queries, score.AND{})
+	in := Input{G: g, Queries: queries, R: R, Combined: combined, K: 2, Budget: 10}
+	want, err := Extract(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Uphill = [][]uint64{make([]uint64, maskWords(g)-1), UphillMask(g, R[1])}
+	got, err := Extract(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Destinations) == 0 {
+		t.Fatal("no destination: the comparison shows nothing")
+	}
+	if msg := diffResults(got, want); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -254,7 +282,9 @@ func decodeKeyPathCase(data []byte) (keyPathCase, bool) {
 // FuzzKeyPath holds the walk-based keyPath bit-identical to the reference
 // DP, which sorts every candidate, on fuzzed graphs with tied scores. Each
 // input makes two calls on one scratch, toward pd and then pd+1, so the
-// second reuses the uphill lists and current states the first stored.
+// second reuses the uphill lists and current states the first stored. Each
+// input runs twice: scanning r(i, ·), then reading the uphill lists from
+// UphillMask's bitmask.
 func FuzzKeyPath(f *testing.F) {
 	// Header, node bytes, edges; node byte = r(Q) level<<4 | H<<3 | r(i) level.
 	seeds := [][]byte{
@@ -281,15 +311,17 @@ func FuzzKeyPath(f *testing.F) {
 			return
 		}
 		n := c.g.N()
-		sc := new(scratch)
-		sc.reset(c.g, [][]float64{c.ri}, c.combined, c.inH)
 		ref := newRefPathDP(c.g, n)
-		for _, pd := range []int{c.pd, (c.pd + 1) % n} {
-			want, wantOK := ref.keyPath(c.ri, c.combined, c.src, pd, c.inH, c.maxNew, c.noSharing)
-			got, gotOK := sc.keyPath(0, c.src, pd, c.inH, c.maxNew, c.noSharing)
-			if !equalPath(got, gotOK, want, wantOK) {
-				t.Fatalf("keyPath(src %d, pd %d, maxNew %d, noSharing %v) = (%v, %v), reference (%v, %v)",
-					c.src, pd, c.maxNew, c.noSharing, got, gotOK, want, wantOK)
+		for _, up := range [][]uint64{nil, UphillMask(c.g, c.ri)} {
+			sc := new(scratch)
+			sc.reset(c.g, [][]float64{c.ri}, [][]uint64{up}, c.combined, c.inH)
+			for _, pd := range []int{c.pd, (c.pd + 1) % n} {
+				want, wantOK := ref.keyPath(c.ri, c.combined, c.src, pd, c.inH, c.maxNew, c.noSharing)
+				got, gotOK := sc.keyPath(0, c.src, pd, c.inH, c.maxNew, c.noSharing)
+				if !equalPath(got, gotOK, want, wantOK) {
+					t.Fatalf("keyPath(src %d, pd %d, maxNew %d, noSharing %v, bitmask %v) = (%v, %v), reference (%v, %v)",
+						c.src, pd, c.maxNew, c.noSharing, up != nil, got, gotOK, want, wantOK)
+				}
 			}
 		}
 	})
@@ -397,7 +429,8 @@ func decodeExtractCase(data []byte) (Input, bool) {
 // Table 4 loop on fuzzed tied-score graphs. refExtract also drives a
 // shadow scratch through the same rounds, joins included, and checks each
 // pick and key path, so stored states are checked across every key path
-// of the query.
+// of the query. Each input runs twice: without Input.Uphill, then with
+// every row's UphillMask.
 func FuzzExtract(f *testing.F) {
 	for _, c := range []extractCase{
 		{ // Node 2 ties with source 1 and ranks below it, so the walk
@@ -437,14 +470,26 @@ func FuzzExtract(f *testing.F) {
 		if !ok {
 			return
 		}
-		want := refExtract(t, in)
-		got, err := Extract(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg := diffResults(got, want); msg != "" {
-			t.Fatalf("queries %v k=%d budget=%d maxLen=%d noSharing=%v: %s",
-				in.Queries, in.K, in.Budget, in.MaxPathLen, in.NoSharing, msg)
+		for _, up := range [][][]uint64{nil, uphillMasks(in.G, in.R)} {
+			in.Uphill = up
+			want := refExtract(t, in)
+			got, err := Extract(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := diffResults(got, want); msg != "" {
+				t.Fatalf("queries %v k=%d budget=%d maxLen=%d noSharing=%v bitmasks %v: %s",
+					in.Queries, in.K, in.Budget, in.MaxPathLen, in.NoSharing, up != nil, msg)
+			}
 		}
 	})
+}
+
+// uphillMasks returns UphillMask of every row of R.
+func uphillMasks(g *graph.Graph, R [][]float64) [][]uint64 {
+	up := make([][]uint64, len(R))
+	for i, ri := range R {
+		up[i] = UphillMask(g, ri)
+	}
+	return up
 }

@@ -25,7 +25,12 @@
 // walk's postorder, which is topological: O(Σ uphill-degree × (maxNew+1))
 // over those ancestors. A node's uphill list — its neighbours with a
 // strictly higher r(i, ·), in adjacency order — is built the first time a
-// key path of the query reads it, once per (source, node).
+// key path of the query reads it, once per (source, node). It reads r(i, ·)
+// at every neighbour unless the row comes with its uphill bitmask
+// (Input.Uphill, UphillMask), one bit per adjacency slot, which depends
+// only on the graph and the row: the engine's score cache keeps it beside
+// a stored vector, so a hub's list costs deg/64 words instead of deg
+// scattered score reads.
 //
 // The DP states are kept too, per (source, node), for the whole query. A
 // node's states depend only on whether it and its ancestors ranked at or
@@ -77,7 +82,42 @@ type Input struct {
 	// it is already in H. This exists for the ablation benchmark; leave
 	// it false for the paper's algorithm.
 	NoSharing bool
+	// Uphill optionally carries, per row of R, the row's uphill bitmask
+	// over G as UphillMask builds it; a key path then builds its uphill
+	// lists from the set bits instead of reading R[i] at every neighbour.
+	// A nil entry, or one whose length does not match G's adjacency, is
+	// ignored. The answer is the same either way, bit for bit.
+	Uphill [][]uint64
 }
+
+// UphillMask returns source scores ri's uphill bitmask over g: one bit per
+// adjacency slot in CSR order (slot s is bit s%64 of word s/64; see
+// graph.Slot), set iff the slot's neighbour w is uphill of its node u,
+// r(i, w) > r(i, u). Those are the "specified downhill" edges into u, the
+// uphill lists a key path reads. The bitmask depends only on g and ri, so
+// a serving cache can keep it beside a stored ri for later queries
+// (rwr.ServeOptions.Uphill): 2·M bits, against 64·N for ri itself.
+func UphillMask(g *graph.Graph, ri []float64) []uint64 {
+	mask := make([]uint64, maskWords(g))
+	for u := range g.N() {
+		nbrs, _ := g.Neighbors(u)
+		s, ru := g.Slot(u), ri[u]
+		for _, w := range nbrs {
+			if uphill(ri[w], ru) {
+				mask[s>>6] |= 1 << (s & 63)
+			}
+			s++
+		}
+	}
+	return mask
+}
+
+// maskWords is the length of an uphill bitmask over g.
+func maskWords(g *graph.Graph) int { return (g.Slot(g.N()) + 63) / 64 }
+
+// uphill reports whether a neighbour scoring rw is uphill of a node
+// scoring rv for the same source: strictly higher; a tie is not.
+func uphill(rw, rv float64) bool { return rw > rv }
 
 // Result is the extracted subgraph plus bookkeeping that the evaluation
 // metrics and the experiments use.
@@ -155,7 +195,7 @@ func ExtractCtx(ctx context.Context, in Input) (*Result, error) {
 
 	newNodes := 0
 	res := &Result{Provenance: make(map[int]Provenance)}
-	sc.reset(in.G, in.R, in.Combined, inH)
+	sc.reset(in.G, in.R, in.Uphill, in.Combined, inH)
 	// Destination events are gated on Recording so untraced extraction
 	// never builds attribute slices.
 	span := obs.SpanFromContext(ctx)

@@ -13,7 +13,7 @@ import (
 // pickDestination makes one Eq. 11 pick from a fresh scratch.
 func pickDestination(combined []float64, inH, excluded []bool) int {
 	sc := new(scratch)
-	sc.reset(nil, nil, combined, inH)
+	sc.reset(nil, nil, nil, combined, inH)
 	return sc.nextDestination(inH, excluded)
 }
 
@@ -40,7 +40,7 @@ func TestPickDestination(t *testing.T) {
 	inH = make([]bool, 6)
 	excluded = make([]bool, 6)
 	sc := new(scratch)
-	sc.reset(nil, nil, combined, inH)
+	sc.reset(nil, nil, nil, combined, inH)
 	inH[4] = true
 	excluded[1] = true
 	for _, want := range []int{3, 0, 2, 5, -1} {
@@ -68,7 +68,7 @@ func TestPickDestination(t *testing.T) {
 	}
 	inH, excluded = make([]bool, n), make([]bool, n)
 	inH[rng.Intn(n)] = true
-	sc.reset(nil, nil, combined, inH)
+	sc.reset(nil, nil, nil, combined, inH)
 	picks := 0
 	for {
 		want := refPickDestination(combined, inH, excluded)

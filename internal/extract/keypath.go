@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"ceps/internal/graph"
@@ -52,14 +53,16 @@ type scratch struct {
 	stack         []frame
 }
 
-// source is source q_i's view of the graph for one query: its scores, and
-// an entry for every node a key path from it has walked. at and hdr form a
+// source is source q_i's view of the graph for one query: its scores, their
+// uphill bitmask when the caller has one (nil: enter scans ri), and an
+// entry for every node a key path from it has walked. at and hdr form a
 // sparse set, so v has an entry iff at[v] < len(hdr) and hdr[at[v]].node ==
 // v, and at is never cleared. joinMax[g] is the highest r(i, ·) among
 // walked nodes that joined H during generation g or later, -Inf when none
 // did.
 type source struct {
 	ri      []float64
+	mask    []uint64
 	at      []uint32
 	hdr     []entry
 	joinMax []float64
@@ -85,11 +88,12 @@ type frame struct {
 	cv                             float64
 }
 
-// reset readies sc for a query on g with individual scores R and combined
-// scores combined, and gathers the first destination batch: nodes already
-// in H (the queries) and nodes with no positive combined score never enter
-// it. Every stored state and uphill list is dropped.
-func (sc *scratch) reset(g *graph.Graph, R [][]float64, combined []float64, inH []bool) {
+// reset readies sc for a query on g with individual scores R, their uphill
+// bitmasks up (Input.Uphill) and combined scores combined, and gathers the
+// first destination batch: nodes already in H (the queries) and nodes with
+// no positive combined score never enter it. Every stored state and uphill
+// list is dropped.
+func (sc *scratch) reset(g *graph.Graph, R [][]float64, up [][]uint64, combined []float64, inH []bool) {
 	sc.g, sc.combined, sc.last = g, combined, -1
 	if cap(sc.srcs) < len(R) {
 		sc.srcs = append(sc.srcs[:cap(sc.srcs)], make([]source, len(R)-cap(sc.srcs))...)
@@ -97,7 +101,10 @@ func (sc *scratch) reset(g *graph.Graph, R [][]float64, combined []float64, inH 
 	sc.srcs = sc.srcs[:len(R)]
 	for i := range sc.srcs {
 		o := &sc.srcs[i]
-		o.ri, o.hdr = R[i], o.hdr[:0]
+		o.ri, o.mask, o.hdr = R[i], nil, o.hdr[:0]
+		if i < len(up) && len(up[i]) == maskWords(g) {
+			o.mask = up[i]
+		}
 		o.joinMax = append(o.joinMax[:0], math.Inf(-1))
 		if cap(o.at) < len(o.ri) {
 			o.at = make([]uint32, len(o.ri))
@@ -126,7 +133,7 @@ func (sc *scratch) flags(n int) (inH, excluded []bool) {
 func (sc *scratch) release() {
 	sc.g, sc.combined = nil, nil
 	for i := range sc.srcs {
-		sc.srcs[i].ri = nil
+		sc.srcs[i].ri, sc.srcs[i].mask = nil, nil
 	}
 }
 
@@ -273,15 +280,29 @@ func (sc *scratch) prepare(width int, noSharing bool) {
 	}
 }
 
-// enter gives v an entry for source o: its uphill list, built from the
-// graph, and a row. The caller opens the row with renew.
+// enter gives v an entry for source o: its uphill list and a row. The list
+// comes from the set bits of v's slots in o's bitmask when o has one, and
+// from reading r(i, ·) at every neighbour otherwise; both give the same
+// neighbours in adjacency order. The caller opens the row with renew.
 func (sc *scratch) enter(o *source, v int32) int32 {
 	start := int32(len(sc.up))
 	nbrs, _ := sc.g.Neighbors(int(v))
 	rv := o.ri[v]
-	for _, w := range nbrs {
-		if o.ri[w] > rv {
-			sc.up = append(sc.up, int32(w))
+	if o.mask == nil {
+		for _, w := range nbrs {
+			if uphill(o.ri[w], rv) {
+				sc.up = append(sc.up, int32(w))
+			}
+		}
+	} else {
+		lo := sc.g.Slot(int(v))
+		for s, hi := lo, lo+len(nbrs); s < hi; {
+			n := min(64-s&63, hi-s) // slots s to s+n-1 share a word
+			word := o.mask[s>>6] >> (s & 63) & (uint64(1)<<n - 1)
+			for ; word != 0; word &= word - 1 {
+				sc.up = append(sc.up, int32(nbrs[s-lo+bits.TrailingZeros64(word)]))
+			}
+			s += n
 		}
 	}
 	row := int32(len(sc.best))

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,8 +15,57 @@ import (
 // testScratch readies a scratch for one query whose only source scores ri.
 func testScratch(g *graph.Graph, ri, combined []float64) *scratch {
 	sc := new(scratch)
-	sc.reset(g, [][]float64{ri}, combined, make([]bool, g.N()))
+	sc.reset(g, [][]float64{ri}, nil, combined, make([]bool, g.N()))
 	return sc
+}
+
+// TestUphillMaskTies pins UphillMask's predicate slot by slot: w is uphill
+// of u iff r(i, w) > r(i, u), so neither side of a tie is uphill of the
+// other, +0 and −0 included. It also checks that no other bit is set and
+// that uphill lists built from the bitmask equal the scanned ones.
+func TestUphillMaskTies(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 3}, {3, 4}, {4, 5}} {
+		b.AddEdge(e[0], e[1], 1)
+	}
+	g := b.MustBuild()
+	ri := []float64{0.5, 0.5, 0.25, 0.75, 0, math.Copysign(0, -1)}
+	mask := UphillMask(g, ri)
+	for _, c := range []struct {
+		u, w   int
+		uphill bool
+	}{
+		{0, 1, false}, {1, 0, false}, // tied at 0.5
+		{0, 2, false}, {2, 0, true},
+		{0, 3, true}, {3, 0, false},
+		{1, 4, false}, {4, 1, true},
+		{2, 3, true}, {3, 2, false},
+		{3, 4, false}, {4, 3, true},
+		{4, 5, false}, {5, 4, false}, // +0 and −0 are equal scores
+	} {
+		nbrs, _ := g.Neighbors(c.u)
+		s := g.Slot(c.u) + slices.Index(nbrs, c.w)
+		if got := mask[s/64]>>(s%64)&1 == 1; got != c.uphill {
+			t.Errorf("slot (%d, %d): bit %v, want %v", c.u, c.w, got, c.uphill)
+		}
+	}
+	set := 0
+	for _, word := range mask {
+		set += bits.OnesCount64(word)
+	}
+	if set != 5 {
+		t.Errorf("%d bits set, want 5", set)
+	}
+	scan, masked := testScratch(g, ri, ri), testScratch(g, ri, ri)
+	masked.srcs[0].mask = mask
+	for v := range g.N() {
+		a, m := scan.enter(&scan.srcs[0], int32(v)), masked.enter(&masked.srcs[0], int32(v))
+		sh, mh := scan.srcs[0].hdr[a], masked.srcs[0].hdr[m]
+		if !slices.Equal(scan.up[sh.start:sh.end], masked.up[mh.start:mh.end]) {
+			t.Errorf("node %d: uphill list %v from the bitmask, %v scanned", v,
+				masked.up[mh.start:mh.end], scan.up[sh.start:sh.end])
+		}
+	}
 }
 
 func TestKeyPathStraightLine(t *testing.T) {
@@ -181,7 +231,7 @@ func TestKeyPathReusableScratch(t *testing.T) {
 	// Second query in the other component; nodes 0–2 must not be candidates.
 	ri2 := []float64{0, 0, 0, 0.9, 0.3}
 	inH := []bool{false, false, false, true, false}
-	dp.reset(g, [][]float64{ri2}, ri2, inH)
+	dp.reset(g, [][]float64{ri2}, nil, ri2, inH)
 	path, ok := dp.keyPath(0, 3, 4, inH, 3, false)
 	if !ok {
 		t.Fatal("second query failed")
@@ -273,7 +323,7 @@ func TestKeyPathMatchesBruteForce(t *testing.T) {
 			for v := range inH {
 				inH[v] = rng.Intn(3) == 0
 			}
-			sc.reset(g, R, combined, inH) // H is rewritten, not grown by joins
+			sc.reset(g, R, nil, combined, inH) // H is rewritten, not grown by joins
 			src, pd := rng.Intn(n), rng.Intn(n)
 			if rng.Intn(2) == 0 { // a source at the top reaches most nodes
 				for v, x := range R[0] {
@@ -359,7 +409,7 @@ func TestKeyPathVisitsOnlyAncestors(t *testing.T) {
 	inH := make([]bool, n)
 	inH[1] = true
 	sc := new(scratch)
-	sc.reset(g, [][]float64{ri}, combined, inH)
+	sc.reset(g, [][]float64{ri}, nil, combined, inH)
 	if _, ok := sc.keyPath(0, 1, 6, inH, 4, false); !ok {
 		t.Fatal("no key path from 1 to 6")
 	}

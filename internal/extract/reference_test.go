@@ -181,7 +181,7 @@ func refExtract(t *testing.T, in Input) *Result {
 	var shadow *scratch
 	if t != nil {
 		shadow = new(scratch)
-		shadow.reset(in.G, in.R, in.Combined, inH)
+		shadow.reset(in.G, in.R, in.Uphill, in.Combined, inH)
 	}
 
 	excluded := make([]bool, n)

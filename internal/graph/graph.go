@@ -62,6 +62,11 @@ func (g *Graph) Neighbors(u int) (nodes []int, weights []float64) {
 	return g.adj[lo:hi], g.w[lo:hi]
 }
 
+// Slot returns the index of u's first adjacency slot: Neighbors(u) fills
+// slots Slot(u) to Slot(u)+Degree(u)−1 of the graph's CSR order, and
+// Slot(N()) is the slot count, 2·M.
+func (g *Graph) Slot(u int) int { return g.rowPtr[u] }
+
 // HasEdge reports whether the undirected edge (u, v) exists.
 func (g *Graph) HasEdge(u, v int) bool {
 	_, ok := g.findEdge(u, v)

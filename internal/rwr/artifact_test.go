@@ -88,7 +88,7 @@ func TestArtifactServingPaths(t *testing.T) {
 			queries := p.queries
 			opt := ServeOptions{Artifacts: fa}
 			cache := NewScoreCache(1 << 20)
-			R, diags, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+			R, diags, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestArtifactServingPaths(t *testing.T) {
 			// Artifact-served vectors must have been inserted into the LRU:
 			// the warm repeat is all cache hits with no further tier reads.
 			before := fa.reads.Load()
-			_, _, warm, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+			_, _, _, warm, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestArtifactServingCoalesced(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
 	coal := NewCoalescer(CoalesceOptions{})
 	opt := ServeOptions{Coalesce: coal, Artifacts: fa}
-	R, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
+	R, _, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestArtifactServingNoCache(t *testing.T) {
 	}
 	fa := newFakeArtifacts(t, s, space, []int{2, 8})
 	queries := []int{2, 8, 17}
-	R, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, nil, space, nil, ServeOptions{Artifacts: fa})
+	R, _, _, stats, err := s.ScoresSetServingCtx(context.Background(), queries, nil, space, nil, ServeOptions{Artifacts: fa})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestArtifactBadLengthRejected(t *testing.T) {
 	fa.badLen = true
 	cache := NewScoreCache(1 << 20)
 	opt := ServeOptions{Artifacts: fa}
-	R, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, space, nil, opt)
+	R, _, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, space, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

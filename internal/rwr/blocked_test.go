@@ -224,7 +224,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 	ctx := context.Background()
 
 	queries := []int{1, 2, 3}
-	R, _, stats, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+	R, _, _, stats, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 		requireBitIdentical(t, R[i], want, "cold blocked serving")
 	}
 
-	R2, _, stats, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+	R2, _, _, stats, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestServingBlockedMissAndHitPath(t *testing.T) {
 		requireBitIdentical(t, R2[i], R[i], "warm blocked serving")
 	}
 
-	_, _, stats, err = s.ScoresSetServingCtx(ctx, []int{2, 3, 4}, cache, space, pool, opt)
+	_, _, _, stats, err = s.ScoresSetServingCtx(ctx, []int{2, 3, 4}, cache, space, pool, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +275,12 @@ func TestServingBlockedCanceledLeaderCleansFlights(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := s.ScoresSetServingCtx(canceled, []int{4, 5}, cache, space, pool, opt); !errors.Is(err, fault.ErrCanceled) {
+	if _, _, _, _, err := s.ScoresSetServingCtx(canceled, []int{4, 5}, cache, space, pool, opt); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{4, 5}, cache, space, pool, opt)
+		_, _, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{4, 5}, cache, space, pool, opt)
 		if err == nil && stats.Misses != 2 {
 			err = errors.New("retry should re-solve both sources")
 		}

@@ -125,7 +125,10 @@ type CacheStats struct {
 	StaleDrops uint64 `json:"stale_drops"`
 	// Entries is the number of vectors currently stored.
 	Entries int `json:"entries"`
-	// BytesUsed and BytesBudget describe the current footprint.
+	// BytesUsed and BytesBudget describe the current footprint. BytesUsed
+	// charges each stored vector 8 bytes per score plus a fixed overhead,
+	// and each uphill bitmask attached beside one (ServeOptions.Uphill)
+	// 8 bytes per word; it never exceeds BytesBudget.
 	BytesUsed   int64 `json:"bytes_used"`
 	BytesBudget int64 `json:"bytes_budget"`
 }
@@ -148,13 +151,18 @@ type cacheKey struct {
 // entry is one resident vector. vec is immutable once stored and readers
 // share it read-only, so eviction can drop the cache's reference at any
 // time without disturbing them. Entries form a list in insertion order
-// (prev points toward the older end) and carry SIEVE's visited bit.
+// (prev points toward the older end) and carry SIEVE's visited bit. up is
+// vec's uphill bitmask once a hit has built it and it fit the budget (its
+// bytes are in bytes); upClaimed marks that a hit has taken the one build
+// the entry gets.
 type entry struct {
 	key        cacheKey
 	vec        []float64
 	diag       Diagnostics
+	up         []uint64
 	bytes      int64
 	visited    bool
+	upClaimed  bool
 	prev, next *entry
 }
 
@@ -252,29 +260,56 @@ func (c *ScoreCache) Purge() {
 }
 
 // getOrJoin is the miss/hit/flight triage for one source. On a hit it
-// returns the cached vector itself, which the caller must not write. On a
+// returns the stored entry, whose vector the caller must not write. On a
 // miss it either registers the caller as the leader of a new flight
 // (leader == true; the caller must finish the flight) or returns the
 // existing flight to wait on.
-func (c *ScoreCache) getOrJoin(space uint64, source int) (vec []float64, diag Diagnostics, ok bool, fl *flight, leader bool) {
+func (c *ScoreCache) getOrJoin(space uint64, source int) (ent *entry, fl *flight, leader bool) {
 	key := cacheKey{space: space, source: source}
 	c.mu.Lock()
 	if ent, found := c.items[key]; found {
 		ent.visited = true
 		c.hits++
 		c.mu.Unlock()
-		return ent.vec, ent.diag, true, nil, false
+		return ent, nil, false
 	}
 	if fl, found := c.inflight[key]; found {
 		c.hits++ // the caller will share the in-flight solve
 		c.mu.Unlock()
-		return nil, Diagnostics{}, false, fl, false
+		return nil, fl, false
 	}
 	fl = &flight{done: make(chan struct{}), gen: c.gen}
 	c.inflight[key] = fl
 	c.misses++
 	c.mu.Unlock()
-	return nil, Diagnostics{}, false, fl, true
+	return nil, fl, true
+}
+
+// uphill returns the uphill bitmask of ent, an entry that just served a
+// hit: the one attached to it, or, for the first hit that asks, one that
+// build makes now from ent's vector, outside the lock. An entry gets at
+// most that one build, so a concurrent first hit, and every hit after a
+// build that was not attached, gets nil. The build is attached, and
+// charged to the budget, only while ent is still stored and only if it
+// fits without evicting a vector; eviction and Purge then drop it with
+// the vector.
+func (c *ScoreCache) uphill(ent *entry, build func([]float64) []uint64) []uint64 {
+	c.mu.Lock()
+	up, claimed := ent.up, ent.upClaimed
+	ent.upClaimed = true
+	c.mu.Unlock()
+	if claimed {
+		return up
+	}
+	up = build(ent.vec)
+	bytes := int64(len(up)) * 8
+	c.mu.Lock()
+	if c.items[ent.key] == ent && c.used+bytes <= c.budget {
+		ent.up, ent.bytes = up, ent.bytes+bytes
+		c.used += bytes
+	}
+	c.mu.Unlock()
+	return up
 }
 
 // finish completes a flight: on success the vector is stored (subject to
@@ -448,6 +483,14 @@ type ServeOptions struct {
 	// an iterative solve. Artifact rows are m-sweep iterates,
 	// bit-identical to the solves they replace.
 	Artifacts ArtifactReader
+	// Uphill, when non-nil, builds the uphill bitmask EXTRACT reads beside
+	// a score row (extract.UphillMask over the solver's graph). A row this
+	// call serves from a stored entry then comes with the entry's bitmask,
+	// built by the entry's first such hit and kept beside the vector for
+	// later hits when it fits the byte budget without evicting a vector.
+	// Leaders, followers and artifact reads get none: a vector earns its
+	// bitmask on its second use. Requires a cache; ignored without one.
+	Uphill func(vec []float64) []uint64
 }
 
 // pendingFlight is one source a serving call must resolve beyond a cache
@@ -464,7 +507,9 @@ type pendingFlight struct {
 //
 //  1. Triage each source once: a cached vector is a hit, the first
 //     requester of a missing source leads its flight, and concurrent
-//     requesters follow it. Without a cache every source leads.
+//     requesters follow it. Without a cache every source leads. With
+//     opt.Uphill a hit also takes its entry's uphill bitmask: up[i] is
+//     row i's, nil for a row without one, and up is nil when no row hit.
 //  2. Each leader the artifact tier covers is answered with a row read.
 //  3. The remaining leaders solve as one blocked panel: through the
 //     coalescer when one is attached, otherwise under one pool slot.
@@ -480,25 +525,24 @@ type pendingFlight struct {
 // receive the vectors the cache stores and shares with every other
 // caller, so writing one would corrupt later answers; callers that hand
 // rows to code they do not control copy them first.
-func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([][]float64, []Diagnostics, ServeStats, error) {
-	var stats ServeStats
+func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) (R [][]float64, diags []Diagnostics, up [][]uint64, stats ServeStats, err error) {
 	if len(queries) == 0 {
-		return nil, nil, stats, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
+		return nil, nil, nil, stats, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
 	}
 	for _, q := range queries {
 		if q < 0 || q >= s.n {
-			return nil, nil, stats, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
+			return nil, nil, nil, stats, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
 		}
 	}
 	if cache != nil {
 		if inj := fault.ActiveInjector(); inj != nil {
 			if err := inj.Err(fault.InjectCacheFail); err != nil {
-				return nil, nil, stats, err
+				return nil, nil, nil, stats, err
 			}
 		}
 	}
-	R := make([][]float64, len(queries))
-	diags := make([]Diagnostics, len(queries))
+	R = make([][]float64, len(queries))
+	diags = make([]Diagnostics, len(queries))
 
 	var leaders, followers []pendingFlight
 	for i, q := range queries {
@@ -506,11 +550,17 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 			leaders = append(leaders, pendingFlight{idx: i, q: q})
 			continue
 		}
-		vec, d, ok, fl, leader := cache.getOrJoin(space, q)
+		ent, fl, leader := cache.getOrJoin(space, q)
 		switch {
-		case ok:
-			R[i], diags[i] = vec, d
+		case ent != nil:
+			R[i], diags[i] = ent.vec, ent.diag
 			stats.Hits++
+			if opt.Uphill != nil {
+				if up == nil {
+					up = make([][]uint64, len(queries))
+				}
+				up[i] = cache.uphill(ent, opt.Uphill)
+			}
 		case leader:
 			leaders = append(leaders, pendingFlight{i, q, fl})
 		default:
@@ -534,14 +584,13 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 	}
 
 	if len(unsolved) > 0 {
-		var err error
 		if opt.Coalesce != nil && cache != nil {
 			err = s.solveCoalesced(ctx, unsolved, cache, space, pool, opt, R, diags, &stats)
 		} else {
 			err = s.solvePanel(ctx, unsolved, cache, space, pool, R, diags)
 		}
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, nil, nil, stats, err
 		}
 	}
 
@@ -557,17 +606,19 @@ func (s *Solver) ScoresSetServingCtx(ctx context.Context, queries []int, cache *
 			stats.Hits++
 		}
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, nil, nil, stats, err
 		}
 		R[p.idx], diags[p.idx] = vec, d
 	}
-	return R, diags, stats, nil
+	return R, diags, up, stats, nil
 }
 
 // resolveOne re-enters the serving path for a single source whose leader
-// failed on its own context.
+// failed on its own context. It serves the row as a follower would, so
+// without an uphill bitmask.
 func (s *Solver) resolveOne(ctx context.Context, q int, cache *ScoreCache, space uint64, pool *Pool, opt ServeOptions) ([]float64, Diagnostics, ServeStats, error) {
-	R, diags, stats, err := s.ScoresSetServingCtx(ctx, []int{q}, cache, space, pool, opt)
+	opt.Uphill = nil
+	R, diags, _, stats, err := s.ScoresSetServingCtx(ctx, []int{q}, cache, space, pool, opt)
 	if err != nil {
 		return nil, Diagnostics{}, stats, err
 	}

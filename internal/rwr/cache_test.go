@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ceps/internal/graph"
@@ -71,7 +72,7 @@ func TestServingBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, diags, _, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(4), ServeOptions{})
+		got, diags, _, _, err := s.ScoresSetServingCtx(context.Background(), queries, cache, space, NewPool(4), ServeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +103,12 @@ func TestServingSharesCachedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewScoreCache(1 << 20)
-	first, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
+	first, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{5}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		again, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{5, 5}, cache, 1, nil, ServeOptions{})
+		again, _, _, stats, err := s.ScoresSetServingCtx(context.Background(), []int{5, 5}, cache, 1, nil, ServeOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +137,11 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []int{2, 9, 30, 2} {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil, ServeOptions{}); err != nil {
+		if _, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{2}, cache, 1, nil, ServeOptions{})
+	got, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{2}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestCacheZeroBudgetAlwaysMisses(t *testing.T) {
 	}
 	cache := NewScoreCache(0)
 	for i := 0; i < 2; i++ {
-		if _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, 1, nil, ServeOptions{}); err != nil {
+		if _, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{4}, cache, 1, nil, ServeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{7}, cache, 9, pool, ServeOptions{})
+			R, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{7}, cache, 9, pool, ServeOptions{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -264,7 +265,7 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		_, _, _, leaderErr = s.ScoresSetServingCtx(leaderCtx, []int{3}, cache, 1, nil, ServeOptions{})
+		_, _, _, _, leaderErr = s.ScoresSetServingCtx(leaderCtx, []int{3}, cache, 1, nil, ServeOptions{})
 	}()
 	<-started
 	cancelLeader()
@@ -274,7 +275,7 @@ func TestServingFollowerSurvivesLeaderCancel(t *testing.T) {
 		// follower below must succeed.
 		t.Log("leader finished before cancel")
 	}
-	R, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{3}, cache, 1, nil, ServeOptions{})
+	R, _, _, _, err := s.ScoresSetServingCtx(context.Background(), []int{3}, cache, 1, nil, ServeOptions{})
 	if err != nil {
 		t.Fatalf("follower failed after leader cancel: %v", err)
 	}
@@ -338,9 +339,9 @@ func TestPoolAcquireHonorsContext(t *testing.T) {
 // on that behavior and passes on the generation-guarded one.
 func TestFinishAfterPurgeDropsStore(t *testing.T) {
 	cache := NewScoreCache(1 << 20)
-	_, _, ok, fl, leader := cache.getOrJoin(42, 7)
-	if ok || !leader {
-		t.Fatalf("expected to lead a cold flight, ok=%v leader=%v", ok, leader)
+	ent, fl, leader := cache.getOrJoin(42, 7)
+	if ent != nil || !leader {
+		t.Fatalf("expected to lead a cold flight, hit=%v leader=%v", ent != nil, leader)
 	}
 	cache.Purge() // Reconfigure/SetPartitioned racing the in-flight solve
 	cache.finish(42, 7, fl, make([]float64, 128), Diagnostics{}, nil)
@@ -376,10 +377,10 @@ func TestPurgeBetweenFlightsNoDeadSpace(t *testing.T) {
 		finished.Add(1)
 		go func(i int) {
 			defer finished.Done()
-			_, _, ok, fl, leader := cache.getOrJoin(9, i)
+			ent, fl, leader := cache.getOrJoin(9, i)
 			registered.Done()
-			if ok || !leader {
-				t.Errorf("flight %d: ok=%v leader=%v", i, ok, leader)
+			if ent != nil || !leader {
+				t.Errorf("flight %d: hit=%v leader=%v", i, ent != nil, leader)
 				return
 			}
 			<-gate
@@ -399,7 +400,7 @@ func TestPurgeBetweenFlightsNoDeadSpace(t *testing.T) {
 		t.Errorf("StaleDrops = %d, want %d", st.StaleDrops, flights)
 	}
 	// Post-purge flights store normally again.
-	_, _, _, fl, leader := cache.getOrJoin(9, 0)
+	_, fl, leader := cache.getOrJoin(9, 0)
 	if !leader {
 		t.Fatal("expected a fresh leader after purge")
 	}
@@ -478,7 +479,7 @@ func TestServingResolverTable(t *testing.T) {
 									}
 								}
 
-								R, D, st, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+								R, D, _, st, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
 								if err != nil {
 									t.Fatalf("%s: %v", name, err)
 								}
@@ -506,7 +507,7 @@ func TestServingResolverTable(t *testing.T) {
 									continue
 								}
 								reads := fa.reads.Load()
-								R, D, st, err = s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
+								R, D, _, st, err = s.ScoresSetServingCtx(ctx, queries, cache, space, pool, opt)
 								if err != nil {
 									t.Fatalf("%s repeat: %v", name, err)
 								}
@@ -524,4 +525,183 @@ func TestServingResolverTable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCacheUphillBitmask pins the uphill bitmask a cache keeps beside a
+// stored vector (ServeOptions.Uphill): followers, stale flights, leaders
+// and artifact reads build none; a stored entry's first hit builds one,
+// charged to BytesUsed, and later hits share it; concurrent first hits
+// build it once; a bitmask that does not fit is not attached, and no
+// vector is evicted for it; eviction and Purge drop it with its vector,
+// and one whose entry is purged while it is built is not attached.
+// Run with -race -count=4 by make race-hammer.
+func TestCacheUphillBitmask(t *testing.T) {
+	g := cacheTestGraph(t, 40)
+	s, err := NewSolver(g, colConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words = 6
+	maskBytes := int64(8 * words)
+	var builds atomic.Int64
+	var gate chan struct{} // non-nil: builds wait for it to close
+	var during func()      // non-nil: builds call it
+	build := func([]float64) []uint64 {
+		builds.Add(1)
+		if gate != nil {
+			<-gate
+		}
+		if during != nil {
+			during()
+		}
+		return make([]uint64, words)
+	}
+	fa := newFakeArtifacts(t, s, 1, []int{9})
+	opt := ServeOptions{Uphill: build, Artifacts: fa}
+	// call serves source q alone in space 1 and returns its bitmask.
+	call := func(cache *ScoreCache, q int) ([]uint64, error) {
+		_, _, up, _, err := s.ScoresSetServingCtx(context.Background(), []int{q}, cache, 1, nil, opt)
+		if err != nil || up == nil {
+			return nil, err
+		}
+		return up[0], nil
+	}
+	serve := func(cache *ScoreCache, q int) []uint64 {
+		t.Helper()
+		up, err := call(cache, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return up
+	}
+	wantBuilds := func(n int64) {
+		t.Helper()
+		if got := builds.Load(); got != n {
+			t.Fatalf("%d bitmask builds, want %d", got, n)
+		}
+	}
+
+	// A follower of a flight that goes stale, a leader and an artifact read.
+	cache := NewScoreCache(1 << 20)
+	_, fl, _ := cache.getOrJoin(1, 5)
+	followed := make(chan []uint64, 1)
+	go func() {
+		up, err := call(cache, 5)
+		if err != nil {
+			t.Error(err)
+		}
+		followed <- up
+	}()
+	waitUntil(t, "the follower to join", func() bool { return cache.Stats().Hits == 1 })
+	cache.Purge()
+	vec5, err := s.Scores(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.finish(1, 5, fl, vec5, Diagnostics{}, nil)
+	if up := <-followed; up != nil {
+		t.Fatal("a follower got a bitmask")
+	}
+	if serve(cache, 3) != nil || serve(cache, 9) != nil {
+		t.Fatal("a leader or an artifact read got a bitmask")
+	}
+	wantBuilds(0)
+
+	// The first hit builds and is charged; later hits share its bitmask.
+	before := cache.Stats().BytesUsed
+	up := serve(cache, 3)
+	wantBuilds(1)
+	if len(up) != words {
+		t.Fatalf("first hit got %d words, want %d", len(up), words)
+	}
+	if used := cache.Stats().BytesUsed; used != before+maskBytes {
+		t.Fatalf("BytesUsed %d after the build, want %d", used, before+maskBytes)
+	}
+	if again := serve(cache, 3); len(again) != words || &again[0] != &up[0] {
+		t.Fatal("a later hit did not get the attached bitmask")
+	}
+	if serve(cache, 9) == nil { // the artifact row's first hit
+		t.Fatal("an artifact-stored entry's first hit got no bitmask")
+	}
+	wantBuilds(2)
+	checkSieve(t, cache)
+
+	// Concurrent first hits: one builds, the others get nil meanwhile.
+	serve(cache, 5)
+	gate = make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // frees blocked builds if the test fails first
+	const hitters = 8
+	got := make(chan []uint64, hitters)
+	for range hitters {
+		go func() {
+			up, err := call(cache, 5)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- up
+		}()
+	}
+	waitUntil(t, "every hit but one to return during the build", func() bool { return len(got) == hitters-1 })
+	for range hitters - 1 {
+		if <-got != nil {
+			t.Fatal("a hit got a bitmask while the first build was running")
+		}
+	}
+	release()
+	if <-got == nil {
+		t.Fatal("the building hit got no bitmask")
+	}
+	gate = nil
+	wantBuilds(3)
+	checkSieve(t, cache)
+
+	// Room for two vectors and one bitmask: the second bitmask is built but
+	// not attached, and nothing is evicted for it.
+	n := g.N()
+	small := NewScoreCache(2*vecBytes(n) + maskBytes)
+	serve(small, 1)
+	serve(small, 2)
+	if serve(small, 1) == nil {
+		t.Fatal("a bitmask that fits was not built")
+	}
+	if serve(small, 2) == nil {
+		t.Fatal("the first hit of a full cache's entry got no bitmask")
+	}
+	wantBuilds(5)
+	if st := small.Stats(); st.Evictions != 0 || st.Entries != 2 || st.BytesUsed != st.BytesBudget {
+		t.Fatalf("stats %+v, want 2 entries, one bitmask, no eviction", st)
+	}
+	if serve(small, 2) != nil {
+		t.Fatal("an entry whose bitmask did not fit got a second build")
+	}
+	wantBuilds(5)
+
+	// A store evicts source 1 by SIEVE, and its bitmask goes with it.
+	serve(small, 3)
+	if st := small.Stats(); st.Evictions != 1 || st.BytesUsed != 2*vecBytes(n) {
+		t.Fatalf("stats %+v, want one eviction and two bare vectors", st)
+	}
+	if r := resident(small, 1, 2, 3); r[0] || !r[1] || !r[2] {
+		t.Fatalf("resident 1, 2, 3 = %v, want 2 and 3", r)
+	}
+	checkSieve(t, small)
+
+	// Purge drops every bitmask with its vector; a new entry builds anew,
+	// and a build that a Purge overtakes is used but not attached.
+	cache.Purge()
+	if st := cache.Stats(); st.BytesUsed != 0 || st.Entries != 0 {
+		t.Fatalf("stats %+v after Purge, want nothing stored", st)
+	}
+	serve(cache, 3)
+	during = cache.Purge
+	if serve(cache, 3) == nil {
+		t.Fatal("a purged source's new entry got no bitmask")
+	}
+	during = nil
+	wantBuilds(6)
+	if st := cache.Stats(); st.BytesUsed != 0 || st.Entries != 0 {
+		t.Fatalf("stats %+v, want the bitmask of a purged entry not charged", st)
+	}
+	checkSieve(t, cache)
 }

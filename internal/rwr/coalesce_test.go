@@ -13,7 +13,8 @@ import (
 
 // coalesceServe runs one serving call with the coalescer enabled.
 func coalesceServe(ctx context.Context, s *Solver, co *Coalescer, cache *ScoreCache, space uint64, pool *Pool, queries []int) ([][]float64, []Diagnostics, ServeStats, error) {
-	return s.ScoresSetServingCtx(ctx, queries, cache, space, pool, ServeOptions{Coalesce: co})
+	R, diags, _, stats, err := s.ScoresSetServingCtx(ctx, queries, cache, space, pool, ServeOptions{Coalesce: co})
+	return R, diags, stats, err
 }
 
 // waitUntil polls cond for up to 5s.

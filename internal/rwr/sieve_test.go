@@ -21,7 +21,7 @@ func store(c *ScoreCache, source, n int) {
 // hit looks source up, failing the test on a miss.
 func hit(t *testing.T, c *ScoreCache, source int) {
 	t.Helper()
-	if _, _, ok, _, _ := c.getOrJoin(1, source); !ok {
+	if ent, _, _ := c.getOrJoin(1, source); ent == nil {
 		t.Fatalf("source %d not resident", source)
 	}
 }
@@ -149,10 +149,11 @@ func TestSieveMixedSizes(t *testing.T) {
 }
 
 // TestCacheConcurrentHitStorePurge hammers hits, stores (through cold
-// solves under a small budget) and purges from several goroutines. Every
-// answer must stay Float64bits-equal to a fresh solve, and the cache's
-// list and accounting must agree afterwards. Run with -race -count=10 by
-// make race-hammer.
+// solves under a small budget), uphill-bitmask builds and purges from
+// several goroutines. Every answer must stay Float64bits-equal to a fresh
+// solve, every bitmask must be its own vector's, and the cache's list and
+// accounting must agree afterwards. Run with -race -count=10 by make
+// race-hammer.
 func TestCacheConcurrentHitStorePurge(t *testing.T) {
 	g := cacheTestGraph(t, 60)
 	s, err := NewSolver(g, Config{C: 0.5, Iterations: 20, Norm: NormColumn})
@@ -167,6 +168,8 @@ func TestCacheConcurrentHitStorePurge(t *testing.T) {
 		}
 	}
 	cache := NewScoreCache(6 * vecBytes(g.N()))
+	// A vector's stand-in bitmask is its first score's bits.
+	opt := ServeOptions{Uphill: func(vec []float64) []uint64 { return []uint64{math.Float64bits(vec[0])} }}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -176,12 +179,16 @@ func TestCacheConcurrentHitStorePurge(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 150; i++ {
 				qs := []int{rng.Intn(sources), rng.Intn(sources), rng.Intn(sources)}
-				R, _, _, err := s.ScoresSetServingCtx(context.Background(), qs, cache, 1, nil, ServeOptions{})
+				R, _, up, _, err := s.ScoresSetServingCtx(context.Background(), qs, cache, 1, nil, opt)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				for k, q := range qs {
+					if up != nil && up[k] != nil && up[k][0] != math.Float64bits(want[q][0]) {
+						t.Errorf("source %d got another vector's bitmask", q)
+						return
+					}
 					for j := range R[k] {
 						if math.Float64bits(R[k][j]) != math.Float64bits(want[q][j]) {
 							t.Errorf("source %d entry %d: %v != %v", q, j, R[k][j], want[q][j])
