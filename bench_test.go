@@ -327,10 +327,9 @@ func BenchmarkComponentRWR(b *testing.B) {
 
 // BenchmarkRWRKernel measures Step 1's two execution strategies across the
 // kernel grid: Q sequential per-query power iterations (scalar) vs one
-// fused blocked solve advancing all Q walks per sweep (blocked), at each
-// intra-sweep worker count. The blocked kernel is bit-identical to the
-// scalar one (see internal/rwr blocked tests), so the grid is a pure
-// throughput comparison.
+// fused blocked solve advancing all Q walks per sweep (blocked). The
+// blocked kernel is bit-identical to the scalar one (see internal/rwr
+// blocked tests), so the grid is a pure throughput comparison.
 func BenchmarkRWRKernel(b *testing.B) {
 	s := setup(b)
 	solver, err := rwr.NewSolver(s.Dataset.Graph, s.Base.RWR)
@@ -354,15 +353,13 @@ func BenchmarkRWRKernel(b *testing.B) {
 				}
 			}
 		})
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("blocked/q=%d/w=%d", q, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := solver.ScoresSetBlockedCtx(ctx, queries, w); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("blocked/q=%d", q), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := solver.ScoresSetBlockedCtx(ctx, queries, 1); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

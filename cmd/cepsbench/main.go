@@ -7,8 +7,9 @@
 //	cepsbench [-scale f] [-trials n] [-seed s] [-exp id[,id...]]
 //
 // Scale 1.0 generates ~4K authors (fast); -scale 80 approaches the paper's
-// 315K-author DBLP graph. Experiment ids: fig2, fig4, fig5, fig6, speedup,
-// skew, kernel, all.
+// 315K-author DBLP graph. Experiment ids: datastats, fig2, fig4, fig5,
+// fig6, speedup, skew, replace, inject, retrieval, scaling, steiner, all.
+// The serving stack's performance is measured by perfbench, not here.
 package main
 
 import (
@@ -28,21 +29,10 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ 4K authors, 80 ≈ paper's 315K)")
 		trials  = flag.Int("trials", 5, "random query draws averaged per data point")
 		seed    = flag.Int64("seed", 1, "random seed for dataset and query sampling")
-		exps    = flag.String("exp", "all", "comma-separated experiment ids: datastats,fig2,fig4,fig5,fig6,speedup,skew,kernel,replace,inject,retrieval,scaling,steiner,all; overload and coalesce run only when named explicitly")
+		exps    = flag.String("exp", "all", "comma-separated experiment ids: datastats,fig2,fig4,fig5,fig6,speedup,skew,replace,inject,retrieval,scaling,steiner,all")
 		iters   = flag.Int("rwr-iters", 50, "RWR power-iteration count m")
 		htmlOut = flag.String("html", "", "also write the regenerated figures as a self-contained HTML report")
 		jsonOut = flag.String("json", "", "also write every experiment's raw points as JSON")
-
-		overloadDur     = flag.Duration("overload-duration", 2*time.Second, "overload: closed-loop duration per arm")
-		overloadWorkers = flag.Int("overload-workers", 4, "overload: solve-pool workers (sets capacity)")
-		overloadClients = flag.Int("overload-clients", 64, "overload: closed-loop client count")
-		overloadOut     = flag.String("overload-out", "", "overload: also write the two-arm result as JSON to this file")
-
-		coalesceWorkers = flag.Int("coalesce-workers", 4, "coalesce: solve-pool workers")
-		coalesceClients = flag.Int("coalesce-clients", 64, "coalesce: closed-loop client count")
-		coalesceSets    = flag.Int("coalesce-sets", 512, "coalesce: distinct 2-source query sets per arm")
-		coalesceDelay   = flag.Duration("coalesce-delay", 5*time.Millisecond, "coalesce: injected per-solve-call delay")
-		coalesceOut     = flag.String("coalesce-out", "", "coalesce: also write the two-arm result as JSON to this file")
 
 		replaceTeams = flag.Int("replace-teams", 24, "replace: held-out co-author recovery trials")
 		replaceSize  = flag.Int("replace-team-size", 4, "replace: team size per trial")
@@ -206,22 +196,6 @@ func main() {
 		experiments.RenderSkew(os.Stdout, pts)
 		return nil
 	})
-	run("kernel", func() error {
-		pts, err := experiments.Kernel(s, []int{1, 4, 8, 16}, []int{1, 4, 8}, 3)
-		if err != nil {
-			return err
-		}
-		record("kernel", pts)
-		experiments.RenderKernel(os.Stdout, pts)
-		if page != nil {
-			page.Sections = append(page.Sections, report.Section{
-				Title: "Step-1 kernel: blocked multi-source RWR vs scalar",
-				Prose: "One fused SpMM sweep advances all Q walks per iteration; scores are bit-identical to per-query solves, so the speedup is pure memory-traffic amortization plus nnz-balanced row parallelism.",
-				Table: experiments.KernelTable(pts),
-			})
-		}
-		return nil
-	})
 	run("replace", func() error {
 		r, err := experiments.ReplaceEval(s, *replaceTeams, *replaceSize)
 		if err != nil {
@@ -244,64 +218,6 @@ func main() {
 		}
 		return nil
 	})
-	// The overload experiment saturates the host on purpose (64 clients at
-	// 2x capacity), so it never rides along with -exp all: name it.
-	if want["overload"] {
-		run("overload", func() error {
-			r, err := experiments.Overload(s, *overloadWorkers, *overloadClients, 5*time.Millisecond, *overloadDur)
-			if err != nil {
-				return err
-			}
-			record("overload", r)
-			experiments.RenderOverload(os.Stdout, r)
-			if *overloadOut != "" {
-				f, err := os.Create(*overloadOut)
-				if err != nil {
-					return err
-				}
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Printf("overload results written to %s\n", *overloadOut)
-			}
-			return nil
-		})
-	}
-	// The coalesce experiment also saturates the host (64 unpaced clients
-	// against a 4-slot pool), so like overload it runs only when named.
-	if want["coalesce"] {
-		run("coalesce", func() error {
-			r, err := experiments.Coalesce(s, *coalesceWorkers, *coalesceClients, *coalesceSets, *coalesceDelay)
-			if err != nil {
-				return err
-			}
-			record("coalesce", r)
-			experiments.RenderCoalesce(os.Stdout, r)
-			if *coalesceOut != "" {
-				f, err := os.Create(*coalesceOut)
-				if err != nil {
-					return err
-				}
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(r); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Printf("coalesce results written to %s\n", *coalesceOut)
-			}
-			return nil
-		})
-	}
 	run("inject", func() error {
 		pts, err := experiments.Inject(s, 3, 20, []float64{5, 2, 1, 0.5, 0.1})
 		if err != nil {
@@ -340,17 +256,7 @@ func main() {
 		if results == nil {
 			return
 		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeResultJSON(*jsonOut, results); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("JSON results written to %s\n", *jsonOut)
@@ -391,7 +297,7 @@ func main() {
 	})
 }
 
-// writeResultJSON writes one experiment's result as indented JSON.
+// writeResultJSON writes v as indented JSON.
 func writeResultJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -152,27 +152,26 @@ func TestFlightSmoke(t *testing.T) {
 	}
 }
 
-// flightBenchReport is the BENCH_flight.json schema.
-type flightBenchReport struct {
+// flightOverheadReport is what TestFlightOverhead logs.
+type flightOverheadReport struct {
 	// Queries measured per arm.
-	Queries int `json:"queries"`
+	Queries int
 	// Interquartile-mean latency per arm (robust against GC/scheduler
 	// outliers).
-	DisarmedNsPerQuery int64 `json:"disarmedNsPerQuery"`
-	ArmedNsPerQuery    int64 `json:"armedNsPerQuery"`
+	DisarmedNsPerQuery int64
+	ArmedNsPerQuery    int64
 	// OverheadPct = (armed/disarmed - 1) * 100; the acceptance floor is 1.
-	OverheadPct float64 `json:"overheadPct"`
+	OverheadPct float64
 	// BitIdentical: Float64bits equality of every Combined score vector
 	// between the armed and disarmed engines.
-	BitIdentical bool `json:"bitIdentical"`
+	BitIdentical bool
 }
 
 // TestFlightOverhead proves arming the recorder is free where it matters:
 // armed latency within 1% of disarmed (query-interleaved interquartile
 // means, so drift and outliers hit both arms equally) and
 // Float64bits-identical answers. FLIGHT_OVERHEAD_MAX overrides the floor
-// (in percent) for noisy hosts; BENCH_FLIGHT_OUT writes the report
-// (make bench-flight).
+// (in percent) for noisy hosts.
 func TestFlightOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
@@ -268,7 +267,7 @@ func TestFlightOverhead(t *testing.T) {
 	nsA := nsD + iqMean(deltas)
 
 	overheadPct := (float64(nsA)/float64(nsD) - 1) * 100
-	rep := flightBenchReport{
+	rep := flightOverheadReport{
 		Queries:            len(sampD),
 		DisarmedNsPerQuery: nsD.Nanoseconds(),
 		ArmedNsPerQuery:    nsA.Nanoseconds(),
@@ -288,15 +287,5 @@ func TestFlightOverhead(t *testing.T) {
 	if overheadPct > maxPct {
 		t.Errorf("armed overhead %.2f%% exceeds %.2f%% (disarmed %v, armed %v per query)",
 			overheadPct, maxPct, nsD, nsA)
-	}
-
-	if out := os.Getenv("BENCH_FLIGHT_OUT"); out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -106,21 +106,12 @@ func inferKFromScores(R [][]float64, queries []int, tau float64) (bestK int, sup
 		supports[i] = count
 	}
 
+	// The median support; for an even count the upper median, the
+	// stricter (larger) side, matching the paper's AND default. Every
+	// support count lies in [1, q], so the median does too.
 	sorted := append([]int(nil), supports...)
 	sort.Ints(sorted)
-	bestK = sorted[q/2]
-	if q%2 == 0 {
-		// Even count: round the median toward the stricter (larger) side,
-		// matching the paper's AND default.
-		bestK = sorted[q/2]
-	}
-	if bestK < 1 {
-		bestK = 1
-	}
-	if bestK > q {
-		bestK = q
-	}
-	return bestK, supports, nil
+	return sorted[q/2], supports, nil
 }
 
 // CePSAutoK infers the K_softAND coefficient with InferK (default

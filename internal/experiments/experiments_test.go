@@ -113,36 +113,6 @@ func TestFig6SweepRuns(t *testing.T) {
 	}
 }
 
-func TestKernelSweepRuns(t *testing.T) {
-	s := tinySetup(t)
-	pts, err := Kernel(s, []int{1, 3}, []int{1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
-	}
-	for _, p := range pts {
-		if p.ScalarNsPerQuery <= 0 || p.BlockedNsPerQuery <= 0 || p.Speedup <= 0 {
-			t.Fatalf("degenerate timing: %+v", p)
-		}
-	}
-	if _, err := Kernel(s, []int{1}, []int{1}, 0); err == nil {
-		t.Error("zero reps should fail")
-	}
-	if _, err := Kernel(s, nil, []int{1}, 1); err == nil {
-		t.Error("empty query-count sweep should fail")
-	}
-	if _, err := Kernel(s, []int{0}, []int{1}, 1); err == nil {
-		t.Error("non-positive query count should fail")
-	}
-	var sb strings.Builder
-	RenderKernel(&sb, pts)
-	if !strings.Contains(sb.String(), "blocked multi-source RWR") || !strings.Contains(sb.String(), "speedup") {
-		t.Fatalf("render incomplete:\n%s", sb.String())
-	}
-}
-
 func TestFig2ComparisonRuns(t *testing.T) {
 	s := tinySetup(t)
 	r, err := Fig2(s, 4)

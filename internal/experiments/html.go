@@ -115,20 +115,6 @@ func SpeedupTiles(pts []SpeedupPoint) ([]report.StatTile, *report.Table) {
 	return tiles, table
 }
 
-// KernelTable renders the Step-1 kernel sweep.
-func KernelTable(pts []KernelPoint) *report.Table {
-	table := &report.Table{Headers: []string{"Q", "workers", "scalar (µs/q)", "blocked (µs/q)", "speedup"}}
-	for _, p := range pts {
-		table.Rows = append(table.Rows, []string{
-			fmt.Sprintf("%d", p.Q), fmt.Sprintf("%d", p.Workers),
-			fmt.Sprintf("%.1f", float64(p.ScalarNsPerQuery)/1000),
-			fmt.Sprintf("%.1f", float64(p.BlockedNsPerQuery)/1000),
-			fmt.Sprintf("%.1fx", p.Speedup),
-		})
-	}
-	return table
-}
-
 // Fig2Table renders the baseline comparison.
 func Fig2Table(r *Fig2Result) *report.Table {
 	return &report.Table{

@@ -71,17 +71,6 @@ func BenchmarkGaussSeidelSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkCGSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	a, rhs, _ := spdSystem(b, rng, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := CG(a, rhs, nil, 1e-8, 10000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLUFactorizeSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := 200

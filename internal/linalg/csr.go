@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // CSR is a sparse matrix in compressed-sparse-row form. Rows index the
@@ -162,38 +161,6 @@ func (m *CSR) MulVecTo(y, x []float64) {
 		}
 		y[r] = s
 	}
-}
-
-// NNZSplits partitions the rows into up to `workers` contiguous ranges of
-// approximately equal nonzero count and returns the range boundaries
-// (length workers+1, bounds[0] = 0, bounds[workers] = Rows). Balancing by
-// nonzeros rather than rows keeps hub-heavy ranges from serializing a
-// parallel sweep on skewed graphs. The split points are found by binary
-// search over the cumulative row pointer, so callers precompute them once
-// per (matrix, worker count) and reuse them every sweep (NewSweep) at zero
-// per-sweep cost.
-func (m *CSR) NNZSplits(workers int) []int {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > m.rows {
-		workers = m.rows
-	}
-	bounds := make([]int, workers+1)
-	bounds[workers] = m.rows
-	nnz := len(m.vals)
-	for k := 1; k < workers; k++ {
-		target := nnz * k / workers
-		r := sort.SearchInts(m.rowPtr, target)
-		if r > m.rows {
-			r = m.rows
-		}
-		if r < bounds[k-1] {
-			r = bounds[k-1]
-		}
-		bounds[k] = r
-	}
-	return bounds
 }
 
 // MulVecTransTo computes y = Mᵀ x into y of length Cols (x of length Rows).

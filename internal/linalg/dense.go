@@ -3,8 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Dense is a row-major dense matrix used for the closed-form random-walk
@@ -170,50 +168,6 @@ func (f *LU) SolveDense(b *Dense) *Dense {
 	return x
 }
 
-// SolveDenseParallel is SolveDense with the independent column solves
-// spread across workers goroutines (workers ≤ 0 means GOMAXPROCS). Each
-// column runs the identical forward/back substitution with its own
-// buffers, so the result is bit-identical to the sequential SolveDense.
-func (f *LU) SolveDenseParallel(b *Dense, workers int) *Dense {
-	if b.rows != f.n {
-		panic("linalg: LU SolveDense shape mismatch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > b.cols {
-		workers = b.cols
-	}
-	if workers <= 1 {
-		return f.SolveDense(b)
-	}
-	x := NewDense(b.rows, b.cols)
-	var wg sync.WaitGroup
-	chunk := (b.cols + workers - 1) / workers
-	for lo := 0; lo < b.cols; lo += chunk {
-		hi := lo + chunk
-		if hi > b.cols {
-			hi = b.cols
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			col := make([]float64, b.rows)
-			for c := lo; c < hi; c++ {
-				for r := 0; r < b.rows; r++ {
-					col[r] = b.At(r, c)
-				}
-				sol := f.Solve(col)
-				for r := 0; r < b.rows; r++ {
-					x.Set(r, c, sol[r])
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return x
-}
-
 // Inverse returns A⁻¹ computed through the LU factorization.
 func (d *Dense) Inverse() (*Dense, error) {
 	f, err := d.Factorize()
@@ -221,17 +175,4 @@ func (d *Dense) Inverse() (*Dense, error) {
 		return nil, err
 	}
 	return f.SolveDense(Identity(d.rows)), nil
-}
-
-// InverseParallel is Inverse with the n independent column solves spread
-// across workers goroutines (workers ≤ 0 means GOMAXPROCS). Factorization
-// stays sequential — it is a strict data dependency chain — but the
-// triangular solves dominate at O(n³) total and parallelize cleanly.
-// Bit-identical to Inverse.
-func (d *Dense) InverseParallel(workers int) (*Dense, error) {
-	f, err := d.Factorize()
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveDenseParallel(Identity(d.rows), workers), nil
 }

@@ -10,9 +10,8 @@ import (
 )
 
 // offDominant is a symmetric system whose off-diagonal dwarfs the diagonal:
-// both stationary iterations amplify their error ~10x per sweep, and the
-// matrix is indefinite, so every solver must detect the fault rather than
-// return garbage.
+// Gauss–Seidel amplifies its error with every sweep, so the solver must
+// detect the fault rather than return garbage.
 func offDominant(t *testing.T) (*CSR, []float64) {
 	t.Helper()
 	a, err := NewCSR(2, 2, []Triple{
@@ -23,20 +22,6 @@ func offDominant(t *testing.T) (*CSR, []float64) {
 		t.Fatal(err)
 	}
 	return a, []float64{1, 1}
-}
-
-func TestJacobiDetectsDivergence(t *testing.T) {
-	a, b := offDominant(t)
-	_, res, err := Jacobi(a, b, nil, 1e-12, 500)
-	if !errors.Is(err, fault.ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged", err)
-	}
-	if res.Converged {
-		t.Error("diverged solve reported Converged")
-	}
-	if res.Iterations == 0 || res.Iterations >= 500 {
-		t.Errorf("divergence detected after %d sweeps; want early abort", res.Iterations)
-	}
 }
 
 func TestGaussSeidelDetectsDivergence(t *testing.T) {
@@ -50,14 +35,6 @@ func TestGaussSeidelDetectsDivergence(t *testing.T) {
 	}
 }
 
-func TestCGDetectsIndefiniteMatrix(t *testing.T) {
-	a, _ := offDominant(t) // eigenvalues 11 and -9: not positive definite
-	_, _, err := CG(a, []float64{1, 0}, nil, 1e-12, 100)
-	if !errors.Is(err, fault.ErrDiverged) {
-		t.Fatalf("err = %v, want ErrDiverged", err)
-	}
-}
-
 func TestSolversRejectNaNInput(t *testing.T) {
 	a, err := NewCSR(2, 2, []Triple{
 		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 1, Val: 1},
@@ -68,9 +45,7 @@ func TestSolversRejectNaNInput(t *testing.T) {
 	}
 	b := []float64{math.NaN(), 1}
 	for name, solve := range map[string]func() error{
-		"jacobi":       func() error { _, _, err := Jacobi(a, b, nil, 1e-10, 50); return err },
 		"gauss-seidel": func() error { _, _, err := GaussSeidel(a, b, nil, 1e-10, 50); return err },
-		"cg":           func() error { _, _, err := CG(a, b, nil, 1e-10, 50); return err },
 	} {
 		if err := solve(); !errors.Is(err, fault.ErrDiverged) {
 			t.Errorf("%s with NaN rhs: err = %v, want ErrDiverged", name, err)
@@ -90,9 +65,7 @@ func TestSolversHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, solve := range map[string]func() error{
-		"jacobi":       func() error { _, _, err := JacobiCtx(ctx, a, b, nil, 1e-10, 50); return err },
 		"gauss-seidel": func() error { _, _, err := GaussSeidelCtx(ctx, a, b, nil, 1e-10, 50); return err },
-		"cg":           func() error { _, _, err := CGCtx(ctx, a, b, nil, 1e-10, 50); return err },
 	} {
 		err := solve()
 		if !errors.Is(err, fault.ErrCanceled) {
@@ -113,7 +86,7 @@ func TestSolveResultConvergedVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := []float64{1, 2}
-	_, res, err := Jacobi(a, b, nil, 1e-10, 200)
+	_, res, err := GaussSeidel(a, b, nil, 1e-10, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +94,7 @@ func TestSolveResultConvergedVerdict(t *testing.T) {
 		t.Errorf("diagonally dominant solve should converge; residual %g after %d sweeps", res.Residual, res.Iterations)
 	}
 	// Starved of iterations, the same system must report the truncation.
-	_, res, err = Jacobi(a, b, nil, 1e-10, 1)
+	_, res, err = GaussSeidel(a, b, nil, 1e-10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestPanelBasicOps(t *testing.T) {
 	p := NewPanel(3, 2)
@@ -53,41 +50,5 @@ func TestPanelReset(t *testing.T) {
 	}
 	if p.Reset(0, 2) || p.Reset(2, -1) {
 		t.Fatal("degenerate shapes must be rejected")
-	}
-}
-
-func TestNNZSplitsProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randCSR(t, rng, 100, 100, 1200)
-	for _, w := range []int{1, 2, 3, 7, 8, 64, 200} {
-		sp := m.NNZSplits(w)
-		if sp[0] != 0 || sp[len(sp)-1] != m.Rows() {
-			t.Fatalf("workers=%d: bounds %v must start at 0 and end at rows", w, sp)
-		}
-		for k := 1; k < len(sp); k++ {
-			if sp[k] < sp[k-1] {
-				t.Fatalf("workers=%d: bounds %v not monotone", w, sp)
-			}
-		}
-		want := w
-		if want > m.Rows() {
-			want = m.Rows()
-		}
-		if len(sp) != want+1 {
-			t.Fatalf("workers=%d: got %d bounds, want %d", w, len(sp), want+1)
-		}
-	}
-	if sp := m.NNZSplits(0); len(sp) != 2 {
-		t.Fatalf("workers=0 should clamp to 1 range, got %v", sp)
-	}
-	// Balance: on this substrate no range should hold more than ~3x its
-	// fair share of nonzeros (loose: split points land on row boundaries).
-	sp := m.NNZSplits(4)
-	fair := m.NNZ() / 4
-	for k := 0; k+1 < len(sp); k++ {
-		nnz := m.rowPtr[sp[k+1]] - m.rowPtr[sp[k]]
-		if nnz > 3*fair {
-			t.Errorf("range %d holds %d nnz, fair share %d", k, nnz, fair)
-		}
 	}
 }

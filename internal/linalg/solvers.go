@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"ceps/internal/fault"
 )
@@ -36,76 +35,6 @@ func checkNumerics(residual, first float64) error {
 		return fmt.Errorf("%w: residual grew from %g to %g", fault.ErrDiverged, first, residual)
 	}
 	return nil
-}
-
-// Jacobi solves A x = b with the Jacobi iteration. A must have nonzero
-// diagonal. x0 may be nil for a zero initial guess. The iteration stops when
-// the max-norm update falls below tol or after maxIter sweeps.
-func Jacobi(a *CSR, b, x0 []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	return JacobiCtx(context.Background(), a, b, x0, tol, maxIter)
-}
-
-// JacobiCtx is Jacobi with cooperative cancellation: ctx is checked at
-// every sweep boundary, and NaN/Inf or runaway residuals abort the solve
-// with fault.ErrDiverged instead of returning garbage.
-func JacobiCtx(ctx context.Context, a *CSR, b, x0 []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	if a.Rows() != a.Cols() || len(b) != a.Rows() {
-		return nil, SolveResult{}, fmt.Errorf("linalg: Jacobi shape mismatch")
-	}
-	n := a.Rows()
-	// One pass locates each row's diagonal (columns are sorted, so a binary
-	// search per row) and records both its value and its position; the sweep
-	// loop below then splits each row at the diagonal instead of branching
-	// `c != r` on every nonzero of every sweep.
-	diag := make([]float64, n)
-	dpos := make([]int, n)
-	for r := 0; r < n; r++ {
-		cols, vals := a.Row(r)
-		k := sort.SearchInts(cols, r)
-		if k == len(cols) || cols[k] != r || vals[k] == 0 {
-			return nil, SolveResult{}, fmt.Errorf("linalg: Jacobi zero diagonal at row %d", r)
-		}
-		diag[r] = vals[k]
-		dpos[r] = k
-	}
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	next := make([]float64, n)
-	res := SolveResult{}
-	var first float64
-	for it := 0; it < maxIter; it++ {
-		if err := fault.FromContext(ctx); err != nil {
-			return x, res, err
-		}
-		for r := 0; r < n; r++ {
-			cols, vals := a.Row(r)
-			k := dpos[r]
-			s := b[r]
-			for i := 0; i < k; i++ {
-				s -= vals[i] * x[cols[i]]
-			}
-			for i := k + 1; i < len(cols); i++ {
-				s -= vals[i] * x[cols[i]]
-			}
-			next[r] = s / diag[r]
-		}
-		res.Iterations = it + 1
-		res.Residual = MaxDiff(next, x)
-		copy(x, next)
-		if it == 0 {
-			first = res.Residual
-		}
-		if err := checkNumerics(res.Residual, first); err != nil {
-			return x, res, err
-		}
-		if res.Residual < tol {
-			res.Converged = true
-			break
-		}
-	}
-	return x, res, nil
 }
 
 // GaussSeidel solves A x = b with forward Gauss–Seidel sweeps. Converges for
@@ -168,69 +97,6 @@ func GaussSeidelCtx(ctx context.Context, a *CSR, b, x0 []float64, tol float64, m
 			res.Converged = true
 			break
 		}
-	}
-	return x, res, nil
-}
-
-// CG solves A x = b for symmetric positive-definite A with conjugate
-// gradients.
-func CG(a *CSR, b, x0 []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	return CGCtx(context.Background(), a, b, x0, tol, maxIter)
-}
-
-// CGCtx is CG with per-iteration cancellation checks and divergence
-// detection (a non-positive pᵀAp already aborted before; NaN/Inf and
-// residual blow-up now abort too).
-func CGCtx(ctx context.Context, a *CSR, b, x0 []float64, tol float64, maxIter int) ([]float64, SolveResult, error) {
-	if a.Rows() != a.Cols() || len(b) != a.Rows() {
-		return nil, SolveResult{}, fmt.Errorf("linalg: CG shape mismatch")
-	}
-	n := a.Rows()
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	r := make([]float64, n)
-	a.MulVecTo(r, x)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	p := Clone(r)
-	ap := make([]float64, n)
-	rr := Dot(r, r)
-	res := SolveResult{Residual: math.Sqrt(rr)}
-	if res.Residual < tol {
-		res.Converged = true
-		return x, res, nil
-	}
-	first := res.Residual
-	for it := 0; it < maxIter; it++ {
-		if err := fault.FromContext(ctx); err != nil {
-			return x, res, err
-		}
-		a.MulVecTo(ap, p)
-		pap := Dot(p, ap)
-		if pap <= 0 || math.IsNaN(pap) {
-			return nil, res, fmt.Errorf("%w: CG matrix not positive definite (pᵀAp = %v)", fault.ErrDiverged, pap)
-		}
-		alpha := rr / pap
-		Axpy(alpha, p, x)
-		Axpy(-alpha, ap, r)
-		rrNew := Dot(r, r)
-		res.Iterations = it + 1
-		res.Residual = math.Sqrt(rrNew)
-		if err := checkNumerics(res.Residual, first); err != nil {
-			return x, res, err
-		}
-		if res.Residual < tol {
-			res.Converged = true
-			return x, res, nil
-		}
-		beta := rrNew / rr
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rr = rrNew
 	}
 	return x, res, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Sweep is one power-iteration step of a blocked random walk with restart,
@@ -39,11 +38,10 @@ import (
 // block of rows right after, while it is still in cache. The two kernels
 // produce identical bits.
 //
-// A Sweep holds per-range scratch for one solve. It is not safe for
-// concurrent use; Run itself fans its row ranges out to goroutines.
+// A Sweep holds the scratch for one solve and sweeps on the calling
+// goroutine. It is not safe for concurrent use.
 type Sweep struct {
 	m       *CSR
-	ranges  []int // row-range bounds: ranges[0] = 0, ranges[len-1] = Rows
 	q       int
 	c       float64
 	restart float64
@@ -51,13 +49,13 @@ type Sweep struct {
 	// lists the columns whose restart mass lands on rrows[k].
 	rrows []int
 	rcols [][]int
-	// parts[k] is row range k's partial state: [0, q) holds each column's
+	// part is the sweep's residual state: [0, q) holds each column's
 	// largest |next − cur| as Float64bits, [q, 2q) its largest |next|.
 	// Clearing the sign bit makes the bit patterns of these magnitudes
 	// order like their values, with every NaN above +Inf, so an unsigned
 	// max is the float max whenever no NaN occurs and is NaN whenever one
-	// does — the MaxDiff rule, mergeable across ranges in any order.
-	parts [][]uint64
+	// does — the MaxDiff rule.
+	part []uint64
 	// avx512 selects the assembly kernels, which address panel rows by
 	// offs: the nonzeros' column indices times q, as int32, built once per
 	// Sweep (one pass over the nonzeros against a solve's tens of sweeps).
@@ -72,8 +70,8 @@ type Sweep struct {
 var useAVX512 = hasAVX512() && !raceEnabled
 
 // sweepBlockRows bounds the rows one kernel call covers. Go does not
-// preempt assembly, so long row ranges are cut into calls of at most this
-// many rows to keep the sweeping goroutine preemptible.
+// preempt assembly, so a sweep is cut into calls of at most this many rows
+// to keep the sweeping goroutine preemptible.
 const sweepBlockRows = 2048
 
 const (
@@ -87,20 +85,15 @@ func offsetsFit(n, q int) bool { return q <= math.MaxInt32/max(n, 1) }
 
 // NewSweep prepares fused sweeps of m over panels with len(queries)
 // columns, where column j restarts at row queries[j] (duplicates allowed).
-// splits are the row-range bounds from NNZSplits; nil or a single range
-// sweeps serially, more ranges sweep concurrently. m must be square.
-func NewSweep(m *CSR, splits []int, queries []int, c, restart float64) *Sweep {
+// m must be square.
+func NewSweep(m *CSR, queries []int, c, restart float64) *Sweep {
 	if m.rows != m.cols {
 		panic(fmt.Sprintf("linalg: sweep of non-square %dx%d matrix", m.rows, m.cols))
 	}
 	if len(queries) == 0 {
 		panic("linalg: sweep with no columns")
 	}
-	ranges := splits
-	if len(ranges) < 2 {
-		ranges = []int{0, m.rows}
-	}
-	s := &Sweep{m: m, ranges: ranges, q: len(queries), c: c, restart: restart}
+	s := &Sweep{m: m, q: len(queries), c: c, restart: restart, part: make([]uint64, 2*len(queries))}
 	if useAVX512 && offsetsFit(m.cols, s.q) {
 		s.avx512 = true
 		s.offs = make([]int32, len(m.colIdx))
@@ -125,10 +118,6 @@ func NewSweep(m *CSR, splits []int, queries []int, c, restart float64) *Sweep {
 		s.rrows = append(s.rrows, r)
 		s.rcols = append(s.rcols, []int{j})
 	}
-	s.parts = make([][]uint64, len(ranges)-1)
-	for k := range s.parts {
-		s.parts[k] = make([]uint64, 2*s.q)
-	}
 	return s
 }
 
@@ -142,49 +131,32 @@ func (s *Sweep) Run(dst, src *Panel, res []float64, nonFinite []bool) {
 	if len(res) != s.q || len(nonFinite) != s.q {
 		panic(fmt.Sprintf("linalg: sweep output length %d/%d, panel has %d columns", len(res), len(nonFinite), s.q))
 	}
-	// The calling goroutine sweeps the first range itself.
-	var wg sync.WaitGroup
-	for k := 1; k < len(s.parts); k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s.sweepRange(k, dst, src)
-		}(k)
-	}
-	s.sweepRange(0, dst, src)
-	wg.Wait()
+	s.sweepRows(dst, src)
 	q := s.q
 	for j := 0; j < q; j++ {
-		var d, a uint64
-		for _, part := range s.parts {
-			d = max(d, part[j])
-			a = max(a, part[q+j])
-		}
-		res[j] = math.Float64frombits(d)
-		nonFinite[j] = a >= infBits
+		res[j] = math.Float64frombits(s.part[j])
+		nonFinite[j] = s.part[q+j] >= infBits
 	}
 }
 
-// sweepRange sweeps row range k into parts[k], in calls of at most
+// sweepRows sweeps every row into part, in calls of at most
 // sweepBlockRows rows. Each row that holds a query gets a one-row call of
 // its own with its restart lanes set, and every other call has none, so
 // the kernels add restart mass per call, with no per-entry branch.
-func (s *Sweep) sweepRange(k int, dst, src *Panel) {
-	part := s.parts[k]
-	clear(part)
-	lo, hi := s.ranges[k], s.ranges[k+1]
-	next := sort.SearchInts(s.rrows, lo)
-	for lo < hi {
+func (s *Sweep) sweepRows(dst, src *Panel) {
+	clear(s.part)
+	next := 0
+	for lo, hi := 0, s.m.rows; lo < hi; {
 		end := min(hi, lo+sweepBlockRows)
 		if next < len(s.rrows) && s.rrows[next] < end {
 			end = s.rrows[next]
 		}
 		if lo < end {
-			s.rows(dst, src, lo, end, nil, part)
+			s.rows(dst, src, lo, end, nil)
 			lo = end
 			continue
 		}
-		s.rows(dst, src, lo, lo+1, s.rcols[next], part)
+		s.rows(dst, src, lo, lo+1, s.rcols[next])
 		next++
 		lo++
 	}
@@ -192,9 +164,9 @@ func (s *Sweep) sweepRange(k int, dst, src *Panel) {
 
 // rows runs the kernel over rows [lo, hi) for every column group. rcols,
 // when non-nil, are the columns that restart at row lo (then hi = lo+1).
-func (s *Sweep) rows(dst, src *Panel, lo, hi int, rcols []int, part []uint64) {
+func (s *Sweep) rows(dst, src *Panel, lo, hi int, rcols []int) {
 	if s.avx512 {
-		s.rowsAVX512(dst, src, lo, hi, rcols, part)
+		s.rowsAVX512(dst, src, lo, hi, rcols)
 		return
 	}
 	// The Go kernels store c·(M·cur) for each group, then add the restart
@@ -220,7 +192,7 @@ func (s *Sweep) rows(dst, src *Panel, lo, hi int, rcols []int, part []uint64) {
 	for _, j := range rcols {
 		dst.data[lo*q+j] += s.restart
 	}
-	dm, am := part[:q:q], part[q:2*q:2*q]
+	dm, am := s.part[:q:q], s.part[q:2*q:2*q]
 	for base := lo * q; base < hi*q; base += q {
 		d := dst.data[base : base+q : base+q]
 		o := src.data[base : base+q : base+q]
@@ -233,7 +205,7 @@ func (s *Sweep) rows(dst, src *Panel, lo, hi int, rcols []int, part []uint64) {
 
 // absBits returns the bit pattern of |x|: with the sign cleared, bit
 // patterns order like magnitudes and every NaN sorts above +Inf (see
-// Sweep.parts).
+// Sweep.part).
 func absBits(x float64) uint64 { return math.Float64bits(x) &^ signBit }
 
 // go8 computes columns [jj, jj+8) of dst = c·(M·src) over rows [lo, hi)

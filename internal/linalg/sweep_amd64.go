@@ -51,7 +51,7 @@ func avx512Usable(maxLeaf, ecx1, ebx7, xcr0 uint32) bool {
 // length in bytes. lanes masks the group's columns (other lanes are
 // neither loaded nor stored) and rmask the columns that get rst added
 // after scaling. dmax and amax point at the group's |next − cur| and
-// |next| state in Sweep.parts, which the kernel loads under lanes, folds
+// |next| state in Sweep.part, which the kernel loads under lanes, folds
 // every row into, and stores back.
 //
 // Per lane the operation order is the scalar solve's: accumulate from +0
@@ -73,8 +73,8 @@ func sweep16AVX512(rowPtr *int, offs *int32, vals *float64, lo, hi int, src, dst
 
 // rowsAVX512 is Sweep.rows on the assembly kernels: columns in groups of
 // 16, each group in the narrowest register class that holds it.
-func (s *Sweep) rowsAVX512(dst, src *Panel, lo, hi int, rcols []int, part []uint64) {
-	q := s.q
+func (s *Sweep) rowsAVX512(dst, src *Panel, lo, hi int, rcols []int) {
+	q, part := s.q, s.part
 	// An empty matrix has no vals[0]; SliceData never indexes, and no row
 	// has a nonzero for the kernel to dereference.
 	rowPtr, offs, vals := unsafe.SliceData(s.m.rowPtr), unsafe.SliceData(s.offs), unsafe.SliceData(s.m.vals)

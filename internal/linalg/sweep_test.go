@@ -37,7 +37,7 @@ func sameBits(a, b float64) bool {
 
 // checkSweep runs one fused sweep with the current kernel and compares
 // every entry, residual and flag against refSweep.
-func checkSweep(t *testing.T, name string, m *CSR, splits []int, src *Panel, queries []int, c, restart float64) {
+func checkSweep(t *testing.T, name string, m *CSR, src *Panel, queries []int, c, restart float64) {
 	t.Helper()
 	wantNext, wantRes, wantNF := refSweep(m, src, queries, c, restart)
 	q := len(queries)
@@ -50,7 +50,7 @@ func checkSweep(t *testing.T, name string, m *CSR, splits []int, src *Panel, que
 	}
 	res := make([]float64, q)
 	nonFinite := make([]bool, q)
-	NewSweep(m, splits, queries, c, restart).Run(dst, src, res, nonFinite)
+	NewSweep(m, queries, c, restart).Run(dst, src, res, nonFinite)
 	for i, v := range guard {
 		if v != -1 {
 			t.Fatalf("%s: store past the last row: guard entry %d is %v", name, i, v)
@@ -86,13 +86,13 @@ func randPanel(rows, q int, gen func() float64) *Panel {
 // kernel the host has: each column of the sweep, its residual and its
 // non-finite flag equal the scalar reference bit for bit (NaNs equal as
 // NaNs), and no store lands past the panel, for every width from 1 to 40
-// plus 64 and 256, for 1, 2 and 3 row ranges, with restart rows at the
-// first and last row and duplicated, over matrices with empty rows, an
-// empty matrix, subnormal operands, and NaN and ±Inf planted in the
-// current iterate. At the widths either side of every register class
-// boundary it also sweeps row ranges of every length up to 7, so each
-// partial tail of the four-row kernels runs, restart rows at and inside
-// the ends of a four-row group, and matrices of 1 to 3 rows.
+// plus 64 and 256, with restart rows at the first and last row and
+// duplicated, over matrices with empty rows, an empty matrix, subnormal
+// operands, and NaN and ±Inf planted in the current iterate. At the
+// widths either side of every register class boundary it also places
+// restart rows so that the kernel calls between them cover every length
+// up to 7, so each partial tail of the four-row kernels runs, and sweeps
+// matrices of 1 to 3 rows.
 func TestSweepConformance(t *testing.T) {
 	const n = 61
 	widths := []int{64, 256}
@@ -130,39 +130,41 @@ func TestSweepConformance(t *testing.T) {
 				{"subnormal-cur", dense, func() float64 { return 0x1p-1060 * rng.NormFloat64() }},
 			}
 			for _, mc := range matrices {
-				for _, ranges := range []int{1, 2, 3} {
-					splits := mc.m.NNZSplits(ranges)
-					for _, w := range widths {
-						queries := make([]int, w)
-						for j := range queries {
-							queries[j] = rng.Intn(n)
-						}
-						queries[0] = 0
-						queries[w-1] = n - 1
-						if w > 2 {
-							queries[1] = queries[w-1] // duplicated restart row
-						}
-						src := randPanel(n, w, mc.gen)
-						name := fmt.Sprintf("%s/ranges=%d/width=%d", mc.name, ranges, w)
-						checkSweep(t, name, mc.m, splits, src, queries, 0.5, 0.5)
+				for _, w := range widths {
+					queries := make([]int, w)
+					for j := range queries {
+						queries[j] = rng.Intn(n)
 					}
+					queries[0] = 0
+					queries[w-1] = n - 1
+					if w > 2 {
+						queries[1] = queries[w-1] // duplicated restart row
+					}
+					src := randPanel(n, w, mc.gen)
+					name := fmt.Sprintf("%s/width=%d", mc.name, w)
+					checkSweep(t, name, mc.m, src, queries, 0.5, 0.5)
 				}
 			}
-			// Kernel call shapes: ranges of 1, 2, 3, 5, 6 and 7 rows (4
-			// is a full group), restart rows on the first, inner and last
-			// rows of a group, and matrices smaller than one group.
+			// Kernel call shapes: each restart row is a one-row call of
+			// its own, so a lone restart at row k leaves a k-row call
+			// before it, and restarts at 1, 4, 8, 14, 21 and 29 leave
+			// calls of 1, 2, 3, 5, 6 and 7 rows (4 is a full group)
+			// between them; the other placements put restart rows on the
+			// first, inner and last rows of a group. Matrices of 1 to 3
+			// rows are smaller than one group.
 			boundaryWidths := []int{1, 2, 3, 4, 5, 8, 9, 16, 17}
-			short := []int{0, 1, 3, 6, 11, 17, 24, n}
+			placements := [][]int{{1}, {2}, {3}, {5}, {6}, {7}, {1, 4, 8, 14, 21, 29},
+				{24}, {25}, {26}, {27}, {24, 27}, {25, 26, 28}, {23, 31, n - 1}}
 			for _, w := range boundaryWidths {
-				for _, at := range [][]int{{24}, {25}, {26}, {27}, {24, 27}, {25, 26, 28}, {23, 31, n - 1}} {
+				for _, at := range placements {
 					queries := make([]int, w)
 					for j := range queries {
 						queries[j] = at[j%len(at)]
 					}
 					src := randPanel(n, w, rng.NormFloat64)
-					name := fmt.Sprintf("short ranges/restarts=%v/width=%d", at, w)
-					checkSweep(t, name, dense, short, src, queries, 0.5, 0.5)
-					checkSweep(t, "sparse "+name, sparse, short, src, queries, 0.5, 0.5)
+					name := fmt.Sprintf("restarts=%v/width=%d", at, w)
+					checkSweep(t, name, dense, src, queries, 0.5, 0.5)
+					checkSweep(t, "sparse "+name, sparse, src, queries, 0.5, 0.5)
 				}
 			}
 			for rows := 1; rows <= 3; rows++ {
@@ -172,36 +174,31 @@ func TestSweepConformance(t *testing.T) {
 					for j := range queries {
 						queries[j] = rng.Intn(rows)
 					}
-					for ranges := 1; ranges <= rows; ranges++ {
-						src := randPanel(rows, w, rng.NormFloat64)
-						name := fmt.Sprintf("%d rows/ranges=%d/width=%d", rows, ranges, w)
-						checkSweep(t, name, tiny, tiny.NNZSplits(ranges), src, queries, 0.5, 0.5)
-					}
+					src := randPanel(rows, w, rng.NormFloat64)
+					name := fmt.Sprintf("%d rows/width=%d", rows, w)
+					checkSweep(t, name, tiny, src, queries, 0.5, 0.5)
 				}
 			}
 			// Non-finite values in the current iterate: a NaN entry
 			// poisons its column's residual and (through its row's
 			// neighbours) the flag, ±Inf makes an Inf or NaN difference.
-			for _, ranges := range []int{1, 2, 3} {
-				splits := dense.NNZSplits(ranges)
-				for _, w := range []int{1, 3, 8, 9, 16, 17, 33, 64} {
-					queries := make([]int, w)
-					for j := range queries {
-						queries[j] = rng.Intn(n)
-					}
-					for _, plant := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-						src := randPanel(n, w, rng.NormFloat64)
-						src.Set(rng.Intn(n), rng.Intn(w), plant)
-						src.Set(n-1, w-1, plant)
-						name := fmt.Sprintf("planted %v/ranges=%d/width=%d", plant, ranges, w)
-						checkSweep(t, name, dense, splits, src, queries, 0.5, 0.5)
-						// The same plant on an isolated node (an empty row
-						// and column) leaves next finite but the residual
-						// non-finite.
-						src = randPanel(n, w, rng.NormFloat64)
-						src.Set(5, w-1, plant)
-						checkSweep(t, "isolated "+name, sparseWithout(t, sparse, 5), splits, src, queries, 0.5, 0.5)
-					}
+			for _, w := range []int{1, 3, 8, 9, 16, 17, 33, 64} {
+				queries := make([]int, w)
+				for j := range queries {
+					queries[j] = rng.Intn(n)
+				}
+				for _, plant := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+					src := randPanel(n, w, rng.NormFloat64)
+					src.Set(rng.Intn(n), rng.Intn(w), plant)
+					src.Set(n-1, w-1, plant)
+					name := fmt.Sprintf("planted %v/width=%d", plant, w)
+					checkSweep(t, name, dense, src, queries, 0.5, 0.5)
+					// The same plant on an isolated node (an empty row
+					// and column) leaves next finite but the residual
+					// non-finite.
+					src = randPanel(n, w, rng.NormFloat64)
+					src.Set(5, w-1, plant)
+					checkSweep(t, "isolated "+name, sparseWithout(t, sparse, 5), src, queries, 0.5, 0.5)
 				}
 			}
 		})
@@ -220,7 +217,7 @@ func TestPanelColMaxDiffNaN(t *testing.T) {
 	for _, k := range SweepKernels() {
 		t.Run(k, func(t *testing.T) {
 			t.Cleanup(UseSweepKernel(k))
-			sw := NewSweep(id, nil, []int{0}, 1, 2)
+			sw := NewSweep(id, []int{0}, 1, 2)
 			run := func(cur *Panel) (float64, bool) {
 				next := NewPanel(3, 1)
 				res, nonFinite := make([]float64, 1), make([]bool, 1)
@@ -265,7 +262,7 @@ func TestColResidualsMatchesPerColumnScans(t *testing.T) {
 			queries := []int{0, 9, 5, 3, rows - 1, 20, 20}
 			next := NewPanel(rows, cols)
 			res, nonFinite := make([]float64, cols), make([]bool, cols)
-			sw := NewSweep(m, m.NNZSplits(2), queries, 0.85, 0.15)
+			sw := NewSweep(m, queries, 0.85, 0.15)
 			sw.Run(next, cur, res, nonFinite)
 			for c := 0; c < cols; c++ {
 				if want := MaxDiff(next.Col(c), cur.Col(c)); !sameBits(res[c], want) {
@@ -310,7 +307,7 @@ func sparseWithout(t *testing.T, m *CSR, v int) *CSR {
 	return out
 }
 
-// TestSweepLongRanges covers ranges longer than one kernel call, with
+// TestSweepLongRanges covers sweeps longer than one kernel call, with
 // restart rows on and next to the call boundaries.
 func TestSweepLongRanges(t *testing.T) {
 	const n = 2*sweepBlockRows + 300
@@ -326,10 +323,8 @@ func TestSweepLongRanges(t *testing.T) {
 				}
 				queries[0] = sweepBlockRows - 1
 				queries[w-1] = sweepBlockRows
-				for _, ranges := range []int{1, 2} {
-					src := randPanel(n, w, rng.NormFloat64)
-					checkSweep(t, fmt.Sprintf("ranges=%d/width=%d", ranges, w), m, m.NNZSplits(ranges), src, queries, 0.85, 0.15)
-				}
+				src := randPanel(n, w, rng.NormFloat64)
+				checkSweep(t, fmt.Sprintf("width=%d", w), m, src, queries, 0.85, 0.15)
 			}
 		})
 	}
@@ -356,43 +351,7 @@ func TestSweepBitIdenticalPerColumn(t *testing.T) {
 					queries[j] = rng.Intn(shape.n)
 				}
 				src := randPanel(shape.n, shape.q, rng.NormFloat64)
-				checkSweep(t, fmt.Sprintf("%dx%d q=%d", shape.n, shape.n, shape.q), m, nil, src, queries, 0.5, 0.5)
-			}
-		})
-	}
-}
-
-// TestParMulBitIdenticalAcrossWorkers pins parallel sweeps to the serial
-// one for every worker count: row ranges are disjoint, each row is
-// computed identically, and the partial residuals merge by an
-// order-independent max, so panels, residuals and flags match bit for bit.
-func TestParMulBitIdenticalAcrossWorkers(t *testing.T) {
-	for _, k := range SweepKernels() {
-		t.Run(k, func(t *testing.T) {
-			t.Cleanup(UseSweepKernel(k))
-			rng := rand.New(rand.NewSource(13))
-			m := randCSR(t, rng, 80, 80, 700)
-			queries := []int{3, 79, 0, 41, 3}
-			src := randPanel(80, len(queries), rng.NormFloat64)
-			want := NewPanel(80, len(queries))
-			wantRes := make([]float64, len(queries))
-			wantNF := make([]bool, len(queries))
-			NewSweep(m, nil, queries, 0.5, 0.5).Run(want, src, wantRes, wantNF)
-			for _, w := range []int{1, 2, 3, 8, 80} {
-				got := NewPanel(80, len(queries))
-				res := make([]float64, len(queries))
-				nonFinite := make([]bool, len(queries))
-				NewSweep(m, m.NNZSplits(w), queries, 0.5, 0.5).Run(got, src, res, nonFinite)
-				for i := range got.data {
-					if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-						t.Fatalf("workers=%d: entry %d: %v != %v", w, i, got.data[i], want.data[i])
-					}
-				}
-				for j := range res {
-					if math.Float64bits(res[j]) != math.Float64bits(wantRes[j]) || nonFinite[j] != wantNF[j] {
-						t.Fatalf("workers=%d: column %d: residual %v/%v, flag %v/%v", w, j, res[j], wantRes[j], nonFinite[j], wantNF[j])
-					}
-				}
+				checkSweep(t, fmt.Sprintf("%dx%d q=%d", shape.n, shape.n, shape.q), m, src, queries, 0.5, 0.5)
 			}
 		})
 	}
@@ -411,10 +370,10 @@ func TestSweepShapePanics(t *testing.T) {
 		f()
 	}
 	res, nonFinite := make([]float64, 2), make([]bool, 2)
-	check("non-square", func() { NewSweep(randCSR(t, rng, 10, 12, 40), nil, []int{0}, 0.5, 0.5) })
-	check("no columns", func() { NewSweep(m, nil, nil, 0.5, 0.5) })
-	check("restart row", func() { NewSweep(m, nil, []int{10}, 0.5, 0.5) })
-	sw := NewSweep(m, nil, []int{0, 1}, 0.5, 0.5)
+	check("non-square", func() { NewSweep(randCSR(t, rng, 10, 12, 40), []int{0}, 0.5, 0.5) })
+	check("no columns", func() { NewSweep(m, nil, 0.5, 0.5) })
+	check("restart row", func() { NewSweep(m, []int{10}, 0.5, 0.5) })
+	sw := NewSweep(m, []int{0, 1}, 0.5, 0.5)
 	check("src rows", func() { sw.Run(NewPanel(10, 2), NewPanel(11, 2), res, nonFinite) })
 	check("dst rows", func() { sw.Run(NewPanel(9, 2), NewPanel(10, 2), res, nonFinite) })
 	check("col mismatch", func() { sw.Run(NewPanel(10, 3), NewPanel(10, 3), res, nonFinite) })
@@ -438,10 +397,10 @@ func TestSweepOffsetsFallback(t *testing.T) {
 		t.Run(k, func(t *testing.T) {
 			t.Cleanup(UseSweepKernel(k))
 			q := math.MaxInt32/n + 1
-			if sw := NewSweep(wide, nil, make([]int, q), 0.5, 0.5); sw.avx512 || sw.offs != nil {
+			if sw := NewSweep(wide, make([]int, q), 0.5, 0.5); sw.avx512 || sw.offs != nil {
 				t.Errorf("width %d: assembly kernel %v, offsets built %v past the int32 limit", q, sw.avx512, sw.offs != nil)
 			}
-			if sw := NewSweep(wide, nil, make([]int, q-1), 0.5, 0.5); sw.avx512 != (k == "avx512") || (sw.offs != nil) != sw.avx512 {
+			if sw := NewSweep(wide, make([]int, q-1), 0.5, 0.5); sw.avx512 != (k == "avx512") || (sw.offs != nil) != sw.avx512 {
 				t.Errorf("width %d: assembly kernel %v, offsets built %v", q-1, sw.avx512, sw.offs != nil)
 			}
 		})

@@ -1,10 +1,9 @@
 // Package linalg provides the small linear-algebra substrate CePS needs:
 // dense vectors, CSR sparse matrices with matrix–vector products, the
 // fused power-iteration sweep of the blocked random-walk solver (Sweep),
-// stationary iterative solvers (Jacobi, Gauss–Seidel), conjugate gradients
-// for symmetric positive-definite systems, and a dense LU factorization
-// used to validate the iterative random-walk solver against the closed
-// form (Eq. 12 of the paper) on small graphs.
+// the Gauss–Seidel solver of the delivered-current baseline, and a dense
+// LU factorization used to validate the iterative random-walk solver
+// against the closed form (Eq. 12 of the paper) on small graphs.
 //
 // Everything is float64; graphs at the paper's scale (~315K nodes, ~1.8M
 // edges) fit comfortably. Sweep's inner loop is AVX-512 assembly on amd64
@@ -25,13 +24,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a*x in place.
-func Axpy(a float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
 // Scale multiplies x by a in place.
 func Scale(a float64, x []float64) {
 	for i := range x {
@@ -44,40 +36,6 @@ func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
 	}
-}
-
-// Sum returns the sum of the elements of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Norm1 returns the L1 norm of x.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	return math.Sqrt(Dot(x, x))
-}
-
-// NormInf returns the max-abs norm of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Clone returns a copy of x.

@@ -487,8 +487,8 @@ func (fr *FlightRecorder) appendHistory(now time.Time, status []ObjectiveStatus)
 		ht.prevCum = cum
 		series[ht.name+"_qps"] = float64(n) / interval
 		if n > 0 {
-			series[ht.name+"_p50_ms"] = quantileFromCum(ht.h.upper, delta, 0.50) * 1e3
-			series[ht.name+"_p99_ms"] = quantileFromCum(ht.h.upper, delta, 0.99) * 1e3
+			series[ht.name+"_p50_ms"] = bucketQuantile(ht.h.upper, delta, 0.50) * 1e3
+			series[ht.name+"_p99_ms"] = bucketQuantile(ht.h.upper, delta, 0.99) * 1e3
 		}
 	}
 	pt := HistoryPoint{UnixMS: now.UnixMilli(), Series: series}
@@ -500,43 +500,6 @@ func (fr *FlightRecorder) appendHistory(now time.Time, status []ObjectiveStatus)
 		fr.histLo = (fr.histLo + 1) % len(fr.histBuf)
 	}
 	fr.histMu.Unlock()
-}
-
-// quantileFromCum estimates a quantile from a cumulative bucket series
-// (same interpolation as Histogram.Quantile, over a caller-provided
-// window delta instead of the lifetime counts).
-func quantileFromCum(upper []float64, cum []uint64, q float64) float64 {
-	if len(cum) == 0 || len(upper) == 0 {
-		return 0
-	}
-	count := cum[len(cum)-1]
-	if count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(count)
-	for i, c := range cum {
-		if float64(c) < rank {
-			continue
-		}
-		if i >= len(upper) {
-			return upper[len(upper)-1]
-		}
-		lo, loCum := 0.0, uint64(0)
-		if i > 0 {
-			lo, loCum = upper[i-1], cum[i-1]
-		}
-		inBucket := float64(c - loCum)
-		if inBucket <= 0 {
-			return upper[i]
-		}
-		return lo + (upper[i]-lo)*(rank-float64(loCum))/inBucket
-	}
-	return upper[len(upper)-1]
 }
 
 // Status assembles the /debug/slo document. A nil recorder reports

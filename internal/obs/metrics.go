@@ -258,8 +258,19 @@ func (h *Histogram) Sum() float64 {
 // enough for admission budgeting, which only needs scale), or 0 when the
 // histogram has no finite bound at all. It never panics.
 func (h *Histogram) Quantile(q float64) float64 {
-	cum, count, _ := h.snapshot()
-	if count == 0 {
+	cum, _, _ := h.snapshot()
+	return bucketQuantile(h.upper, cum, q)
+}
+
+// bucketQuantile is Histogram.Quantile over any cumulative bucket series
+// cum (aligned with upper, +Inf last): the lifetime snapshot, or the
+// flight recorder's window delta.
+func bucketQuantile(upper []float64, cum []uint64, q float64) float64 {
+	count := cum[len(cum)-1]
+	// All bounds can be +Inf at registration time (they dedup/strip to an
+	// empty finite list, leaving only the overflow bucket); there is no
+	// finite bound to report.
+	if count == 0 || len(upper) == 0 {
 		return 0
 	}
 	// NaN fails both comparisons; treat it like q = 1 (the conservative
@@ -269,31 +280,25 @@ func (h *Histogram) Quantile(q float64) float64 {
 	} else if q > 1 || math.IsNaN(q) {
 		q = 1
 	}
-	// All bounds can be +Inf at registration time (they dedup/strip to an
-	// empty finite list, leaving only the overflow bucket); there is no
-	// finite bound to report.
-	if len(h.upper) == 0 {
-		return 0
-	}
 	rank := q * float64(count)
 	for i, c := range cum {
 		if float64(c) < rank {
 			continue
 		}
-		if i >= len(h.upper) {
-			return h.upper[len(h.upper)-1] // +Inf tail
+		if i >= len(upper) {
+			return upper[len(upper)-1] // +Inf tail
 		}
 		lo, loCum := 0.0, uint64(0)
 		if i > 0 {
-			lo, loCum = h.upper[i-1], cum[i-1]
+			lo, loCum = upper[i-1], cum[i-1]
 		}
 		inBucket := float64(c - loCum)
 		if inBucket <= 0 {
-			return h.upper[i]
+			return upper[i]
 		}
-		return lo + (h.upper[i]-lo)*(rank-float64(loCum))/inBucket
+		return lo + (upper[i]-lo)*(rank-float64(loCum))/inBucket
 	}
-	return h.upper[len(h.upper)-1]
+	return upper[len(upper)-1]
 }
 
 // Histogram returns (registering on first use) the histogram for

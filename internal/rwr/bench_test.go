@@ -46,7 +46,7 @@ func BenchmarkScoresSetScalarVsBlocked(b *testing.B) {
 	})
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.ScoresSetBlockedCtx(context.Background(), queries, 0); err != nil {
+			if _, _, err := s.ScoresSetBlockedCtx(context.Background(), queries, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"ceps/internal/fault"
 	"ceps/internal/linalg"
@@ -46,45 +45,25 @@ func (s *Solver) putPanel(p *linalg.Panel) {
 	s.panels.Put(p)
 }
 
-// splitsFor returns the cached nnz-balanced row partition of the transition
-// matrix for the given intra-sweep worker count, computing it on first use.
-// workers ≤ 1 returns nil (serial multiply).
-func (s *Solver) splitsFor(workers int) []int {
-	if workers <= 1 {
-		return nil
-	}
-	s.splitsMu.Lock()
-	defer s.splitsMu.Unlock()
-	if sp, ok := s.splits[workers]; ok {
-		return sp
-	}
-	if s.splits == nil {
-		s.splits = make(map[int][]int)
-	}
-	sp := s.trans.NNZSplits(workers)
-	s.splits[workers] = sp
-	return sp
-}
-
 // ScoresSetBlockedCtx computes the score matrix R (one row per query,
 // R[i][j] = r(q_i, j)) by running all Q power iterations in lockstep on an
 // n×Q panel: each sweep is one fused pass (linalg.Sweep) that streams the
 // transition matrix once for every query instead of once per query, and
-// scales, restarts and takes residuals as it stores each row. workers sets
-// the intra-sweep parallelism — the sweep's rows are partitioned by
-// cumulative nonzero count and swept on that many goroutines (≤ 0 means
-// GOMAXPROCS, 1 is serial; a width-1 panel always sweeps serially).
+// scales, restarts and takes residuals as it stores each row. The panel
+// sweeps serially on the calling goroutine: an engine spreads its panels
+// over cores through the solve pool (WithWorkers), one panel per slot.
+// The int parameter is unused; it stays until perfbench, which passes 1,
+// drops it.
 //
 // Per column the sweep performs the exact operation sequence of ScoresCtx —
 // multiply in nonzero order, scale by c, add the restart mass, max-norm
 // residual with NaN-propagating comparison — so every score vector is
-// bit-identical to the corresponding single-query solve, for every worker
-// count (row ranges write disjoint rows). Diagnostics are per query; the
-// NaN/Inf and divergence guards abort with the same errors as ScoresCtx;
-// when Tol is set, converged columns are frozen (masked out of the residual
-// bookkeeping and copied forward unchanged) while the rest keep sweeping,
-// matching the scalar early stop exactly.
-func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers int) ([][]float64, []Diagnostics, error) {
+// bit-identical to the corresponding single-query solve. Diagnostics are
+// per query; the NaN/Inf and divergence guards abort with the same errors
+// as ScoresCtx; when Tol is set, converged columns are frozen (masked out
+// of the residual bookkeeping and copied forward unchanged) while the
+// rest keep sweeping, matching the scalar early stop exactly.
+func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, _ int) ([][]float64, []Diagnostics, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty query set", fault.ErrBadQuery)
 	}
@@ -93,16 +72,6 @@ func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers
 			return nil, nil, fmt.Errorf("%w: query node %d out of range [0,%d)", fault.ErrBadQuery, q, s.n)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(queries) == 1 {
-		// A single column is the one shape where row-parallel sweeps lose
-		// to a serial one (0.84x of scalar on 8 workers when last measured
-		// unpinned).
-		workers = 1
-	}
-	splits := s.splitsFor(workers)
 	nq := len(queries)
 
 	cur := s.getPanel(nq)
@@ -143,7 +112,7 @@ func (s *Solver) ScoresSetBlockedCtx(ctx context.Context, queries []int, workers
 	// the untraced lockstep loop pays one pointer check per iteration.
 	span := obs.SpanFromContext(ctx)
 
-	sweep := linalg.NewSweep(s.trans, splits, queries, s.cfg.C, restart)
+	sweep := linalg.NewSweep(s.trans, queries, s.cfg.C, restart)
 
 	for it := 0; it < s.cfg.Iterations && active > 0; it++ {
 		if err := fault.FromContext(ctx); err != nil {

@@ -31,8 +31,7 @@ func requireBitIdentical(t *testing.T, got, want []float64, label string) {
 
 // TestBlockedBitIdenticalGolden is the acceptance-criterion test: blocked
 // solves must be bit-identical to per-query ScoresCtx across all three
-// normalizations, with and without early stopping, and across intra-sweep
-// worker counts.
+// normalizations, with and without early stopping.
 func TestBlockedBitIdenticalGolden(t *testing.T) {
 	g := randomGraph(t, 160, 320, 9)
 	queries := []int{0, 7, 42, 99, 123, 159}
@@ -60,18 +59,16 @@ func TestBlockedBitIdenticalGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				R, diags, err := s.ScoresSetBlockedCtx(context.Background(), queries, workers)
-				if err != nil {
-					t.Fatalf("%s tol=%g workers=%d: %v", n.name, tol, workers, err)
-				}
-				for i := range queries {
-					label := n.name
-					requireBitIdentical(t, R[i], want[i], label)
-					if diags[i] != wantDiags[i] {
-						t.Fatalf("%s tol=%g workers=%d query %d: diag %+v != scalar %+v",
-							n.name, tol, workers, queries[i], diags[i], wantDiags[i])
-					}
+			R, diags, err := s.ScoresSetBlockedCtx(context.Background(), queries, 1)
+			if err != nil {
+				t.Fatalf("%s tol=%g: %v", n.name, tol, err)
+			}
+			for i := range queries {
+				label := n.name
+				requireBitIdentical(t, R[i], want[i], label)
+				if diags[i] != wantDiags[i] {
+					t.Fatalf("%s tol=%g query %d: diag %+v != scalar %+v",
+						n.name, tol, queries[i], diags[i], wantDiags[i])
 				}
 			}
 		}
@@ -90,7 +87,7 @@ func TestBlockedSingleQueryAndDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	R, diags, err := s.ScoresSetBlockedCtx(context.Background(), []int{5}, 2)
+	R, diags, err := s.ScoresSetBlockedCtx(context.Background(), []int{5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +169,7 @@ func TestBlockedDivergenceGuards(t *testing.T) {
 }
 
 // TestBlockedCancelNoLeak arms a deadline against a practically infinite
-// blocked solve and checks the abort is prompt and leaks no goroutines —
-// the per-sweep fan-out goroutines must all be joined.
+// blocked solve and checks the abort is prompt and leaks no goroutines.
 func TestBlockedCancelNoLeak(t *testing.T) {
 	g := randomGraph(t, 1000, 2000, 4)
 	cfg := DefaultConfig()
@@ -187,7 +183,7 @@ func TestBlockedCancelNoLeak(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = s.ScoresSetBlockedCtx(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, 4)
+	_, _, err = s.ScoresSetBlockedCtx(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, 1)
 	elapsed := time.Since(start)
 	if !errors.Is(err, fault.ErrDeadlineExceeded) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded wrapping context.DeadlineExceeded", err)
@@ -299,7 +295,7 @@ func TestServingBlockedCanceledLeaderCleansFlights(t *testing.T) {
 // TestBlockedConcurrentPoolHammer runs many concurrent blocked solves
 // sharing one solver's buffer pool and checks every result stays
 // bit-identical to the scalar reference — under -race this doubles as the
-// data-race probe for the pool and the splits cache.
+// data-race probe for the pool.
 func TestBlockedConcurrentPoolHammer(t *testing.T) {
 	g := randomGraph(t, 120, 240, 21)
 	s, err := NewSolver(g, colConfig())
@@ -328,9 +324,9 @@ func TestBlockedConcurrentPoolHammer(t *testing.T) {
 	for rep := 0; rep < 8; rep++ {
 		for i, qs := range sets {
 			wg.Add(1)
-			go func(i int, qs []int, workers int) {
+			go func(i int, qs []int) {
 				defer wg.Done()
-				R, _, err := s.ScoresSetBlockedCtx(context.Background(), qs, workers)
+				R, _, err := s.ScoresSetBlockedCtx(context.Background(), qs, 1)
 				if err != nil {
 					errs <- err
 					return
@@ -343,7 +339,7 @@ func TestBlockedConcurrentPoolHammer(t *testing.T) {
 						}
 					}
 				}
-			}(i, qs, 1+rep%4)
+			}(i, qs)
 		}
 	}
 	wg.Wait()

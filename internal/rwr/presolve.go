@@ -29,19 +29,9 @@ type PreSolver struct {
 const DefaultPreSolveLimit = 5000
 
 // NewPreSolver materializes the inverse for the solver's graph and
-// configuration. maxN ≤ 0 means DefaultPreSolveLimit. The factorization's
-// column solves run on all available CPUs; use NewPreSolverParallel to
-// pin the worker count (results are bit-identical either way).
+// configuration. maxN ≤ 0 means DefaultPreSolveLimit. The inverse is
+// built serially through linalg.Dense.Inverse: O(N³), on one core.
 func NewPreSolver(s *Solver, maxN int) (*PreSolver, error) {
-	return NewPreSolverParallel(s, maxN, 0)
-}
-
-// NewPreSolverParallel is NewPreSolver with an explicit worker count for
-// the O(N³) triangular column solves that dominate the inverse (workers
-// ≤ 0 means GOMAXPROCS). Columns are independent, so the inverse — and
-// every score vector read from it — is bit-identical across worker
-// counts.
-func NewPreSolverParallel(s *Solver, maxN, workers int) (*PreSolver, error) {
 	if maxN <= 0 {
 		maxN = DefaultPreSolveLimit
 	}
@@ -56,7 +46,7 @@ func NewPreSolverParallel(s *Solver, maxN, workers int) (*PreSolver, error) {
 		}
 		a.Add(r, r, 1)
 	}
-	inv, err := a.InverseParallel(workers)
+	inv, err := a.Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("rwr: I − c·W̃ is singular: %w", err)
 	}

@@ -124,12 +124,6 @@ type Solver struct {
 	vecs   sync.Pool
 	panels sync.Pool
 
-	// splits caches the nnz-balanced row partition of trans per worker
-	// count (the partition depends only on the matrix, so it is computed
-	// once and reused by every intra-sweep parallel multiply).
-	splitsMu sync.Mutex
-	splits   map[int][]int
-
 	// rev is the reversibility certificate (reversible.go), nil when the
 	// solver cannot give one.
 	rev *Reversibility
@@ -221,7 +215,7 @@ func NewSolver(g *graph.Graph, cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{cfg: cfg, n: n, trans: trans, splits: make(map[int][]int)}
+	s := &Solver{cfg: cfg, n: n, trans: trans}
 	if !tiny {
 		s.rev = newReversibility(trans, x, entryRoundings, cfg)
 	}

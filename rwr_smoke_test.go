@@ -2,12 +2,15 @@ package ceps_test
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ceps"
 	"ceps/internal/experiments"
@@ -16,29 +19,102 @@ import (
 	"ceps/internal/score"
 )
 
-// rwrKernelReport is the JSON shape `make bench-rwr` writes to
-// BENCH_rwr.json: the Step-1 kernel grid (blocked multi-source RWR vs
-// per-query scalar solves) plus the Q=8 acceptance headline.
-type rwrKernelReport struct {
-	Nodes int `json:"nodes"`
-	Edges int `json:"edges"`
-	// Iterations is the power-iteration count m every solve runs.
-	Iterations int `json:"rwrIterations"`
-	// Reps is how many cold runs each cell takes the best of.
-	Reps   int                       `json:"reps"`
-	Points []experiments.KernelPoint `json:"points"`
-	// Q8Speedup is the best blocked-vs-scalar speedup at Q = 8 across
-	// worker counts — the acceptance headline (floor: 2x).
-	Q8Speedup float64 `json:"q8Speedup"`
+// kernelPoint is one cell of the Step-1 kernel sweep: Q random-walk solves
+// run as Q sequential scalar power iterations versus one fused blocked
+// solve advancing all Q walks per sweep.
+type kernelPoint struct {
+	Q                 int
+	ScalarNsPerQuery  int64
+	BlockedNsPerQuery int64
+	Speedup           float64 // scalar / blocked per-query time
 }
 
-// TestRWRKernelSmoke sweeps the Step-1 kernel grid (Q x workers, blocked vs
-// scalar) and, when BENCH_RWR_OUT names a file, writes the grid there as
-// JSON (this is what `make bench-rwr` runs; `make check` runs it with
-// RWR_KERNEL_REPS=2 as a quick smoke). It always enforces the acceptance
-// floor: one blocked Q=8 solve must beat 8 sequential scalar solves, with a
-// 2x target at the best worker count. Bit-identity of the two kernels is
-// asserted inside experiments.Kernel before anything is timed.
+// kernelSweep times, for each query count Q, Q sequential ScoresSetCtx
+// solves against one ScoresSetBlockedCtx call, keeping the best of reps
+// cold runs (min-of-reps is robust against CPU-frequency and scheduling
+// outliers where a mean is not). Before timing it asserts that the two
+// kernels give bit-identical score vectors and diagnostics on the largest
+// query set: the speedup means something only because the answers are
+// exactly equal.
+func kernelSweep(t *testing.T, s *experiments.Setup, queryCounts []int, reps int) []kernelPoint {
+	t.Helper()
+	solver, err := rwr.NewSolver(s.Dataset.Graph, s.Base.RWR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Distinct query nodes drawn from the whole graph: the kernel measures
+	// Step 1 alone, so any node is a valid source.
+	n, maxQ := s.Dataset.Graph.N(), slices.Max(queryCounts)
+	rng := rand.New(rand.NewSource(s.Seed*1_000_003 + 9))
+	seen := make(map[int]bool, maxQ)
+	nodes := make([]int, 0, maxQ)
+	for len(nodes) < maxQ {
+		v := rng.Intn(n)
+		if !seen[v] {
+			seen[v] = true
+			nodes = append(nodes, v)
+		}
+	}
+
+	ctx := context.Background()
+	wantR, wantDiags, err := solver.ScoresSetCtx(ctx, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotR, gotDiags, err := solver.ScoresSetBlockedCtx(ctx, nodes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantR {
+		if gotDiags[i] != wantDiags[i] {
+			t.Fatalf("blocked kernel diagnostics differ for query %d: %+v vs %+v", nodes[i], gotDiags[i], wantDiags[i])
+		}
+		for j := range wantR[i] {
+			if math.Float64bits(gotR[i][j]) != math.Float64bits(wantR[i][j]) {
+				t.Fatalf("blocked kernel not bit-identical at query %d node %d: %v vs %v", nodes[i], j, gotR[i][j], wantR[i][j])
+			}
+		}
+	}
+
+	best := func(run func() error) int64 {
+		var fastest time.Duration
+		for r := 0; r < reps; r++ {
+			start := time.Now()
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); r == 0 || d < fastest {
+				fastest = d
+			}
+		}
+		return fastest.Nanoseconds()
+	}
+	var out []kernelPoint
+	for _, q := range queryCounts {
+		queries := nodes[:q]
+		p := kernelPoint{Q: q}
+		p.ScalarNsPerQuery = best(func() error {
+			_, _, err := solver.ScoresSetCtx(ctx, queries)
+			return err
+		}) / int64(q)
+		p.BlockedNsPerQuery = best(func() error {
+			_, _, err := solver.ScoresSetBlockedCtx(ctx, queries, 1)
+			return err
+		}) / int64(q)
+		if p.BlockedNsPerQuery > 0 {
+			p.Speedup = float64(p.ScalarNsPerQuery) / float64(p.BlockedNsPerQuery)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestRWRKernelSmoke sweeps the Step-1 kernel grid (Q sequential scalar
+// solves against one blocked solve) and enforces the acceptance floor: one
+// blocked Q=8 solve must beat 8 sequential scalar solves, with a 2x
+// target. `make check` runs it with RWR_KERNEL_REPS=2 as a quick smoke.
+// Bit-identity of the two kernels is asserted inside kernelSweep before
+// anything is timed.
 func TestRWRKernelSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
@@ -55,40 +131,23 @@ func TestRWRKernelSmoke(t *testing.T) {
 		}
 	}
 
-	pts, err := experiments.Kernel(s, []int{1, 4, 8, 16}, []int{1, 4, 8}, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := rwrKernelReport{
-		Nodes:      s.Dataset.Graph.N(),
-		Edges:      s.Dataset.Graph.M(),
-		Iterations: s.Base.RWR.Iterations,
-		Reps:       reps,
-		Points:     pts,
-	}
-	for _, p := range pts {
-		if p.Q == 8 && p.Speedup > rep.Q8Speedup {
-			rep.Q8Speedup = p.Speedup
-		}
-	}
+	pts := kernelSweep(t, s, []int{1, 4, 8, 16}, reps)
 	var sb strings.Builder
-	experiments.RenderKernel(&sb, pts)
-	t.Logf("kernel sweep (reps=%d):\n%s", reps, sb.String())
-
-	if rep.Q8Speedup <= 1 {
-		t.Errorf("blocked Q=8 solve is not faster than 8 scalar solves (best speedup %.2fx)", rep.Q8Speedup)
-	} else if rep.Q8Speedup < 2 {
-		t.Errorf("blocked Q=8 best speedup %.2fx, want >= 2x", rep.Q8Speedup)
+	var q8 float64
+	fmt.Fprintf(&sb, "%4s %14s %14s %9s\n", "Q", "scalar(µs/q)", "blocked(µs/q)", "speedup")
+	for _, p := range pts {
+		fmt.Fprintf(&sb, "%4d %14.1f %14.1f %8.1fx\n", p.Q,
+			float64(p.ScalarNsPerQuery)/1000, float64(p.BlockedNsPerQuery)/1000, p.Speedup)
+		if p.Q == 8 {
+			q8 = p.Speedup
+		}
 	}
+	t.Logf("kernel sweep (reps=%d, %d nodes, m=%d):\n%s", reps, s.Dataset.Graph.N(), s.Base.RWR.Iterations, sb.String())
 
-	if out := os.Getenv("BENCH_RWR_OUT"); out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if q8 <= 1 {
+		t.Errorf("blocked Q=8 solve is not faster than 8 scalar solves (speedup %.2fx)", q8)
+	} else if q8 < 2 {
+		t.Errorf("blocked Q=8 speedup %.2fx, want >= 2x", q8)
 	}
 }
 
