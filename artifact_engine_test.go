@@ -152,10 +152,11 @@ func TestArtifactFastModeServing(t *testing.T) {
 	const parts = 4
 	dir := buildArtifactDir(t, g, cfg.RWR, parts, 1, 64<<20)
 
-	ref := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
-	eng := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithCache(8<<20),
-		ceps.WithArtifactDir(dir), ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
+	ref := newEngine(t, g, ceps.WithConfig(cfg))
+	setPartitions(t, ref, parts)
+	eng := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithCache(8<<20), ceps.WithArtifactDir(dir))
 	defer eng.Close()
+	setPartitions(t, eng, parts)
 
 	if st, ok := eng.ArtifactStats(); !ok || st.Bound < parts {
 		t.Fatalf("stats = %+v, want the full space and all %d single-part spaces bound", st, parts)
@@ -455,7 +456,7 @@ func TestArtifactBypassLogOnlyOnMismatch(t *testing.T) {
 	const parts = 4
 	const bypass = "tier bypassed"
 	logs := captureLog(t)
-	pt, err := ceps.PrePartition(g, parts, ceps.PartitionOptions{Seed: 1})
+	pt, err := ceps.PrePartition(context.Background(), g, parts, ceps.PartitionOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,11 +484,11 @@ func TestArtifactBypassLogOnlyOnMismatch(t *testing.T) {
 
 	other := cfg
 	other.RWR.C = 0.7
-	mis := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithArtifactDir(build(other.RWR)),
-		ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
+	mis := newEngine(t, g, ceps.WithConfig(cfg), ceps.WithArtifactDir(build(other.RWR)))
 	defer mis.Close()
+	mis.SetPartitioned(pt)
 	if n := logs.count(bypass); n != 1 {
-		t.Fatalf("a mismatched directory logged %d bypass lines at construction, want 1", n)
+		t.Fatalf("a mismatched directory logged %d bypass lines once partitioned, want 1", n)
 	}
 	third := cfg
 	third.RWR.C = 0.6

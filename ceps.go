@@ -32,11 +32,22 @@
 //	}
 //
 // For serving workloads — many concurrent, overlapping queries — construct
-// the Engine with a score cache and a bounded solve pool and use the batch
-// API (see engine.go and README.md "Serving"):
+// the Engine with a score cache and a bounded solve pool and call Do from
+// concurrent goroutines (see engine.go and README.md "Serving"); each
+// call's deadline is its ctx's:
 //
 //	eng, _ := ceps.NewEngine(ds.Graph, ceps.WithCache(64<<20), ceps.WithWorkers(8))
-//	items := eng.DoBatch(ctx, querySets)
+//	var wg sync.WaitGroup
+//	for i, qs := range querySets {
+//	    wg.Add(1)
+//	    go func() {
+//	        defer wg.Done()
+//	        ctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+//	        defer cancel()
+//	        results[i], errs[i] = eng.Do(ctx, qs)
+//	    }()
+//	}
+//	wg.Wait()
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // full architecture.
@@ -44,7 +55,6 @@ package ceps
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -267,40 +277,21 @@ func ReadGraphFile(path string) (*Graph, error) { return graph.ReadFile(path) }
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Query answers a center-piece subgraph query on g (the CePS pipeline of
-// Table 1 in the paper).
-func Query(g *Graph, queries []int, cfg Config) (*Result, error) {
-	return core.CePS(g, queries, cfg)
-}
-
-// QueryCtx is Query with cooperative cancellation: ctx is checked at every
-// power-iteration sweep and EXTRACT step, so a deadline or cancellation
-// aborts the query within one sweep's work. The returned error satisfies
-// errors.Is for both the ceps sentinels (ErrCanceled,
-// ErrDeadlineExceeded) and the standard context errors.
-func QueryCtx(ctx context.Context, g *Graph, queries []int, cfg Config) (*Result, error) {
+// Table 1 in the paper). ctx is checked at every power-iteration sweep and
+// EXTRACT step, so a deadline or cancellation aborts the query within one
+// sweep's work. The returned error satisfies errors.Is for both the ceps
+// sentinels (ErrCanceled, ErrDeadlineExceeded) and the standard context
+// errors.
+func Query(ctx context.Context, g *Graph, queries []int, cfg Config) (*Result, error) {
 	return core.CePSCtx(ctx, g, queries, cfg)
 }
 
 // PrePartition builds the one-time Fast CePS state: g split into p parts.
-func PrePartition(g *Graph, p int, opts PartitionOptions) (*Partitioned, error) {
-	return core.PrePartition(g, p, opts)
-}
-
-// PrePartitionCtx is PrePartition with cooperative cancellation, checked
-// between the recursive bisections of the multilevel partitioner.
-func PrePartitionCtx(ctx context.Context, g *Graph, p int, opts PartitionOptions) (*Partitioned, error) {
+// ctx is checked between the recursive bisections of the multilevel
+// partitioner. Install the state on an Engine with SetPartitioned, or
+// query it directly with its CePSCtx method.
+func PrePartition(ctx context.Context, g *Graph, p int, opts PartitionOptions) (*Partitioned, error) {
 	return core.PrePartitionCtx(ctx, g, p, opts)
-}
-
-// FastQueryCtx answers a query with the Fast CePS pipeline (Table 5) under
-// ctx, degrading to a full-graph run (recorded in Result.Fallback) when
-// the partition union cannot answer the query. It is shorthand for
-// pt.CePSCtx for callers holding the pre-partition state directly.
-func FastQueryCtx(ctx context.Context, pt *Partitioned, queries []int, cfg Config) (*Result, error) {
-	if pt == nil {
-		return nil, fmt.Errorf("%w: nil pre-partition state", ErrBadQuery)
-	}
-	return pt.CePSCtx(ctx, queries, cfg)
 }
 
 // MetricsHandler serves a metrics registry in Prometheus text exposition
@@ -354,12 +345,7 @@ func ScaleDBLP(cfg DBLPConfig, f float64) DBLPConfig { return dblp.Scale(cfg, f)
 // TopCenterPieces ranks the strongest center-piece candidates — the
 // highest combined closeness scores r(Q, j) outside the query set —
 // without extracting a display subgraph (Steps 1–2 of the pipeline only).
-func TopCenterPieces(g *Graph, queries []int, cfg Config, topN int) ([]RankedNode, error) {
-	return core.TopCenterPieces(g, queries, cfg, topN)
-}
-
-// TopCenterPiecesCtx is TopCenterPieces with cooperative cancellation.
-func TopCenterPiecesCtx(ctx context.Context, g *Graph, queries []int, cfg Config, topN int) ([]RankedNode, error) {
+func TopCenterPieces(ctx context.Context, g *Graph, queries []int, cfg Config, topN int) ([]RankedNode, error) {
 	return core.TopCenterPiecesCtx(ctx, g, queries, cfg, topN)
 }
 
@@ -367,19 +353,14 @@ func TopCenterPiecesCtx(ctx context.Context, g *Graph, queries []int, cfg Config
 // of the query set (the paper's Future Work 3: inferring the "optimal" k
 // when the user does not supply one). tau ≤ 0 uses the default support
 // threshold. It returns the inferred k and each query's supporter count.
-func InferK(g *Graph, queries []int, cfg Config, tau float64) (int, []int, error) {
-	return core.InferK(g, queries, cfg, tau)
-}
-
-// InferKCtx is InferK with cooperative cancellation.
-func InferKCtx(ctx context.Context, g *Graph, queries []int, cfg Config, tau float64) (int, []int, error) {
+func InferK(ctx context.Context, g *Graph, queries []int, cfg Config, tau float64) (int, []int, error) {
 	return core.InferKCtx(ctx, g, queries, cfg, tau)
 }
 
 // QueryAutoK infers the K_softAND coefficient with InferK and answers the
 // query with it; the chosen k is recoverable from the result's Combiner.
-func QueryAutoK(g *Graph, queries []int, cfg Config) (*Result, error) {
-	return core.CePSAutoK(g, queries, cfg)
+func QueryAutoK(ctx context.Context, g *Graph, queries []int, cfg Config) (*Result, error) {
+	return core.CePSAutoK(ctx, g, queries, cfg)
 }
 
 // SteinerTree computes the metric-closure 2-approximate Steiner tree over

@@ -2,7 +2,11 @@ package ceps_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,6 +40,39 @@ func newEngine(t testing.TB, g *ceps.Graph, opts ...ceps.Option) *ceps.Engine {
 	return eng
 }
 
+// setPartitions pre-partitions eng's graph into p parts (seed 1) and
+// installs the Fast CePS state.
+func setPartitions(t testing.TB, eng *ceps.Engine, p int) *ceps.Partitioned {
+	t.Helper()
+	pt, err := ceps.PrePartition(context.Background(), eng.Graph(), p, ceps.PartitionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetPartitioned(pt)
+	return pt
+}
+
+// doSets answers each query set with its own Do call from its own
+// goroutine, at most conc in flight at once, and returns the answers and
+// errors in input order: how a library caller batches.
+func doSets(ctx context.Context, eng *ceps.Engine, sets [][]int, conc int) ([]*ceps.Result, []error) {
+	res := make([]*ceps.Result, len(sets))
+	errs := make([]error, len(sets))
+	sem := make(chan struct{}, max(conc, 1))
+	var wg sync.WaitGroup
+	for i, qs := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			res[i], errs[i] = eng.Do(ctx, qs)
+		}()
+	}
+	wg.Wait()
+	return res, errs
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
@@ -63,11 +100,8 @@ func TestEngineFastMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := eng.EnableFastMode(6, ceps.PartitionOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eng.FastMode() || pt.PartitionTime <= 0 {
+	pt := setPartitions(t, eng, 6)
+	if eng.Partitioned() != pt || pt.PartitionTime <= 0 {
 		t.Fatal("fast mode not active")
 	}
 	fast, err := eng.Do(context.Background(), queries)
@@ -84,8 +118,8 @@ func TestEngineFastMode(t *testing.T) {
 	if rel <= 0 {
 		t.Errorf("RelRatio = %v", rel)
 	}
-	eng.DisableFastMode()
-	if eng.FastMode() {
+	eng.SetPartitioned(nil)
+	if eng.Partitioned() != nil {
 		t.Fatal("fast mode should be off")
 	}
 }
@@ -162,7 +196,7 @@ func TestQueryFunctionMatchesEngine(t *testing.T) {
 	ds := smallDataset(t)
 	cfg := quickConfig()
 	queries := []int{ds.Repository[2][0], ds.Repository[3][0]}
-	a, err := ceps.Query(ds.Graph, queries, cfg)
+	a, err := ceps.Query(context.Background(), ds.Graph, queries, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +220,14 @@ func TestPublicInferKAndAutoK(t *testing.T) {
 		ds.Repository[0][0], ds.Repository[0][1],
 		ds.Repository[1][0], ds.Repository[1][1],
 	}
-	k, supports, err := ceps.InferK(ds.Graph, queries, quickConfig(), 0)
+	k, supports, err := ceps.InferK(context.Background(), ds.Graph, queries, quickConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(supports) != 4 || k < 1 || k > 4 {
 		t.Fatalf("InferK gave k=%d supports=%v", k, supports)
 	}
-	res, err := ceps.QueryAutoK(ds.Graph, queries, quickConfig())
+	res, err := ceps.QueryAutoK(context.Background(), ds.Graph, queries, quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,5 +281,31 @@ func TestNormConstantsExported(t *testing.T) {
 	cfg := ceps.DefaultConfig()
 	if cfg.RWR.Norm != ceps.NormDegreePenalized {
 		t.Fatal("default normalization should be degree-penalized")
+	}
+}
+
+// TestNoCtxTwins: each public entry point exists once, taking ctx first,
+// so no exported function or method of the package may carry a "Ctx"
+// suffix naming a second form.
+func TestNoCtxTwins(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() && strings.HasSuffix(fn.Name.Name, "Ctx") {
+				t.Errorf("%s: exported %s is a second form of an entry point; give the one form a ctx instead",
+					fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
 	}
 }

@@ -120,9 +120,7 @@ func TestChaosInjectionPoints(t *testing.T) {
 	t.Run("partition_degenerate", func(t *testing.T) {
 		inj := arm(t, fault.Injection{Point: fault.InjectPartitionDegenerate})
 		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-		if _, err := eng.EnableFastMode(6, ceps.PartitionOptions{Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
+		setPartitions(t, eng, 6)
 		res, err := eng.Do(context.Background(), q)
 		if err != nil {
 			t.Fatalf("degenerate partition must fall back, not fail: %v", err)

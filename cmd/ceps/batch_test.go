@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeBatchFile(t *testing.T, content string) string {
@@ -49,8 +50,8 @@ func TestReadQueryRequestsJSONLines(t *testing.T) {
 	g := testGraph(t)
 	path := writeBatchFile(t, `
 Alice,Carol
-{"sources":[1,0],"k":1,"timeout_ms":50,"no_degrade":true}
-{"q":"Bob,Carol","budget":3,"coalesce":false}
+{"sources":[1,0],"k":1,"timeout_ms":50}
+{"q":"Bob,Carol","budget":3}
 `)
 	reqs, err := readQueryRequests(g, path)
 	if err != nil {
@@ -61,12 +62,11 @@ Alice,Carol
 	}
 	r := reqs[1]
 	if len(r.Sources) != 2 || r.Sources[0] != 1 || r.K == nil || *r.K != 1 ||
-		r.TimeoutMS != 50 || !r.NoDegrade {
+		r.TimeoutMS != 50 {
 		t.Fatalf("JSON line parsed as %+v", r)
 	}
 	r = reqs[2]
-	if r.Q != "Bob,Carol" || r.Budget == nil || *r.Budget != 3 ||
-		r.Coalesce == nil || *r.Coalesce {
+	if r.Q != "Bob,Carol" || r.Budget == nil || *r.Budget != 3 {
 		t.Fatalf("JSON line parsed as %+v", r)
 	}
 }
@@ -84,6 +84,11 @@ func TestReadQueryRequestsErrors(t *testing.T) {
 	}
 	if _, err := readQueryRequests(g, writeBatchFile(t, `{"sources":[0],`+"\n")); err == nil {
 		t.Error("malformed JSON line should fail")
+	}
+	for _, field := range []string{`"no_degrade":true`, `"coalesce":false`} {
+		if _, err := readQueryRequests(g, writeBatchFile(t, `{"sources":[0],`+field+"}\n")); err == nil {
+			t.Errorf("a line naming the removed field %s should fail", field)
+		}
 	}
 	if _, err := readQueryRequests(g, filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Error("missing file should fail")
@@ -127,9 +132,10 @@ func TestRunBatchJSON(t *testing.T) {
 			t.Fatalf("item %d: empty result", i)
 		}
 	}
-	// The repeat set must be served from cache.
-	if !strings.Contains(errb.String(), "hits") {
-		t.Errorf("expected cache stats on stderr: %s", errb.String())
+	// The repeat set must be served from cache: each of its two sources
+	// is solved once.
+	if !strings.Contains(errb.String(), "cache: 2 hits, 2 misses") {
+		t.Errorf("expected the repeat set's sources as cache hits on stderr: %s", errb.String())
 	}
 }
 
@@ -204,5 +210,53 @@ func TestReadQueryRequestsLongLine(t *testing.T) {
 	}
 	if want := 3*(sb.Len()/16) + 1; len(reqs[0].Sources) < 64<<10/16 {
 		t.Fatalf("set has %d members, want about %d", len(reqs[0].Sources), want)
+	}
+}
+
+// TestRunBatchSetErrorIsolated: a set that fails at execution (a
+// duplicated node passes the file's range check, not the pipeline's)
+// reports its error inline while the other sets still answer.
+func TestRunBatchSetErrorIsolated(t *testing.T) {
+	var out, errb bytes.Buffer
+	batch := writeBatchFile(t, "Alice,Carol\n{\"sources\":[0,0]}\nBob,Carol\n")
+	code := run([]string{"-graph", writeGraphFile(t), "-queries-file", batch, "-b", "2", "-json"}, &out, &errb)
+	if code != exitError {
+		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitError, errb.String())
+	}
+	var items []batchItemV1
+	if err := json.Unmarshal(out.Bytes(), &items); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, out.String())
+	}
+	if len(items) != 3 || items[1].Error == "" || items[1].Result != nil {
+		t.Fatalf("set 2 should fail alone: %s", out.String())
+	}
+	for _, i := range []int{0, 2} {
+		if items[i].Error != "" || items[i].Result == nil {
+			t.Errorf("set %d should answer beside the failed one: %+v", i+1, items[i])
+		}
+	}
+}
+
+// TestRunBatchPerSetDeadline: each -queries-file line runs under its own
+// deadline — -query-timeout, shortened by the line's timeout_ms — so the
+// line that runs out fails alone and the others answer.
+func TestRunBatchPerSetDeadline(t *testing.T) {
+	slowSolves(t, 300*time.Millisecond)
+	var out, errb bytes.Buffer
+	batch := writeBatchFile(t, "{\"sources\":[0,2],\"timeout_ms\":20}\nBob,Carol\n")
+	code := run([]string{"-graph", writeGraphFile(t), "-queries-file", batch, "-b", "2",
+		"-query-timeout", "10s", "-json"}, &out, &errb)
+	if code != exitError {
+		t.Fatalf("exit = %d, want %d; stderr: %s", code, exitError, errb.String())
+	}
+	var items []batchItemV1
+	if err := json.Unmarshal(out.Bytes(), &items); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, out.String())
+	}
+	if len(items) != 2 || !strings.Contains(items[0].Error, "deadline") {
+		t.Fatalf("set 1 should fail on its own deadline: %s", out.String())
+	}
+	if items[1].Error != "" || items[1].Result == nil {
+		t.Fatalf("set 2 should answer under the longer default deadline: %s", out.String())
 	}
 }

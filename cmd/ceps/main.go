@@ -12,14 +12,15 @@
 // -alpha and -norm for the normalization, and -partitions to enable Fast
 // CePS (pre-partition, then answer on the query partitions).
 //
-// Batch mode: -queries-file FILE answers many query sets concurrently.
-// Each line is either a comma-separated set ('#' starts a comment) or a
-// JSON object in the /v1/query request schema (per-line k, budget,
-// timeout_ms, no_degrade, coalesce overrides). Sets share the engine's
-// score cache (-cache-mb, default 64 MiB) and solve pool (-workers), so
-// overlapping sets pay each member's random walk once; cache statistics
-// are printed to stderr. -query-timeout arms a deadline on each set
-// individually; a set that fails or times out is reported inline without
+// Batch mode: -queries-file FILE answers many query sets concurrently,
+// through the same executor as POST /v1/batch. Each line is either a
+// comma-separated set ('#' starts a comment) or a JSON object in the
+// /v1/query request schema (per-line k, budget and timeout_ms overrides).
+// Sets share the engine's score cache (-cache-mb, default 64 MiB) and
+// solve pool (-workers), so overlapping sets pay each member's random
+// walk once; cache statistics are printed to stderr. -query-timeout arms
+// a deadline on each set individually (a line's timeout_ms may only
+// shorten it); a set that fails or times out is reported inline without
 // aborting the rest. With -json the batch is emitted as a JSON array in
 // input order.
 //
@@ -229,15 +230,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cfg.RWR.C = *c
 	cfg.RWR.Iterations = *m
 	cfg.RWR.Alpha = *alpha
-	switch *norm {
-	case "column":
-		cfg.RWR.Norm = rwr.NormColumn
-	case "penalized":
-		cfg.RWR.Norm = rwr.NormDegreePenalized
-	case "symmetric":
-		cfg.RWR.Norm = rwr.NormSymmetric
-	default:
-		fmt.Fprintf(stderr, "ceps: unknown normalization %q\n", *norm)
+	if cfg.RWR.Norm, err = rwr.ParseNorm(*norm); err != nil {
+		fmt.Fprintf(stderr, "ceps: %v\n", err)
 		return exitUsage
 	}
 
@@ -278,10 +272,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *parts > 0 {
-		pt, err := eng.EnableFastModeCtx(ctx, *parts, ceps.PartitionOptions{Seed: 1})
+		pt, err := ceps.PrePartition(ctx, g, *parts, ceps.PartitionOptions{Seed: 1})
 		if err != nil {
 			return fail(err)
 		}
+		eng.SetPartitioned(pt)
 		fmt.Fprintf(stderr, "pre-partitioned into %d parts in %v\n", *parts, pt.PartitionTime)
 	}
 
@@ -328,18 +323,17 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
+	var qopts []ceps.QueryOption
 	if *autoK {
-		inferred, supports, err := eng.InferKCtx(ctx, queries, 0)
+		inferred, supports, err := eng.InferK(ctx, queries, 0)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "inferred k = %d (query support counts %v)\n", inferred, supports)
-		cfg.K = inferred
-		if err := eng.Reconfigure(cfg); err != nil {
-			return fail(err)
-		}
+		cfg.K = inferred // the printed query type
+		qopts = append(qopts, ceps.WithK(inferred))
 	}
-	res, err := eng.Do(ctx, queries)
+	res, err := eng.Do(ctx, queries, qopts...)
 	if err != nil {
 		return fail(err)
 	}

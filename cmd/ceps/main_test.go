@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -60,7 +61,7 @@ func TestWriteJSON(t *testing.T) {
 	g := testGraph(t)
 	cfg := ceps.DefaultConfig()
 	cfg.Budget = 2
-	res, err := ceps.Query(g, []int{0, 2}, cfg)
+	res, err := ceps.Query(context.Background(), g, []int{0, 2}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

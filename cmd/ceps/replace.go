@@ -35,10 +35,11 @@ import (
 //	  "max_candidates": 128,      // pool cap (0 = 256, negative = unlimited)
 //	  "weight_rwr": 0.7,          // optional blend override (give both weights)
 //	  "weight_overlap": 0.3,
-//	  "timeout_ms": 250,          // per-request deadline (caps the server default)
-//	  "no_degrade": true,         // fail 503 instead of a reduced-fidelity panel
-//	  "coalesce": false           // opt the panel out of (or into) solve coalescing
+//	  "timeout_ms": 250           // per-request deadline (caps the server default)
 //	}
+//
+// As on /v1/query, degrading and coalescing are server settings; a body
+// naming any other field is a 400.
 type replaceRequestV1 struct {
 	Team          []int    `json:"team,omitempty"`
 	TeamQ         string   `json:"team_q,omitempty"`
@@ -51,8 +52,6 @@ type replaceRequestV1 struct {
 	WeightRWR     *float64 `json:"weight_rwr,omitempty"`
 	WeightOverlap *float64 `json:"weight_overlap,omitempty"`
 	TimeoutMS     int      `json:"timeout_ms,omitempty"`
-	NoDegrade     bool     `json:"no_degrade,omitempty"`
-	Coalesce      *bool    `json:"coalesce,omitempty"`
 }
 
 // jsonReplacement is one ranked candidate of a replace response.
@@ -144,9 +143,8 @@ func resolveReplaceRequestV1(g *ceps.Graph, req *replaceRequestV1) (team, depart
 }
 
 // replaceOptionsV1 maps a resolved replace request onto the engine's
-// per-call options. As with queryOptionsV1, a per-request timeout may only
-// tighten the server-wide default.
-func replaceOptionsV1(req replaceRequestV1, departing []int, defaultTimeout time.Duration) []ceps.ReplaceOption {
+// per-call options; its timeout_ms bounds the call's ctx (requestContext).
+func replaceOptionsV1(req replaceRequestV1, departing []int) []ceps.ReplaceOption {
 	opts := []ceps.ReplaceOption{ceps.WithDeparting(departing...)}
 	if len(req.Candidates) > 0 {
 		opts = append(opts, ceps.WithCandidatePool(req.Candidates...))
@@ -162,19 +160,6 @@ func replaceOptionsV1(req replaceRequestV1, departing []int, defaultTimeout time
 	}
 	if req.WeightRWR != nil && req.WeightOverlap != nil {
 		opts = append(opts, ceps.WithScoreWeights(*req.WeightRWR, *req.WeightOverlap))
-	}
-	timeout := defaultTimeout
-	if d := time.Duration(req.TimeoutMS) * time.Millisecond; d > 0 && (timeout <= 0 || d < timeout) {
-		timeout = d
-	}
-	if timeout > 0 {
-		opts = append(opts, ceps.WithReplaceTimeout(timeout))
-	}
-	if req.NoDegrade {
-		opts = append(opts, ceps.WithReplaceNoDegrade())
-	}
-	if req.Coalesce != nil {
-		opts = append(opts, ceps.WithReplaceCoalesceHint(*req.Coalesce))
 	}
 	return opts
 }
@@ -229,7 +214,9 @@ func handleReplaceV1(eng *ceps.Engine, g *ceps.Graph, defaultTimeout time.Durati
 			writeQueryError(w, http.StatusBadRequest, err)
 			return
 		}
-		res, err := eng.ReplaceSubteam(ctx, team, replaceOptionsV1(req, departing, defaultTimeout)...)
+		ctx, cancel := requestContext(ctx, req.TimeoutMS, defaultTimeout)
+		defer cancel()
+		res, err := eng.ReplaceSubteam(ctx, team, replaceOptionsV1(req, departing)...)
 		if err != nil {
 			span.SetError(err)
 			writeQueryError(w, queryStatus(err), err)
@@ -295,15 +282,8 @@ func runReplace(argv []string, stdout, stderr io.Writer) int {
 	cfg.RWR.C = *c
 	cfg.RWR.Iterations = *m
 	cfg.RWR.Alpha = *alpha
-	switch *norm {
-	case "column":
-		cfg.RWR.Norm = rwr.NormColumn
-	case "penalized":
-		cfg.RWR.Norm = rwr.NormDegreePenalized
-	case "symmetric":
-		cfg.RWR.Norm = rwr.NormSymmetric
-	default:
-		fmt.Fprintf(stderr, "ceps: unknown normalization %q\n", *norm)
+	if cfg.RWR.Norm, err = rwr.ParseNorm(*norm); err != nil {
+		fmt.Fprintf(stderr, "ceps: %v\n", err)
 		return exitUsage
 	}
 	engOpts := []ceps.Option{ceps.WithConfig(cfg)}

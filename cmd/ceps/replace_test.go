@@ -46,6 +46,8 @@ func TestDecodeReplaceRequestV1(t *testing.T) {
 		{"bad_pool", `{"team":[0,1],"departing":[1],"pool":"sparsest"}`},
 		{"one_sided_weights", `{"team":[0,1],"departing":[1],"weight_rwr":0.5}`},
 		{"negative_timeout", `{"team":[0,1],"departing":[1],"timeout_ms":-1}`},
+		{"removed_no_degrade", `{"team":[0,1],"departing":[1],"no_degrade":true}`},
+		{"removed_coalesce", `{"team":[0,1],"departing":[1],"coalesce":false}`},
 	} {
 		if _, _, _, err := decodeReplaceRequestV1(g, []byte(tc.body)); err == nil {
 			t.Errorf("%s: decode accepted %s", tc.name, tc.body)

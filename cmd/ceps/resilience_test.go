@@ -240,8 +240,8 @@ func TestQueryMuxOverloadResponse(t *testing.T) {
 // FuzzQueryRequest drives every v1 query decoder with arbitrary bytes:
 // the /v1/query body, the /v1/batch envelope (then each entry it accepts)
 // and the GET parameter form (the input read as a URL query string). None
-// may panic, and anything one accepts must be a non-empty, in-range query
-// set over the graph.
+// may panic, anything one accepts must be a non-empty, in-range query set
+// over the graph, and an accepted GET form holds only known parameters.
 func FuzzQueryRequest(f *testing.F) {
 	f.Add([]byte(`{"q":"Alice,Carol","k":1,"budget":2,"explain":true}`))
 	f.Add([]byte(`{"sources":[0,1,2]}`))
@@ -264,6 +264,9 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add([]byte(`sources=0,2&k=1&budget=2&timeout_ms=50&no_degrade=1&coalesce=false&explain=1`))
 	f.Add([]byte(`q=Alice,Carol&k=-1&budget=0`))
 	f.Add([]byte(`q=%zz&sources=;`))
+	f.Add([]byte(`{"sources":[0,2],"k":1,"budget":2,"timeout_ms":50,"explain":true}`))
+	f.Add([]byte(`sources=0,2&k=1&budget=2&timeout_ms=50&explain=1`))
+	f.Add([]byte(`sources=0,2&budegt=2`))
 
 	b := ceps.NewBuilder(0)
 	b.AddNode("Alice")
@@ -320,6 +323,13 @@ func FuzzQueryRequest(f *testing.F) {
 		params, _ := url.ParseQuery(string(body))
 		if req, queries, err := parseQueryParamsV1(g, params); err == nil {
 			accepted(t, "/v1/query parameters", body, req, queries)
+			for key := range params {
+				switch key {
+				case "sources", "q", "k", "budget", "timeout_ms", "explain":
+				default:
+					t.Fatalf("/v1/query parameters accepted unknown parameter %q from %q", key, body)
+				}
+			}
 		}
 	})
 }

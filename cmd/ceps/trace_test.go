@@ -39,8 +39,12 @@ func TestTraceSmoke(t *testing.T) {
 	cfg.RWR.Iterations = 25
 	cfg.Budget = 10
 	eng := testEngine(t, ds.Graph, ceps.WithConfig(cfg),
-		ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1}),
 		ceps.WithTracing(ceps.TracingOptions{SampleRate: 1}))
+	pt, err := ceps.PrePartition(context.Background(), ds.Graph, 6, ceps.PartitionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetPartitioned(pt)
 
 	queryLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

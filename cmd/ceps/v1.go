@@ -18,18 +18,20 @@ import (
 
 // This file is the versioned query API: one typed QueryRequest schema
 // shared by POST /v1/query, POST /v1/batch, the GET parameter form, and
-// the CLI -queries-file format (JSON-object lines). The schema maps
-// field-for-field onto the engine's QueryOption surface:
+// the CLI -queries-file format (JSON-object lines). k and budget map onto
+// the engine's QueryOption surface, timeout_ms onto the call's ctx:
 //
 //	{
 //	  "sources": [1, 2],          // node ids — or "q": "Alice,Bob" (ids or labels)
 //	  "k": 2,                     // optional K_softAND override (0 = AND)
 //	  "budget": 20,               // optional output budget override
 //	  "timeout_ms": 250,          // optional per-request deadline (caps the server default)
-//	  "no_degrade": true,         // fail 503 instead of a reduced-fidelity answer
-//	  "coalesce": false,          // opt this request out of (or into) solve coalescing
 //	  "explain": true             // include per-node why-lines
 //	}
+//
+// Degrading and coalescing are settings of the server (-no-degrade,
+// -coalesce), not of a request; a body or GET form that names any other
+// field is a 400.
 
 // queryRequestV1 is the v1 query schema. Exactly one of Sources (node
 // ids) and Q (comma-separated ids or labels, as with -q) must be set.
@@ -39,13 +41,11 @@ type queryRequestV1 struct {
 	K         *int   `json:"k,omitempty"`
 	Budget    *int   `json:"budget,omitempty"`
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
-	NoDegrade bool   `json:"no_degrade,omitempty"`
-	Coalesce  *bool  `json:"coalesce,omitempty"`
 	Explain   bool   `json:"explain,omitempty"`
 }
 
 // batchRequestV1 is the POST /v1/batch body: an array of v1 query
-// requests executed concurrently under one engine snapshot.
+// requests executed as concurrent Do calls.
 type batchRequestV1 struct {
 	Queries []queryRequestV1 `json:"queries"`
 }
@@ -140,10 +140,22 @@ func resolveQueryRequestV1(g *ceps.Graph, req *queryRequestV1) (queries []int, e
 	return queries, nil
 }
 
+// queryParamsV1 are the GET /v1/query URL parameters: the POST body's
+// fields, with sources taking the comma syntax of q.
+var queryParamsV1 = map[string]bool{
+	"sources": true, "q": true, "k": true, "budget": true, "timeout_ms": true, "explain": true,
+}
+
 // parseQueryParamsV1 builds a v1 request from GET /v1/query URL
-// parameters (sources, q, k, budget, timeout_ms, no_degrade, coalesce,
-// explain) and resolves it against the graph.
+// parameters (queryParamsV1) and resolves it against the graph. Like the
+// POST body's DisallowUnknownFields, an unknown parameter is an error, so
+// a misspelled one cannot silently fall back to the default.
 func parseQueryParamsV1(g *ceps.Graph, params map[string][]string) (req queryRequestV1, queries []int, err error) {
+	for key := range params {
+		if !queryParamsV1[key] {
+			return req, nil, fmt.Errorf("unknown parameter %q", key)
+		}
+	}
 	get := func(key string) string {
 		if vs := params[key]; len(vs) > 0 {
 			return vs[0]
@@ -177,11 +189,6 @@ func parseQueryParamsV1(g *ceps.Graph, params map[string][]string) (req queryReq
 	} else if t != nil {
 		req.TimeoutMS = *t
 	}
-	req.NoDegrade = get("no_degrade") != ""
-	if v := get("coalesce"); v != "" {
-		on := v != "0" && v != "false"
-		req.Coalesce = &on
-	}
 	req.Explain = get("explain") != ""
 	queries, err = resolveQueryRequestV1(g, &req)
 	return req, queries, err
@@ -201,11 +208,28 @@ func displayConfigV1(base ceps.Config, req queryRequestV1) ceps.Config {
 	return base
 }
 
-// queryOptionsV1 maps a v1 request onto the engine's per-call options.
-// defaultTimeout is the server-wide -query-timeout; a per-request
-// timeout_ms may only tighten it, so one client cannot opt out of the
-// operator's deadline policy.
-func queryOptionsV1(req queryRequestV1, defaultTimeout time.Duration) []ceps.QueryOption {
+// requestContext bounds one v1 request by its deadline: the server-wide
+// default (-query-timeout), tightened by the request's timeout_ms. A
+// request may only shorten the default, so one client cannot opt out of
+// the operator's deadline policy. Zero on both sides means no deadline
+// beyond ctx's own. The caller must call the returned cancel.
+func requestContext(ctx context.Context, timeoutMS int, defaultTimeout time.Duration) (context.Context, context.CancelFunc) {
+	timeout := defaultTimeout
+	if d := time.Duration(timeoutMS) * time.Millisecond; d > 0 && (timeout <= 0 || d < timeout) {
+		timeout = d
+	}
+	if timeout <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, timeout)
+}
+
+// execRequestV1 answers one resolved v1 request through the unified Do
+// surface under its requestContext deadline. It is shared by /v1/query,
+// /v1/batch, and the CLI batch mode.
+func execRequestV1(ctx context.Context, eng *ceps.Engine, queries []int, req queryRequestV1, defaultTimeout time.Duration) (*ceps.Result, error) {
+	ctx, cancel := requestContext(ctx, req.TimeoutMS, defaultTimeout)
+	defer cancel()
 	var opts []ceps.QueryOption
 	if req.K != nil {
 		opts = append(opts, ceps.WithK(*req.K))
@@ -213,26 +237,7 @@ func queryOptionsV1(req queryRequestV1, defaultTimeout time.Duration) []ceps.Que
 	if req.Budget != nil {
 		opts = append(opts, ceps.WithQueryBudget(*req.Budget))
 	}
-	timeout := defaultTimeout
-	if d := time.Duration(req.TimeoutMS) * time.Millisecond; d > 0 && (timeout <= 0 || d < timeout) {
-		timeout = d
-	}
-	if timeout > 0 {
-		opts = append(opts, ceps.WithQueryTimeout(timeout))
-	}
-	if req.NoDegrade {
-		opts = append(opts, ceps.WithNoDegrade())
-	}
-	if req.Coalesce != nil {
-		opts = append(opts, ceps.WithCoalesceHint(*req.Coalesce))
-	}
-	return opts
-}
-
-// execRequestV1 answers one resolved v1 request through the unified Do
-// surface. It is shared by /v1/query, /v1/batch, and the CLI batch mode.
-func execRequestV1(ctx context.Context, eng *ceps.Engine, queries []int, req queryRequestV1, defaultTimeout time.Duration) (*ceps.Result, error) {
-	return eng.Do(ctx, queries, queryOptionsV1(req, defaultTimeout)...)
+	return eng.Do(ctx, queries, opts...)
 }
 
 // readBody drains a bounded request body, classifying oversize as 413.
@@ -324,9 +329,12 @@ func handleBatchV1(eng *ceps.Engine, g *ceps.Graph, cfg ceps.Config, defaultTime
 	}
 }
 
-// execBatchV1 runs a slice of v1 requests with bounded concurrency and
-// returns items in input order. Shared by POST /v1/batch and the CLI
-// -queries-file batch mode (which is why it does not touch HTTP types).
+// execBatchV1 is the one batch executor: it runs a slice of v1 requests
+// as concurrent Do calls with bounded fan-out and returns items in input
+// order. Each entry gets its own requestContext deadline, and an entry's
+// failure lands in its item without touching the others; cancelling ctx
+// cancels every entry. Shared by POST /v1/batch and the CLI -queries-file
+// batch mode (which is why it does not touch HTTP types).
 func execBatchV1(ctx context.Context, eng *ceps.Engine, g *ceps.Graph, cfg ceps.Config, reqs []queryRequestV1, defaultTimeout time.Duration) []batchItemV1 {
 	items := make([]batchItemV1, len(reqs))
 	conc := runtime.GOMAXPROCS(0)

@@ -113,18 +113,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cepspre: -partitions and -workers must be non-negative, -budget positive")
 		return exitUsage
 	}
-	rc := rwr.Config{C: *c, Iterations: *m, Alpha: *alpha, Tol: *tol}
-	switch *norm {
-	case "column":
-		rc.Norm = rwr.NormColumn
-	case "penalized":
-		rc.Norm = rwr.NormDegreePenalized
-	case "symmetric":
-		rc.Norm = rwr.NormSymmetric
-	default:
-		fmt.Fprintf(stderr, "cepspre: unknown normalization %q\n", *norm)
+	kind, err := rwr.ParseNorm(*norm)
+	if err != nil {
+		fmt.Fprintf(stderr, "cepspre: %v\n", err)
 		return exitUsage
 	}
+	rc := rwr.Config{C: *c, Iterations: *m, Alpha: *alpha, Norm: kind, Tol: *tol}
 	if err := rc.Validate(); err != nil {
 		fmt.Fprintf(stderr, "cepspre: %v\n", err)
 		return exitUsage

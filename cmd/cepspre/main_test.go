@@ -142,12 +142,16 @@ func TestBuiltArtifactsBindToEngine(t *testing.T) {
 	}
 	eng, err := ceps.NewEngine(g,
 		ceps.WithCache(4<<20),
-		ceps.WithArtifactDir(out),
-		ceps.WithFastMode(2, ceps.PartitionOptions{Seed: 1}))
+		ceps.WithArtifactDir(out))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	pt, err := ceps.PrePartition(context.Background(), g, 2, ceps.PartitionOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetPartitioned(pt)
 	st, ok := eng.ArtifactStats()
 	if !ok || st.Loaded != 2 || st.Bound != 2 {
 		t.Fatalf("stats = %+v, want 2 loaded and both part spaces bound", st)

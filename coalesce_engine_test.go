@@ -94,34 +94,6 @@ func TestEngineCoalesceStagesReported(t *testing.T) {
 	}
 }
 
-// TestEngineCoalesceHintOptOut: WithCoalesceHint(false) routes a query
-// around the coalescer without changing its answer.
-func TestEngineCoalesceHintOptOut(t *testing.T) {
-	ds := smallDataset(t)
-	qs := []int{ds.Repository[0][0], ds.Repository[1][0]}
-	cold := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()),
-		ceps.WithCache(8<<20), ceps.WithCoalescing(ceps.CoalesceOptions{}))
-
-	want, err := cold.Do(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Do(context.Background(), qs, ceps.WithCoalesceHint(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, want, got)
-	if st, _ := eng.CoalesceStats(); st.Panels != 0 || st.Rows != 0 {
-		t.Errorf("opted-out query still rode the coalescer: %+v", st)
-	}
-	if res, err := eng.Do(context.Background(), qs); err != nil {
-		t.Fatal(err)
-	} else if res.Stages.CoalescePanelWidth != 0 {
-		t.Errorf("warm repeat should be pure cache hits, got panel width %d", res.Stages.CoalescePanelWidth)
-	}
-}
-
 // TestEngineCoalescingRequiresCache: the option is rejected without a
 // cache — panels fan out through the cache's single-flight entries.
 func TestEngineCoalescingRequiresCache(t *testing.T) {

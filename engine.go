@@ -26,8 +26,8 @@ import (
 //
 // All methods are safe for concurrent use: each query works against an
 // immutable snapshot of the configuration and partition state taken under
-// a read lock, so Reconfigure / EnableFastMode / DisableFastMode can run
-// concurrently with queries without tearing anything. The serving state
+// a read lock, so Reconfigure and SetPartitioned can run concurrently with
+// queries without tearing anything. The serving state
 // (cache and solve pool) is fixed at construction and internally
 // synchronized.
 type Engine struct {
@@ -70,9 +70,6 @@ type engineConfig struct {
 	cacheBytes int64
 	coalesce   *CoalesceOptions
 	workers    int
-	fastMode   bool
-	fastParts  int
-	fastOpts   PartitionOptions
 	slowW      io.Writer
 	slowThresh time.Duration
 	tracing    *TracingOptions
@@ -110,7 +107,7 @@ func WithConfig(cfg Config) Option {
 // WithCache enables the shared score cache with the given byte budget:
 // per-source RWR score vectors (8·N bytes each, plus small overhead) are
 // kept under SIEVE eviction and reused by every query path, including Fast
-// CePS and batches. Size it as budgetBytes ≈ 8·N·(expected distinct
+// CePS. Size it as budgetBytes ≈ 8·N·(expected distinct
 // sources); see README.md "Serving" for guidance.
 func WithCache(budgetBytes int64) Option {
 	return func(ec *engineConfig) error {
@@ -123,9 +120,8 @@ func WithCache(budgetBytes int64) Option {
 }
 
 // WithWorkers bounds how many random-walk solves run concurrently across
-// all queries and batches on this Engine (default: GOMAXPROCS). The bound
-// is global: a batch of 100 query sets still runs at most n solves at
-// once.
+// all queries on this Engine (default: GOMAXPROCS). The bound is global:
+// 100 concurrent Do calls still run at most n solves at once.
 func WithWorkers(n int) Option {
 	return func(ec *engineConfig) error {
 		if n <= 0 {
@@ -146,8 +142,7 @@ func WithWorkers(n int) Option {
 // concurrent misses are scheduled, trading up to MaxWait of added latency
 // for streaming the transition matrix once per panel instead of once per
 // miss. Requires WithCache — the fan-out rides the cache's single-flight
-// entries — and NewEngine rejects the combination without it. Individual
-// calls can opt out with WithCoalesceHint(false) (or Config.NoCoalesce).
+// entries — and NewEngine rejects the combination without it.
 func WithCoalescing(o CoalesceOptions) Option {
 	return func(ec *engineConfig) error {
 		if o.MaxWait < 0 {
@@ -157,21 +152,6 @@ func WithCoalescing(o CoalesceOptions) Option {
 			return fmt.Errorf("%w: negative coalesce panel width %d", ErrBadConfig, o.MaxWidth)
 		}
 		ec.coalesce = &o
-		return nil
-	}
-}
-
-// WithFastMode pre-partitions the graph into p parts at construction time
-// (Table 5 Step 0); queries then use Fast CePS. Equivalent to calling
-// EnableFastMode right after NewEngine.
-func WithFastMode(p int, opts PartitionOptions) Option {
-	return func(ec *engineConfig) error {
-		if p <= 0 {
-			return fmt.Errorf("%w: partition count %d must be positive", ErrBadConfig, p)
-		}
-		ec.fastMode = true
-		ec.fastParts = p
-		ec.fastOpts = opts
 		return nil
 	}
 }
@@ -199,8 +179,8 @@ func WithArtifactDir(dir string) Option {
 }
 
 // WithSlowQueryLog attaches a slow-query log: every call of every query
-// type — Do and DoBatch items, QueryAutoK, ReplaceSubteam, TopCenterPieces
-// and InferK, including failed and refused calls — whose wall time meets
+// type — Do, QueryAutoK, ReplaceSubteam, TopCenterPieces and InferK,
+// including failed and refused calls — whose wall time meets
 // or exceeds threshold is written to w as one JSON line with the
 // per-stage breakdown and cache counters — see README.md "Observability"
 // for the field reference. Writes are serialized; w need not be safe for
@@ -337,13 +317,6 @@ func NewEngine(g *Graph, opts ...Option) (*Engine, error) {
 	e.metrics.attachArtifacts(e.ArtifactStats)
 	if ec.slowW != nil {
 		e.slow = obs.NewSlowLog(ec.slowW, ec.slowThresh)
-	}
-	if ec.fastMode {
-		pt, err := core.PrePartition(g, ec.fastParts, ec.fastOpts)
-		if err != nil {
-			return nil, err
-		}
-		e.pt = pt
 	}
 	if ec.artifacts != "" {
 		store, err := artifact.Open(ec.artifacts)
@@ -508,32 +481,12 @@ func (e *Engine) Close() error {
 	return e.artStore.Close()
 }
 
-// EnableFastMode pre-partitions the graph into p parts (Table 5 Step 0);
-// subsequent Do calls use Fast CePS. It reports the one-time partition
-// cost through the returned Partitioned's PartitionTime.
-func (e *Engine) EnableFastMode(p int, opts PartitionOptions) (*Partitioned, error) {
-	return e.EnableFastModeCtx(context.Background(), p, opts)
-}
-
-// EnableFastModeCtx is EnableFastMode with cooperative cancellation of the
-// multilevel partitioner. Queries keep answering (on the previous state)
-// while the partitioner runs; the new state is swapped in atomically on
-// success.
-func (e *Engine) EnableFastModeCtx(ctx context.Context, p int, opts PartitionOptions) (*Partitioned, error) {
-	pt, err := core.PrePartitionCtx(ctx, e.g, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	e.installPartitioned(pt)
-	return pt, nil
-}
-
-// SetPartitioned installs pre-built Fast CePS state (e.g. partitioned
-// under a caller-controlled context with PrePartitionCtx, or loaded from a
-// snapshot). A nil pt disables fast mode.
-func (e *Engine) SetPartitioned(pt *Partitioned) { e.installPartitioned(pt) }
-
-func (e *Engine) installPartitioned(pt *Partitioned) {
+// SetPartitioned installs Fast CePS state — built with PrePartition, or
+// loaded from a snapshot — and subsequent Do calls answer on it; a nil pt
+// removes it, reverting Do to full-graph CePS. Queries keep answering on
+// the previous state until the swap, which is atomic. Partitioned reads
+// the installed state.
+func (e *Engine) SetPartitioned(pt *Partitioned) {
 	e.mu.Lock()
 	changed := pt != e.pt
 	e.pt = pt
@@ -549,24 +502,12 @@ func (e *Engine) installPartitioned(pt *Partitioned) {
 	}
 }
 
-// Partitioned returns the engine's Fast CePS state, nil when fast mode is
-// off.
+// Partitioned returns the engine's Fast CePS state, nil when none is
+// installed.
 func (e *Engine) Partitioned() *Partitioned {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.pt
-}
-
-// DisableFastMode reverts the engine to full-graph CePS.
-func (e *Engine) DisableFastMode() {
-	e.installPartitioned(nil)
-}
-
-// FastMode reports whether Fast CePS is active.
-func (e *Engine) FastMode() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.pt != nil
 }
 
 // Prepare eagerly builds the cached transition matrix the full-graph query
@@ -689,17 +630,12 @@ func (e *Engine) BreakerState() BreakerState {
 }
 
 // TopCenterPieces ranks the strongest center-piece candidates — Steps 1–2
-// only — reusing the engine's cached matrix and score cache. Fast mode
-// does not apply (ranking is over the full graph).
-func (e *Engine) TopCenterPieces(queries []int, topN int) ([]RankedNode, error) {
-	return e.TopCenterPiecesCtx(context.Background(), queries, topN)
-}
-
-// TopCenterPiecesCtx is TopCenterPieces with cooperative cancellation. It
-// runs through the engine's request funnel (path "rank"); with the circuit
-// breaker open it fails with ErrUnavailable, since a ranking cannot carry
-// a Degraded marker.
-func (e *Engine) TopCenterPiecesCtx(ctx context.Context, queries []int, topN int) (ranked []RankedNode, err error) {
+// only — reusing the engine's cached matrix and score cache. Fast CePS
+// state does not apply (ranking is over the full graph). It runs through
+// the engine's request funnel (path "rank"); with the circuit breaker open
+// it fails with ErrUnavailable, since a ranking cannot carry a Degraded
+// marker.
+func (e *Engine) TopCenterPieces(ctx context.Context, queries []int, topN int) (ranked []RankedNode, err error) {
 	defer e.recoverToError(&err)
 	a, err := serve(e, ctx, e.stepCall("rank", e.metrics.queriesRank, queries, func(ctx context.Context, r *core.Runner, cfg Config, a *stepAnswer) (err error) {
 		a.ranked, err = r.TopCenterPiecesCtx(ctx, queries, cfg, topN, &a.stages)
@@ -713,16 +649,11 @@ func (e *Engine) TopCenterPiecesCtx(ctx context.Context, queries []int, topN int
 
 // InferK chooses a K_softAND coefficient from the mutual-support structure
 // of the query set, reusing the engine's cached matrix and score cache.
-// tau ≤ 0 uses the default support threshold.
-func (e *Engine) InferK(queries []int, tau float64) (int, []int, error) {
-	return e.InferKCtx(context.Background(), queries, tau)
-}
-
-// InferKCtx is InferK with cooperative cancellation. It runs through the
+// tau ≤ 0 uses the default support threshold. It runs through the
 // engine's request funnel (path "infer_k"); with the circuit breaker open
 // it fails with ErrUnavailable, since an inferred k cannot carry a
 // Degraded marker.
-func (e *Engine) InferKCtx(ctx context.Context, queries []int, tau float64) (k int, supports []int, err error) {
+func (e *Engine) InferK(ctx context.Context, queries []int, tau float64) (k int, supports []int, err error) {
 	defer e.recoverToError(&err)
 	a, err := serve(e, ctx, e.stepCall("infer_k", e.metrics.queriesInferK, queries, func(ctx context.Context, r *core.Runner, cfg Config, a *stepAnswer) (err error) {
 		a.k, a.supports, err = r.InferKCtx(ctx, queries, cfg, tau, &a.stages)
@@ -782,15 +713,10 @@ func (e *Engine) stepCall(path string, count *obs.Counter, queries []int, step f
 
 // QueryAutoK infers the K_softAND coefficient with InferK and answers the
 // query with it; the chosen k is recoverable from the result's Combiner.
-func (e *Engine) QueryAutoK(queries ...int) (*Result, error) {
-	return e.QueryAutoKCtx(context.Background(), queries...)
-}
-
-// QueryAutoKCtx is QueryAutoK with cooperative cancellation. The inference
-// pass and the query run as one request through the engine's funnel and
-// share the score cache, so the second step reuses the first's solves;
-// the answer's Stages include the inference solves.
-func (e *Engine) QueryAutoKCtx(ctx context.Context, queries ...int) (res *Result, err error) {
+// The inference pass and the query run as one request through the
+// engine's funnel and share the score cache, so the second step reuses
+// the first's solves; the answer's Stages include the inference solves.
+func (e *Engine) QueryAutoK(ctx context.Context, queries ...int) (res *Result, err error) {
 	defer e.recoverToError(&err)
 	cfg, pt := e.snapshot()
 	return serve(e, ctx, e.autoKCall(cfg, pt, queries))
@@ -801,7 +727,7 @@ func (e *Engine) QueryAutoKCtx(ctx context.Context, queries ...int) (res *Result
 // in fast mode the rows counter, which multiplies by the work graph,
 // undercounts them.
 func (e *Engine) autoKCall(cfg Config, pt *Partitioned, queries []int) call[*Result] {
-	c := e.queryCall(cfg, pt, queries, false)
+	c := e.queryCall(cfg, pt, queries)
 	query := c.run
 	c.run = func(ctx context.Context, cfg Config) (*Result, error) {
 		runner, err := e.runnerFor(cfg.RWR)
@@ -819,25 +745,10 @@ func (e *Engine) autoKCall(cfg Config, pt *Partitioned, queries []int) call[*Res
 		if err != nil {
 			return nil, err
 		}
-		res.Stages.Solve += inf.Solve
-		res.Stages.SolveSweeps += inf.SolveSweeps
-		res.Stages.CacheHits += inf.CacheHits
-		res.Stages.CacheMisses += inf.CacheMisses
-		res.Stages.ArtifactHits += inf.ArtifactHits
+		res.Stages.AddSolve(inf)
 		return res, nil
 	}
 	return c
-}
-
-// BatchItem is the outcome of one query set of a batch: exactly one of
-// Result and Err is non-nil.
-type BatchItem struct {
-	// Queries is the query set this item answers (a private copy).
-	Queries []int
-	// Result is the successful answer.
-	Result *Result
-	// Err is the per-set failure; other sets are unaffected.
-	Err error
 }
 
 // recoverToError converts a panic on the public Engine boundary into an

@@ -205,33 +205,11 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := ceps.NewEngine(ds.Graph, ceps.WithConfig(ceps.Config{})); err == nil {
 		t.Error("invalid config should fail at construction")
 	}
-	if _, err := ceps.NewEngine(ds.Graph, ceps.WithFastMode(0, ceps.PartitionOptions{})); err == nil {
-		t.Error("zero partitions should fail")
-	}
 }
 
-// TestEngineWithFastModeOption: construction-time fast mode behaves like
-// EnableFastMode.
-func TestEngineWithFastModeOption(t *testing.T) {
-	ds := smallDataset(t)
-	eng := newEngine(t, ds.Graph,
-		ceps.WithConfig(quickConfig()),
-		ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1}),
-		ceps.WithCache(8<<20))
-	if !eng.FastMode() {
-		t.Fatal("fast mode should be on from construction")
-	}
-	res, err := eng.Do(context.Background(), []int{ds.Repository[0][0], ds.Repository[0][1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Subgraph.Size() < 2 {
-		t.Fatal("answer too small")
-	}
-}
-
-// TestQueryBatch: items come back in input order, share one cache, and
-// per-set failures stay contained.
+// TestQueryBatch: a library batch — concurrent Do calls, one per set —
+// returns each set's own answer, bit-identical to a cold engine's; a bad
+// set fails alone; and overlapping sets share solves through the cache.
 func TestQueryBatch(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(8<<20))
@@ -243,30 +221,22 @@ func TestQueryBatch(t *testing.T) {
 		{-1, 5},
 		{ds.Repository[1][0], ds.Repository[2][0]},
 	}
-	items := eng.DoBatch(context.Background(), sets)
-	if len(items) != len(sets) {
-		t.Fatalf("got %d items for %d sets", len(items), len(sets))
-	}
-	for i, item := range items {
-		for j, q := range sets[i] {
-			if item.Queries[j] != q {
-				t.Fatalf("item %d out of order: queries %v", i, item.Queries)
-			}
-		}
+	results, errs := doSets(context.Background(), eng, sets, len(sets))
+	for i := range sets {
 		if i == 2 {
-			if !errors.Is(item.Err, ceps.ErrBadQuery) {
-				t.Fatalf("bad set: err = %v, want ErrBadQuery", item.Err)
+			if !errors.Is(errs[i], ceps.ErrBadQuery) {
+				t.Fatalf("bad set: err = %v, want ErrBadQuery", errs[i])
 			}
 			continue
 		}
-		if item.Err != nil {
-			t.Fatalf("set %d failed: %v", i, item.Err)
+		if errs[i] != nil {
+			t.Fatalf("set %d failed: %v", i, errs[i])
 		}
 		want, err := cold.Do(context.Background(), sets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, want, item.Result)
+		assertSameResult(t, want, results[i])
 	}
 	// 3 distinct sources across the good sets' 7 solves; every overlap is
 	// a hit (whether served from cache or joined in flight).
@@ -279,29 +249,47 @@ func TestQueryBatch(t *testing.T) {
 	}
 }
 
-// TestQueryBatchPerQueryTimeout: an absurdly tight per-set deadline fails
-// that set with the deadline sentinel; the batch itself completes.
+// TestQueryBatchPerQueryTimeout: a call's deadline is its ctx's. In a
+// library batch, the set whose ctx deadline has passed fails with the
+// deadline sentinel and the other set still answers.
 func TestQueryBatchPerQueryTimeout(t *testing.T) {
 	ds := smallDataset(t)
-	cfg := quickConfig()
-	cfg.RWR.Iterations = 1 << 30 // effectively unbounded: the deadline must cut in
-	eng := newEngine(t, ds.Graph, ceps.WithConfig(cfg))
-	sets := [][]int{{ds.Repository[0][0], ds.Repository[1][0]}}
-	items := eng.DoBatch(context.Background(), sets, ceps.WithQueryTimeout(time.Nanosecond))
-	if !errors.Is(items[0].Err, ceps.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", items[0].Err)
+	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	var wg sync.WaitGroup
+	var tightErr, okErr error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, tightErr = eng.Do(ctx, []int{ds.Repository[0][0], ds.Repository[1][0]})
+	}()
+	go func() {
+		defer wg.Done()
+		_, okErr = eng.Do(context.Background(), []int{ds.Repository[2][0]}, ceps.WithQueryBudget(1))
+	}()
+	wg.Wait()
+	if !errors.Is(tightErr, ceps.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", tightErr)
+	}
+	if okErr != nil {
+		t.Fatalf("the set without a deadline failed: %v", okErr)
 	}
 }
 
-// TestQueryBatchCancel: canceling the batch context aborts in-flight sets.
+// TestQueryBatchCancel: canceling the ctx a library batch shares aborts
+// every set in it.
 func TestQueryBatchCancel(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items := eng.DoBatch(ctx, [][]int{{ds.Repository[0][0], ds.Repository[1][0]}})
-	if !errors.Is(items[0].Err, ceps.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", items[0].Err)
+	sets := [][]int{{ds.Repository[0][0], ds.Repository[1][0]}, {ds.Repository[2][0], ds.Repository[3][0]}}
+	_, errs := doSets(ctx, eng, sets, len(sets))
+	for i, err := range errs {
+		if !errors.Is(err, ceps.ErrCanceled) {
+			t.Fatalf("set %d: err = %v, want ErrCanceled", i, err)
+		}
 	}
 }
 
@@ -352,12 +340,14 @@ func TestEngineConcurrentReconfigure(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				if _, err := eng.EnableFastMode(4, ceps.PartitionOptions{Seed: 1}); err != nil {
+				pt, err := ceps.PrePartition(context.Background(), ds.Graph, 4, ceps.PartitionOptions{Seed: 1})
+				if err != nil {
 					fail <- err
 					return
 				}
+				eng.SetPartitioned(pt)
 			} else {
-				eng.DisableFastMode()
+				eng.SetPartitioned(nil)
 			}
 		}
 	}()
@@ -375,9 +365,10 @@ func TestEngineConcurrentReconfigure(t *testing.T) {
 						return
 					}
 				} else {
-					for _, item := range eng.DoBatch(context.Background(), [][]int{queries, queries}) {
-						if item.Err != nil {
-							fail <- item.Err
+					_, errs := doSets(context.Background(), eng, [][]int{queries, queries}, 2)
+					for _, err := range errs {
+						if err != nil {
+							fail <- err
 							return
 						}
 					}

@@ -51,7 +51,7 @@ func Example() {
 // TopCenterPieces ranks candidates without extracting a subgraph.
 func ExampleTopCenterPieces() {
 	g, ids := buildAdvisorGraph()
-	top, err := ceps.TopCenterPieces(g, []int{ids["Ann"], ids["Cleo"]}, ceps.DefaultConfig(), 1)
+	top, err := ceps.TopCenterPieces(context.Background(), g, []int{ids["Ann"], ids["Cleo"]}, ceps.DefaultConfig(), 1)
 	if err != nil {
 		panic(err)
 	}
@@ -71,7 +71,7 @@ func ExampleInferK() {
 	if err != nil {
 		panic(err)
 	}
-	k, _, err := ceps.InferK(g, []int{0, 1, 2}, ceps.DefaultConfig(), 0)
+	k, _, err := ceps.InferK(context.Background(), g, []int{0, 1, 2}, ceps.DefaultConfig(), 0)
 	if err != nil {
 		panic(err)
 	}
@@ -84,7 +84,7 @@ func ExampleResult_Explain() {
 	g, ids := buildAdvisorGraph()
 	cfg := ceps.DefaultConfig()
 	cfg.Budget = 1
-	res, err := ceps.Query(g, []int{ids["Ann"], ids["Cleo"]}, cfg)
+	res, err := ceps.Query(context.Background(), g, []int{ids["Ann"], ids["Cleo"]}, cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +42,7 @@ func main() {
 
 	qcfg := ceps.DefaultConfig()
 	qcfg.Budget = 10
-	res, err := ceps.Query(g, queries, qcfg)
+	res, err := ceps.Query(context.Background(), g, queries, qcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

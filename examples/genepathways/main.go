@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,6 +36,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	g, regulator, pathways := buildNetwork()
 	fmt.Printf("protein interaction network: %d proteins, %d interactions\n\n", g.N(), g.M())
 
@@ -45,7 +47,7 @@ func main() {
 	// pathways.
 	queries := []int{pathways[0][3], pathways[1][4], pathways[2][5]}
 	fmt.Println("scenario 1: proteins from three co-regulated pathways (AND query)")
-	res, err := ceps.Query(g, queries, cfg)
+	res, err := ceps.Query(ctx, g, queries, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 	// be mediated rather than direct.
 	const tau = 0.002
 	fmt.Println("\nscenario 2: same proteins, auto-inferred k (support threshold 0.2%)")
-	k, supports, err := ceps.InferK(g, queries, cfg, tau)
+	k, supports, err := ceps.InferK(ctx, g, queries, cfg, tau)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func main() {
 	}
 	cfg2 := cfg
 	cfg2.K = k
-	auto, err := ceps.Query(g, queries, cfg2)
+	auto, err := ceps.Query(ctx, g, queries, cfg2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func main() {
 	// Scenario 3: unrelated pathways — auto-k should relax the query.
 	far := []int{pathways[10][3], pathways[18][4], pathways[27][5]}
 	fmt.Println("\nscenario 3: proteins from three unrelated pathways, same threshold")
-	k3, supports3, err := ceps.InferK(g, far, cfg, tau)
+	k3, supports3, err := ceps.InferK(ctx, g, far, cfg, tau)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func main() {
 	}
 	cfg3 := cfg
 	cfg3.K = k3
-	relaxed, err := ceps.Query(g, far, cfg3)
+	relaxed, err := ceps.Query(ctx, g, far, cfg3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,6 +46,7 @@ var officerFaction = map[int]bool{
 }
 
 func main() {
+	ctx := context.Background()
 	b := ceps.NewBuilder(35) // node 0 unused; keep the paper's 1-indexing
 	for i := 1; i <= 34; i++ {
 		b.SetLabel(i, fmt.Sprintf("member-%02d", i))
@@ -65,7 +67,7 @@ func main() {
 
 	// Who bridges the two faction leaders?
 	fmt.Println("top center-piece candidates between the leaders:")
-	top, err := ceps.TopCenterPieces(g, []int{1, 34}, cfg, 5)
+	top, err := ceps.TopCenterPieces(ctx, g, []int{1, 34}, cfg, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func main() {
 			i+1, g.Label(r.Node), r.Score, factionOf(r.Node))
 	}
 
-	res, err := ceps.Query(g, []int{1, 34}, cfg)
+	res, err := ceps.Query(ctx, g, []int{1, 34}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,10 +79,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pt, err := eng.EnableFastMode(numCells, ceps.PartitionOptions{Seed: 1})
+	pt, err := ceps.PrePartition(ctx, g, numCells, ceps.PartitionOptions{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng.SetPartitioned(pt)
 	fastLocal, err := eng.Do(ctx, local)
 	if err != nil {
 		log.Fatal(err)

@@ -30,15 +30,15 @@ func TestEngineExtractInvariants(t *testing.T) {
 	configs := []struct {
 		name     string
 		opts     []ceps.Option
+		parts    int  // install Fast CePS state with this many parts
 		artifact bool // also serve from artifacts covering all but one source
 	}{
-		{"plain", nil, false},
-		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}, false},
+		{"plain", nil, 0, false},
+		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}, 0, false},
 		{"coalesced", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}, false},
-		{"fast", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1})}, false},
-		{"artifact", []ceps.Option{ceps.WithCache(16 << 20)}, true},
+			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}, 0, false},
+		{"fast", []ceps.Option{ceps.WithCache(16 << 20)}, 6, false},
+		{"artifact", []ceps.Option{ceps.WithCache(16 << 20)}, 0, true},
 	}
 	var checked, fastUnions, extracted int
 	for seed := int64(1); seed <= 2; seed++ {
@@ -66,6 +66,9 @@ func TestEngineExtractInvariants(t *testing.T) {
 				opts = append(opts, ceps.WithArtifactDir(buildArtifactDir(t, g, cfg.RWR, 0, 0, panelBudget(g))))
 			}
 			eng := newEngine(t, g, opts...)
+			if c.parts > 0 {
+				setPartitions(t, eng, c.parts)
+			}
 			for _, set := range sets {
 				for _, k := range []int{0, 1, len(set) - 1} { // AND, OR, K_softAND
 					label := fmt.Sprintf("seed %d %s %v k=%d", seed, c.name, set, k)

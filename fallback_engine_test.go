@@ -96,10 +96,7 @@ func TestFastFallbackSharedRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := eng.EnableFastMode(16, ceps.PartitionOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pt := setPartitions(t, eng, 16)
 	for _, q := range fallbackSets(t, ds, pt, 2) {
 		res, err := eng.Do(ctx, q)
 		if err != nil {
@@ -134,9 +131,8 @@ func TestFastFallbackConcurrentSharedRunner(t *testing.T) {
 	alt := base
 	alt.RWR.C = 0.7
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(base), ceps.WithCache(32<<20),
-		ceps.WithCoalescing(ceps.CoalesceOptions{}), ceps.WithWorkers(2),
-		ceps.WithFastMode(16, ceps.PartitionOptions{Seed: 1}))
-	pt := eng.Partitioned()
+		ceps.WithCoalescing(ceps.CoalesceOptions{}), ceps.WithWorkers(2))
+	pt := setPartitions(t, eng, 16)
 	sets := fallbackSets(t, ds, pt, 3)
 	want := make([][2]*ceps.Result, len(sets))
 	for i, q := range sets {
@@ -214,7 +210,8 @@ func TestFastModeSinglePartitionEngineBitIdentical(t *testing.T) {
 		cfg := quickConfig()
 		cfg.RWR.Norm = norm
 		fast := newEngine(t, ds.Graph, ceps.WithConfig(cfg), ceps.WithCache(32<<20),
-			ceps.WithCoalescing(ceps.CoalesceOptions{}), ceps.WithFastMode(1, ceps.PartitionOptions{Seed: 1}))
+			ceps.WithCoalescing(ceps.CoalesceOptions{}))
+		setPartitions(t, fast, 1)
 		want, err := newEngine(t, ds.Graph, ceps.WithConfig(cfg)).Do(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +246,7 @@ func TestFastFallbackForeignGraphStaysLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(32<<20))
-	pt, err := ceps.PrePartition(other.Graph, 16, ceps.PartitionOptions{Seed: 1})
+	pt, err := ceps.PrePartition(context.Background(), other.Graph, 16, ceps.PartitionOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestQueryCancellation(t *testing.T) {
 func TestEngineFallbackOnInjectedPartitionerFailure(t *testing.T) {
 	ds := smallDataset(t)
 	eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()))
-	pt, err := ceps.PrePartition(ds.Graph, 4, ceps.PartitionOptions{Seed: 1})
+	pt, err := ceps.PrePartition(context.Background(), ds.Graph, 4, ceps.PartitionOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

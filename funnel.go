@@ -11,12 +11,12 @@ import (
 )
 
 // This file is the request funnel: the one path every query type — Do,
-// each DoBatch item, QueryAutoK, ReplaceSubteam, TopCenterPieces and
-// InferK — takes between its public method and the pipeline. The funnel
-// owns admission, the breaker's routing, the in-flight gauge, panic
-// recovery and every observation (span, metrics, slow log, SLO windows),
-// so each signal follows one rule for every type on every exit. A query
-// type supplies only what differs between types: a call.
+// QueryAutoK, ReplaceSubteam, TopCenterPieces and InferK — takes between
+// its public method and the pipeline. The funnel owns admission, the
+// breaker's routing, the in-flight gauge, panic recovery and every
+// observation (span, metrics, slow log, SLO windows), so each signal
+// follows one rule for every type on every exit. A query type supplies
+// only what differs between types: a call.
 
 // call is one request as the funnel sees it. T is the answer its run step
 // returns.
@@ -26,8 +26,10 @@ type call[T any] struct {
 	queries []int      // the query set the slow log records
 	cfg     Config     // the snapshot the run step solves under
 	// noDegrade refuses the breaker's degrade route with ErrUnavailable
-	// instead of running under a relaxed cfg. Types whose answer cannot
-	// carry a Degraded marker always set it.
+	// instead of running under a relaxed cfg. It is a fixed property of the
+	// call type: the Steps 1–2 types (stepCall), whose answers cannot carry
+	// a Degraded marker, set it. The engine-wide switch is
+	// ResilienceOptions.NoDegrade.
 	noDegrade bool
 	// keepTol makes the degrade route apply only the iteration cap and
 	// keep cfg's tolerance. ReplaceSubteam sets it: its top-N certificate

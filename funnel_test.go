@@ -86,7 +86,7 @@ func funnelTypes(ds *Dataset) []funnelType {
 	}
 	queryPanic := func(e *Engine, qs []int) error {
 		cfg, pt := e.snapshot()
-		return panicRun(e, e.queryCall(cfg, pt, qs, false))
+		return panicRun(e, e.queryCall(cfg, pt, qs))
 	}
 	n := ds.Graph.N()
 	return []funnelType{
@@ -101,11 +101,21 @@ func funnelTypes(ds *Dataset) []funnelType {
 			panicky: queryPanic,
 		},
 		{
-			// A DoBatch item is the same call as Do, served per set.
+			// A library batch item is the same call as Do, issued from a
+			// goroutine of the caller's fan-out.
 			name: "batch_item", span: "query", degradable: true, counter: "queries_full", latency: "dur_query",
 			invoke: func(e *Engine, qs []int) (*funnelAnswer, error) {
-				item := e.DoBatch(ctx, [][]int{qs})[0]
-				return fromResult(item.Result, item.Err)
+				var (
+					res  *Result
+					err  error
+					done = make(chan struct{})
+				)
+				go func() {
+					defer close(done)
+					res, err = e.Do(ctx, qs)
+				}()
+				<-done
+				return fromResult(res, err)
 			},
 			panicky: queryPanic,
 		},
@@ -120,12 +130,12 @@ func funnelTypes(ds *Dataset) []funnelType {
 			},
 			panicky: func(e *Engine, qs []int) error {
 				cfg, _ := e.snapshot()
-				return panicRun(e, e.replaceCall(cfg, core.ReplaceSpec{Team: qs, Departing: qs[1:2]}, false))
+				return panicRun(e, e.replaceCall(cfg, core.ReplaceSpec{Team: qs, Departing: qs[1:2]}))
 			},
 		},
 		{
 			name: "auto_k", span: "query", degradable: true, counter: "queries_full", latency: "dur_query",
-			invoke: func(e *Engine, qs []int) (*funnelAnswer, error) { return fromResult(e.QueryAutoKCtx(ctx, qs...)) },
+			invoke: func(e *Engine, qs []int) (*funnelAnswer, error) { return fromResult(e.QueryAutoK(ctx, qs...)) },
 			panicky: func(e *Engine, qs []int) error {
 				cfg, pt := e.snapshot()
 				return panicRun(e, e.autoKCall(cfg, pt, qs))
@@ -134,7 +144,7 @@ func funnelTypes(ds *Dataset) []funnelType {
 		{
 			name: "rank", span: "rank", counter: "queries_rank", latency: "dur_query",
 			invoke: func(e *Engine, qs []int) (*funnelAnswer, error) {
-				if _, err := e.TopCenterPiecesCtx(ctx, qs, 5); err != nil {
+				if _, err := e.TopCenterPieces(ctx, qs, 5); err != nil {
 					return nil, err
 				}
 				return &funnelAnswer{nodes: n}, nil
@@ -146,7 +156,7 @@ func funnelTypes(ds *Dataset) []funnelType {
 		{
 			name: "infer_k", span: "infer_k", counter: "queries_infer_k", latency: "dur_query",
 			invoke: func(e *Engine, qs []int) (*funnelAnswer, error) {
-				if _, _, err := e.InferKCtx(ctx, qs, 0); err != nil {
+				if _, _, err := e.InferK(ctx, qs, 0); err != nil {
 					return nil, err
 				}
 				return &funnelAnswer{nodes: n}, nil
@@ -223,14 +233,18 @@ func runFunnelCell(t *testing.T, ds *Dataset, ty funnelType, exit string) {
 			NoDegrade: exit == "breaker_open",
 		}),
 	}
-	if ty.fast {
-		opts = append(opts, WithFastMode(4, PartitionOptions{Seed: 1}))
-	}
 	e, err := NewEngine(ds.Graph, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if ty.fast {
+		pt, err := PrePartition(context.Background(), ds.Graph, 4, PartitionOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetPartitioned(pt)
+	}
 
 	qs := append([]int(nil), ds.Repository[0][:4]...)
 	switch exit {

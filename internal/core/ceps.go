@@ -119,6 +119,16 @@ type StageTimings struct {
 	CoalesceWait       time.Duration
 }
 
+// AddSolve folds the Step 1 accounting of a separate solve pass (an
+// inferred-k pass ahead of the query it feeds) into st.
+func (st *StageTimings) AddSolve(o StageTimings) {
+	st.Solve += o.Solve
+	st.SolveSweeps += o.SolveSweeps
+	st.CacheHits += o.CacheHits
+	st.CacheMisses += o.CacheMisses
+	st.ArtifactHits += o.ArtifactHits
+}
+
 // Fallback records one step down the graceful-degradation ladder: the
 // query was answered, but not by the path the caller asked for.
 type Fallback struct {
@@ -231,7 +241,7 @@ func runPipeline(ctx context.Context, g *graph.Graph, queries []int, cfg Config,
 func runPipelineWith(ctx context.Context, solver *rwr.Solver, g *graph.Graph, queries []int, cfg Config, sv Serving, space uint64) (*Result, error) {
 	var st StageTimings
 	uphill := func(vec []float64) []uint64 { return extract.UphillMask(g, vec) }
-	R, diags, up, err := solveStep(ctx, solver, queries, cfg, sv, space, &st, uphill)
+	R, diags, up, err := solveStep(ctx, solver, queries, sv, space, &st, uphill)
 	if err != nil {
 		return nil, err
 	}

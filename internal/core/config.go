@@ -39,13 +39,6 @@ type Config struct {
 	// MaxPathLen caps new nodes per key path; 0 means the paper's
 	// ceil(Budget / K) (§7 "Parameter Setting").
 	MaxPathLen int
-
-	// NoCoalesce opts this query out of the engine's cross-request solve
-	// coalescer (when one is attached): its cache misses solve directly
-	// instead of joining a shared panel. Coalescing never changes answers
-	// (panel solves are bit-identical), so this is a pure scheduling knob
-	// and never part of a cache key.
-	NoCoalesce bool
 }
 
 // DefaultConfig returns the paper's operating point: c = 0.5, m = 50,

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"ceps/internal/fault"
 	"ceps/internal/graph"
-	"ceps/internal/rwr"
 )
 
 // DefaultSupportThreshold is the relative-support cutoff used by InferK:
@@ -43,24 +43,11 @@ func InferK(g *graph.Graph, queries []int, cfg Config, tau float64) (bestK int, 
 // InferKCtx is InferK with cooperative cancellation of the underlying
 // random-walk solves.
 func InferKCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config, tau float64) (bestK int, supports []int, err error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, nil, err
-	}
-	if err := checkQueries(g, queries); err != nil {
-		return 0, nil, err
-	}
-	if len(queries) < 2 {
-		return 0, nil, fmt.Errorf("%w: inferring k needs at least 2 queries, got %d", fault.ErrBadQuery, len(queries))
-	}
-	solver, err := rwr.NewSolver(g, cfg.RWR)
+	r, err := oneShotRunner(g, queries, cfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	R, _, err := solver.ScoresSetCtx(ctx, queries)
-	if err != nil {
-		return 0, nil, err
-	}
-	return inferKFromScores(R, queries, tau)
+	return r.InferKCtx(ctx, queries, cfg, tau, new(StageTimings))
 }
 
 // InferK is the Runner variant of the package-level InferK, reusing the
@@ -78,7 +65,7 @@ func (r *Runner) InferKCtx(ctx context.Context, queries []int, cfg Config, tau f
 	if len(queries) < 2 {
 		return 0, nil, fmt.Errorf("%w: inferring k needs at least 2 queries, got %d", fault.ErrBadQuery, len(queries))
 	}
-	R, _, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st, nil)
+	R, _, _, err := solveStep(ctx, r.solver, queries, r.sv, r.space, st, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -115,13 +102,29 @@ func inferKFromScores(R [][]float64, queries []int, tau float64) (bestK int, sup
 }
 
 // CePSAutoK infers the K_softAND coefficient with InferK (default
-// threshold) and then answers the query with it. The chosen k is
-// recoverable from the result's Combiner.
-func CePSAutoK(g *graph.Graph, queries []int, cfg Config) (*Result, error) {
-	k, _, err := InferK(g, queries, cfg, 0)
+// threshold) and then answers the query with it, on one transition matrix.
+// The chosen k is recoverable from the result's Combiner; Stages include
+// the inference solves and the matrix build, and Elapsed covers the whole
+// call.
+func CePSAutoK(ctx context.Context, g *graph.Graph, queries []int, cfg Config) (*Result, error) {
+	start := time.Now()
+	r, err := oneShotRunner(g, queries, cfg)
+	if err != nil {
+		return nil, err
+	}
+	build := time.Since(start)
+	var inf StageTimings
+	k, _, err := r.InferKCtx(ctx, queries, cfg, 0, &inf)
 	if err != nil {
 		return nil, err
 	}
 	cfg.K = k
-	return CePS(g, queries, cfg)
+	res, err := r.QueryCtx(ctx, queries, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Stages.AddSolve(inf)
+	res.Stages.Solve += build
+	res.Elapsed = time.Since(start)
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ceps/internal/graph"
@@ -119,7 +120,7 @@ func TestCePSAutoK(t *testing.T) {
 	g := cliquePair(t)
 	cfg := fastConfig()
 	cfg.Budget = 4
-	res, err := CePSAutoK(g, []int{1, 2, 7, 8}, cfg)
+	res, err := CePSAutoK(context.Background(), g, []int{1, 2, 7, 8}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

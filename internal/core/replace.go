@@ -536,7 +536,7 @@ func (r *Runner) replaceStep1(ctx context.Context, cfg Config, pool, remaining [
 	resolved := 0
 	if rv, ok := r.certificate(sel.topN, len(pool), remaining); ok {
 		var Rm [][]float64
-		Rm, _, _, err = serveStep(solveCtx, r.solver, remaining, cfg, r.sv, r.space, st, &stats, nil)
+		Rm, _, _, err = serveStep(solveCtx, r.solver, remaining, r.sv, r.space, st, &stats, nil)
 		if err != nil {
 			endSolve(span, st, stats, err)
 			return nil, nil, false, err
@@ -551,7 +551,7 @@ func (r *Runner) replaceStep1(ctx context.Context, cfg Config, pool, remaining [
 	for k, i := range exact {
 		queries[k] = pool[i]
 	}
-	R, _, _, err := serveStep(solveCtx, r.solver, queries, cfg, r.sv, r.space, st, &stats, nil)
+	R, _, _, err := serveStep(solveCtx, r.solver, queries, r.sv, r.space, st, &stats, nil)
 	span.SetAttr(obs.Int("queries", resolved+len(queries)), obs.Int("nodes", r.g.N()))
 	endSolve(span, st, stats, err)
 	if err != nil {

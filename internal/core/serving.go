@@ -42,11 +42,11 @@ type Serving struct {
 // plain path, one blocked panel with no cache, pool, coalescer or
 // artifacts — and fills the Step 1 fields of st. space is the cache key
 // space of solver's graph. uphill is serveStep's.
-func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, uphill func([]float64) []uint64) ([][]float64, []rwr.Diagnostics, [][]uint64, error) {
+func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, sv Serving, space uint64, st *StageTimings, uphill func([]float64) []uint64) ([][]float64, []rwr.Diagnostics, [][]uint64, error) {
 	solveCtx, span := obs.StartSpan(ctx, "solve")
 	span.SetAttr(obs.Int("queries", len(queries)), obs.Int("nodes", solver.N()))
 	var stats rwr.ServeStats
-	R, diags, up, err := serveStep(solveCtx, solver, queries, cfg, sv, space, st, &stats, uphill)
+	R, diags, up, err := serveStep(solveCtx, solver, queries, sv, space, st, &stats, uphill)
 	endSolve(span, st, stats, err)
 	return R, diags, up, err
 }
@@ -57,11 +57,8 @@ func solveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Confi
 // when EXTRACT reads the rows, builds the uphill bitmask the cache keeps
 // beside a vector it serves more than once (rwr.ServeOptions.Uphill); up
 // holds the bitmasks of the rows that have one.
-func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, cfg Config, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats, uphill func([]float64) []uint64) (R [][]float64, diags []rwr.Diagnostics, up [][]uint64, err error) {
-	opt := rwr.ServeOptions{Artifacts: sv.Artifacts, Uphill: uphill}
-	if !cfg.NoCoalesce {
-		opt.Coalesce = sv.Coalescer
-	}
+func serveStep(ctx context.Context, solver *rwr.Solver, queries []int, sv Serving, space uint64, st *StageTimings, stats *rwr.ServeStats, uphill func([]float64) []uint64) (R [][]float64, diags []rwr.Diagnostics, up [][]uint64, err error) {
+	opt := rwr.ServeOptions{Artifacts: sv.Artifacts, Coalesce: sv.Coalescer, Uphill: uphill}
 	start := time.Now()
 	R, diags, up, s, err := solver.ScoresSetServingCtx(ctx, queries, sv.Cache, space, sv.Pool, opt)
 	st.Solve += time.Since(start)

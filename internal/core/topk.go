@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ceps/internal/graph"
-	"ceps/internal/rwr"
 	"ceps/internal/score"
 )
 
@@ -27,21 +26,24 @@ func TopCenterPieces(g *graph.Graph, queries []int, cfg Config, topN int) ([]Ran
 // TopCenterPiecesCtx is TopCenterPieces with cooperative cancellation of
 // the underlying random-walk solves.
 func TopCenterPiecesCtx(ctx context.Context, g *graph.Graph, queries []int, cfg Config, topN int) ([]RankedNode, error) {
+	r, err := oneShotRunner(g, queries, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.TopCenterPiecesCtx(ctx, queries, cfg, topN, new(StageTimings))
+}
+
+// oneShotRunner validates a one-shot call and builds the runner it solves
+// on. The runner carries no serving state, so its Step 1 is solveStep's
+// plain path: one blocked panel, the same as every other query path.
+func oneShotRunner(g *graph.Graph, queries []int, cfg Config) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := checkQueries(g, queries); err != nil {
 		return nil, err
 	}
-	solver, err := rwr.NewSolver(g, cfg.RWR)
-	if err != nil {
-		return nil, err
-	}
-	R, _, err := solver.ScoresSetCtx(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-	return rankCenterPieces(R, queries, cfg, topN)
+	return NewRunner(g, cfg.RWR)
 }
 
 // TopCenterPieces is the Runner variant reusing the cached solver.
@@ -56,7 +58,7 @@ func (r *Runner) TopCenterPiecesCtx(ctx context.Context, queries []int, cfg Conf
 	if err := r.check(queries, cfg); err != nil {
 		return nil, err
 	}
-	R, _, _, err := solveStep(ctx, r.solver, queries, cfg, r.sv, r.space, st, nil)
+	R, _, _, err := solveStep(ctx, r.solver, queries, r.sv, r.space, st, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -84,9 +84,6 @@ func NewPool(n int) *Pool {
 	return &Pool{sem: make(chan struct{}, n)}
 }
 
-// Size returns the pool's concurrency bound.
-func (p *Pool) Size() int { return cap(p.sem) }
-
 // acquire blocks until a slot is free or ctx fires. A wait the context did
 // not survive is classified as a pool_wait shed (ErrOverloaded wrapping the
 // context identity), not an ordinary error: the pool refusing the work in

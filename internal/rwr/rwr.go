@@ -60,6 +60,20 @@ func (k NormKind) String() string {
 	}
 }
 
+// ParseNorm reads a normalization by its command-line name: "column",
+// "penalized" (NormDegreePenalized) or "symmetric".
+func ParseNorm(name string) (NormKind, error) {
+	switch name {
+	case "column":
+		return NormColumn, nil
+	case "penalized":
+		return NormDegreePenalized, nil
+	case "symmetric":
+		return NormSymmetric, nil
+	}
+	return 0, fmt.Errorf("unknown normalization %q", name)
+}
+
 // Config holds the random-walk parameters. The zero value is not useful;
 // call DefaultConfig.
 type Config struct {

@@ -55,6 +55,25 @@ func TestNormKindString(t *testing.T) {
 	}
 }
 
+// TestParseNorm: the command-line names of the three normalizations
+// parse, and nothing else does.
+func TestParseNorm(t *testing.T) {
+	for name, want := range map[string]NormKind{
+		"column":    NormColumn,
+		"penalized": NormDegreePenalized,
+		"symmetric": NormSymmetric,
+	} {
+		if got, err := ParseNorm(name); err != nil || got != want {
+			t.Errorf("ParseNorm(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "bogus", "Column", "degree-penalized", " column"} {
+		if _, err := ParseNorm(name); err == nil {
+			t.Errorf("ParseNorm(%q) accepted", name)
+		}
+	}
+}
+
 func TestColumnScoresAreDistribution(t *testing.T) {
 	g := randomGraph(t, 120, 240, 4)
 	s, err := NewSolver(g, colConfig())

@@ -14,17 +14,13 @@ import (
 // the same rules for every query type: it aggregates each answer's stage
 // accounting (StageTimings) here. The metric names are part of the
 // operational contract — dashboards and the README "Observability"
-// section reference them — so rename with care. ceps_batch_sets_total
-// counts only the sets of Engine.DoBatch: POST /v1/batch and
-// `ceps -queries-file` run one Do per set, which counts in
-// ceps_queries_total like any other query.
+// section reference them — so rename with care.
 //
 //	ceps_queries_total{path="full"|"fast"|"fast_fallback"|"rank"|"infer_k"}
 //	ceps_query_errors_total{kind="canceled"|"deadline"|"diverged"|...}
 //	ceps_query_duration_seconds                      (histogram)
 //	ceps_stage_duration_seconds{stage="partition"|"solve"|"combine"|"extract"}
 //	ceps_inflight_queries                            (gauge)
-//	ceps_batch_sets_total{outcome="ok"|"error"|"deadline"}
 //	ceps_cache_{hits,misses,evictions,invalidations,stale_drops}_total
 //	ceps_cache_{entries,bytes_used,bytes_budget}     (gauges)
 //	ceps_slow_queries_total
@@ -88,8 +84,6 @@ type engineMetrics struct {
 	queueResidence                    *obs.Histogram
 
 	durTotal, durPartition, durSolve, durCombine, durExtract *obs.Histogram
-
-	batchOK, batchErr, batchDeadline *obs.Counter
 
 	inflight *obs.Gauge
 	panics   *obs.Counter
@@ -160,9 +154,6 @@ func newEngineMetrics(cacheStats func() (CacheStats, bool), workers int, tracer 
 		durSolve:        reg.Histogram(st, stHelp, buckets, obs.Label{Name: "stage", Value: "solve"}),
 		durCombine:      reg.Histogram(st, stHelp, buckets, obs.Label{Name: "stage", Value: "combine"}),
 		durExtract:      reg.Histogram(st, stHelp, buckets, obs.Label{Name: "stage", Value: "extract"}),
-		batchOK:         reg.Counter("ceps_batch_sets_total", "Engine.DoBatch query sets, by outcome.", obs.Label{Name: "outcome", Value: "ok"}),
-		batchErr:        reg.Counter("ceps_batch_sets_total", "Engine.DoBatch query sets, by outcome.", obs.Label{Name: "outcome", Value: "error"}),
-		batchDeadline:   reg.Counter("ceps_batch_sets_total", "Engine.DoBatch query sets, by outcome.", obs.Label{Name: "outcome", Value: "deadline"}),
 		inflight:        reg.Gauge("ceps_inflight_queries", "Queries currently executing."),
 		panics:          reg.Counter("ceps_panics_recovered_total", "Panics converted to ErrInternal at the Engine boundary."),
 		slow:            reg.Counter("ceps_slow_queries_total", "Queries logged by the slow-query log."),

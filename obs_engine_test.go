@@ -66,9 +66,7 @@ func TestEngineStageTimingsAndMetrics(t *testing.T) {
 		t.Fatal("empty query should fail")
 	}
 
-	if _, err := eng.EnableFastMode(4, ceps.PartitionOptions{Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
+	setPartitions(t, eng, 4)
 	fast, err := eng.Do(context.Background(), queries)
 	if err != nil {
 		t.Fatal(err)

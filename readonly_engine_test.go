@@ -44,24 +44,27 @@ func sameRows(R [][]float64, want [][]uint64) bool {
 // cached score vectors read-only, and Result.R is where they leave the
 // engine, so writing to a Result's scores must never reach a later
 // answer — on the plain, cached, coalesced and Fast CePS engines, through
-// Do and DoBatch.
+// single and concurrent Do calls.
 func TestScribbledResultsNeverChangeLaterAnswers(t *testing.T) {
 	ds := smallDataset(t)
 	set := []int{ds.Repository[0][0], ds.Repository[0][1], ds.Repository[1][0]}
 	configs := []struct {
-		name string
-		opts []ceps.Option
+		name  string
+		opts  []ceps.Option
+		parts int // install Fast CePS state with this many parts
 	}{
-		{"plain", nil},
-		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}},
+		{"plain", nil, 0},
+		{"cached", []ceps.Option{ceps.WithCache(16 << 20)}, 0},
 		{"coalesced", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}},
-		{"fast", []ceps.Option{ceps.WithCache(16 << 20),
-			ceps.WithFastMode(8, ceps.PartitionOptions{Seed: 1})}},
+			ceps.WithCoalescing(ceps.CoalesceOptions{MaxWait: time.Millisecond})}, 0},
+		{"fast", []ceps.Option{ceps.WithCache(16 << 20)}, 8},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
 			eng := newEngine(t, ds.Graph, append([]ceps.Option{ceps.WithConfig(quickConfig())}, c.opts...)...)
+			if c.parts > 0 {
+				setPartitions(t, eng, c.parts)
+			}
 			ctx := context.Background()
 			first, err := eng.Do(ctx, set)
 			if err != nil {
@@ -86,11 +89,12 @@ func TestScribbledResultsNeverChangeLaterAnswers(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("Do", res)
-				for _, it := range eng.DoBatch(ctx, [][]int{set, set}) {
-					if it.Err != nil {
-						t.Fatal(it.Err)
+				results, errs := doSets(ctx, eng, [][]int{set, set}, 2)
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
 					}
-					check("DoBatch", it.Result)
+					check("concurrent Do", res)
 				}
 			}
 		})
@@ -122,12 +126,13 @@ func TestCachedVectorsExactAfterMixedWorkload(t *testing.T) {
 		}
 		solver := first.Solver
 		scribble(first)
-		for _, it := range eng.DoBatch(ctx, sets) {
-			if it.Err != nil {
-				t.Fatal(it.Err)
+		results, errs := doSets(ctx, eng, sets, len(sets))
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-			scribble(it.Result)
-			for _, q := range it.Queries {
+			scribble(res)
+			for _, q := range sets[i] {
 				sources[q] = true
 			}
 		}
@@ -139,10 +144,10 @@ func TestCachedVectorsExactAfterMixedWorkload(t *testing.T) {
 		for _, c := range rep.Replacements {
 			sources[c.Node] = true // every pool candidate is a walk source
 		}
-		if _, err := eng.TopCenterPieces(sets[1], 5); err != nil {
+		if _, err := eng.TopCenterPieces(ctx, sets[1], 5); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := eng.InferK(sets[2], 0); err != nil {
+		if _, _, err := eng.InferK(ctx, sets[2], 0); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := eng.CacheStats()
@@ -170,13 +175,14 @@ func TestCachedVectorsExactAfterMixedWorkload(t *testing.T) {
 	})
 
 	t.Run("fast", func(t *testing.T) {
-		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(64<<20),
-			ceps.WithFastMode(8, ceps.PartitionOptions{Seed: 1}))
-		for _, it := range eng.DoBatch(ctx, sets) {
-			if it.Err != nil {
-				t.Fatal(it.Err)
+		eng := newEngine(t, ds.Graph, ceps.WithConfig(quickConfig()), ceps.WithCache(64<<20))
+		setPartitions(t, eng, 8)
+		results, errs := doSets(ctx, eng, sets, len(sets))
+		for i, res := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-			scribble(it.Result)
+			scribble(res)
 		}
 		before, _ := eng.CacheStats()
 		if before.Evictions != 0 {

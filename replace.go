@@ -2,7 +2,6 @@ package ceps
 
 import (
 	"context"
-	"time"
 
 	"ceps/internal/bipartite"
 	"ceps/internal/core"
@@ -49,29 +48,20 @@ type ReplaceWeights = core.ReplaceWeights
 func DefaultReplaceWeights() ReplaceWeights { return core.DefaultReplaceWeights() }
 
 // ReplaceOption adjusts one ReplaceSubteam call. Options are applied in
-// order; the last write wins.
-type ReplaceOption func(*replaceOptions)
-
-// replaceOptions accumulates per-call state. The zero value means "one
-// departing member must still be named via WithDeparting; everything else
-// defaults".
-type replaceOptions struct {
-	spec      core.ReplaceSpec
-	timeout   time.Duration
-	noDegrade bool
-	coalesce  *bool
-}
+// order; the last write wins. One departing member must be named via
+// WithDeparting; everything else defaults.
+type ReplaceOption func(*core.ReplaceSpec)
 
 // WithDeparting names the team members leaving (required). They must be a
 // non-empty strict subset of the team.
 func WithDeparting(members ...int) ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.Departing = append([]int(nil), members...) }
+	return func(spec *core.ReplaceSpec) { spec.Departing = append([]int(nil), members...) }
 }
 
 // WithCandidatePool supplies the candidate pool explicitly instead of
 // deriving it from the graph; team members are filtered out.
 func WithCandidatePool(candidates ...int) ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.Candidates = append([]int(nil), candidates...) }
+	return func(spec *core.ReplaceSpec) { spec.Candidates = append([]int(nil), candidates...) }
 }
 
 // WithDensestPool seeds the candidate pool from the densest subgraph
@@ -79,15 +69,15 @@ func WithCandidatePool(candidates ...int) ReplaceOption {
 // of the plain two-hop default — candidates embedded in the team's densest
 // collaboration cluster. Ignored when WithCandidatePool is given.
 func WithDensestPool() ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.Pool = core.PoolDensest }
+	return func(spec *core.ReplaceSpec) { spec.Pool = core.PoolDensest }
 }
 
 // WithScoreWeights overrides the component blend. Both weights must be
 // non-negative with a positive sum; the call fails with ErrBadConfig
 // otherwise.
 func WithScoreWeights(rwrWeight, overlapWeight float64) ReplaceOption {
-	return func(ro *replaceOptions) {
-		ro.spec.Weights = ReplaceWeights{RWR: rwrWeight, Overlap: overlapWeight}
+	return func(spec *core.ReplaceSpec) {
+		spec.Weights = ReplaceWeights{RWR: rwrWeight, Overlap: overlapWeight}
 	}
 }
 
@@ -95,32 +85,13 @@ func WithScoreWeights(rwrWeight, overlapWeight float64) ReplaceOption {
 // = unlimited). Pool order is deterministic — two-hop pools keep the
 // closest candidates — so the cap is too.
 func WithMaxCandidates(n int) ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.MaxCandidates = n }
+	return func(spec *core.ReplaceSpec) { spec.MaxCandidates = n }
 }
 
 // WithReplaceTopN bounds the returned ranking (default 10; negative = the
 // whole scored pool).
 func WithReplaceTopN(n int) ReplaceOption {
-	return func(ro *replaceOptions) { ro.spec.TopN = n }
-}
-
-// WithReplaceTimeout arms a deadline on the call (≤ 0 = none beyond the
-// caller's context).
-func WithReplaceTimeout(d time.Duration) ReplaceOption {
-	return func(ro *replaceOptions) { ro.timeout = d }
-}
-
-// WithReplaceNoDegrade makes the call fail with ErrUnavailable instead of
-// accepting a reduced-fidelity panel when the circuit breaker is open.
-func WithReplaceNoDegrade() ReplaceOption {
-	return func(ro *replaceOptions) { ro.noDegrade = true }
-}
-
-// WithReplaceCoalesceHint opts the request's walks in (true) or out
-// (false) of the cross-request solve coalescer; answers are bit-identical
-// either way.
-func WithReplaceCoalesceHint(on bool) ReplaceOption {
-	return func(ro *replaceOptions) { ro.coalesce = &on }
+	return func(spec *core.ReplaceSpec) { spec.TopN = n }
 }
 
 // ReplaceSubteam ranks replacement candidates for the departing members of
@@ -138,44 +109,33 @@ func WithReplaceCoalesceHint(on bool) ReplaceOption {
 // bit for bit. The call runs through the engine's request funnel like every
 // other query type: admission control, breaker routing, degraded (relaxed
 // tolerance) panels marked on ReplaceResult.Degraded, and the same span,
-// metrics, slow-log and SLO signals on every exit.
+// metrics, slow-log and SLO signals on every exit. ctx bounds the call.
 func (e *Engine) ReplaceSubteam(ctx context.Context, team []int, opts ...ReplaceOption) (res *ReplaceResult, err error) {
 	defer e.recoverToError(&err)
-	ro := replaceOptions{}
+	var spec core.ReplaceSpec
 	for _, opt := range opts {
 		if opt != nil {
-			opt(&ro)
+			opt(&spec)
 		}
 	}
-	ro.spec.Team = append([]int(nil), team...)
-	if ro.spec.Bipartite == nil {
-		ro.spec.Bipartite = e.bp
-	}
-	cfg, _ := e.snapshot() // fast mode does not apply: replace walks are full-graph
-	if ro.coalesce != nil {
-		cfg.NoCoalesce = !*ro.coalesce
-	}
-	if ro.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, ro.timeout)
-		defer cancel()
-	}
-	return serve(e, ctx, e.replaceCall(cfg, ro.spec, ro.noDegrade))
+	spec.Team = append([]int(nil), team...)
+	spec.Bipartite = e.bp
+	cfg, _ := e.snapshot() // Fast CePS state does not apply: replace walks are full-graph
+	return serve(e, ctx, e.replaceCall(cfg, spec))
 }
 
 // replaceCall describes one subteam-replacement request to the request
 // funnel. Its request counter is ceps_replace_total by pool strategy, its
 // latency ceps_replace_duration_seconds, and its rows are counted against
 // the full graph its walks run on.
-func (e *Engine) replaceCall(cfg Config, spec core.ReplaceSpec, noDegrade bool) call[*ReplaceResult] {
+func (e *Engine) replaceCall(cfg Config, spec core.ReplaceSpec) call[*ReplaceResult] {
 	return call[*ReplaceResult]{
 		span: "replace",
 		attrs: []obs.Attr{obs.Int("team", len(spec.Team)), obs.Int("departing", len(spec.Departing)),
 			obs.Str("pool_strategy", replacePoolLabel(spec))},
-		queries:   spec.Team,
-		cfg:       cfg,
-		noDegrade: noDegrade,
-		keepTol:   true,
+		queries: spec.Team,
+		cfg:     cfg,
+		keepTol: true,
 		run: func(ctx context.Context, cfg Config) (*ReplaceResult, error) {
 			runner, err := e.runnerFor(cfg.RWR)
 			if err != nil {

@@ -2,6 +2,7 @@ package ceps_test
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -17,7 +18,8 @@ import (
 const servingSmokeRounds = 9
 
 // TestServingSmoke enforces the serving layer's acceptance floor: on
-// 50%-overlapping query sets, a warm batch on a cached engine (DoBatch)
+// 50%-overlapping query sets, a warm batch on a cached engine (concurrent
+// Do calls, as many in flight as the engine's solve pool has workers)
 // must be at least 2x faster per query than sequential cold queries on a
 // cache-free engine (Do), each side the median of servingSmokeRounds
 // interleaved passes, and the cache must hit more than half its lookups.
@@ -43,11 +45,17 @@ func TestServingSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, item := range warm.DoBatch(context.Background(), sets) { // warm pass: fill the cache
-		if item.Err != nil {
-			t.Fatal(item.Err)
+	// The warm engine's pool has the default GOMAXPROCS workers.
+	batch := func() {
+		t.Helper()
+		_, errs := doSets(context.Background(), warm, sets, runtime.GOMAXPROCS(0))
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	batch() // warm pass: fill the cache
 	var coldPasses, warmPasses []time.Duration
 	for round := 0; round < servingSmokeRounds; round++ {
 		start := time.Now()
@@ -58,11 +66,7 @@ func TestServingSmoke(t *testing.T) {
 		}
 		coldPasses = append(coldPasses, time.Since(start))
 		start = time.Now()
-		for _, item := range warm.DoBatch(context.Background(), sets) {
-			if item.Err != nil {
-				t.Fatal(item.Err)
-			}
-		}
+		batch()
 		warmPasses = append(warmPasses, time.Since(start))
 	}
 	coldElapsed, warmElapsed := medianDuration(coldPasses), medianDuration(warmPasses)

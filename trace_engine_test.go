@@ -28,7 +28,8 @@ func tracedEngine(t testing.TB, g *ceps.Graph, opts ...ceps.Option) *ceps.Engine
 // must account for exactly the sweeps reported in Stages.SolveSweeps.
 func TestEngineTraceSpans(t *testing.T) {
 	ds := smallDataset(t)
-	eng := tracedEngine(t, ds.Graph, ceps.WithFastMode(6, ceps.PartitionOptions{Seed: 1}))
+	eng := tracedEngine(t, ds.Graph)
+	setPartitions(t, eng, 6)
 	queries := []int{ds.Repository[0][0], ds.Repository[0][1]}
 
 	res, err := eng.Do(context.Background(), queries)
@@ -197,9 +198,10 @@ func TestTraceStoreRaceHammer(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 4; i++ {
-				for _, item := range eng.DoBatch(context.Background(), sets) {
-					if item.Err != nil {
-						t.Error(item.Err)
+				_, errs := doSets(context.Background(), eng, sets, len(sets))
+				for _, err := range errs {
+					if err != nil {
+						t.Error(err)
 					}
 				}
 			}
@@ -302,9 +304,9 @@ func TestTraceSolveSpanArtifactKernel(t *testing.T) {
 	ds := smallDataset(t)
 	const parts = 4
 	dir := buildArtifactDir(t, ds.Graph, quickConfig().RWR, parts, 1, 64<<20)
-	eng := tracedEngine(t, ds.Graph, ceps.WithCache(8<<20), ceps.WithArtifactDir(dir),
-		ceps.WithFastMode(parts, ceps.PartitionOptions{Seed: 1}))
+	eng := tracedEngine(t, ds.Graph, ceps.WithCache(8<<20), ceps.WithArtifactDir(dir))
 	defer eng.Close()
+	setPartitions(t, eng, parts)
 
 	checked := 0
 	for _, repo := range ds.Repository {
