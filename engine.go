@@ -27,9 +27,8 @@ import (
 // All methods are safe for concurrent use: each query works against an
 // immutable snapshot of the configuration and partition state taken under
 // a read lock, so Reconfigure and SetPartitioned can run concurrently with
-// queries without tearing anything. The serving state
-// (cache and solve pool) is fixed at construction and internally
-// synchronized.
+// queries without tearing anything. The serving state (cache and solve
+// pool) is fixed at construction and internally synchronized.
 type Engine struct {
 	g *Graph
 
@@ -107,8 +106,8 @@ func WithConfig(cfg Config) Option {
 // WithCache enables the shared score cache with the given byte budget:
 // per-source RWR score vectors (8·N bytes each, plus small overhead) are
 // kept under SIEVE eviction and reused by every query path, including Fast
-// CePS. Size it as budgetBytes ≈ 8·N·(expected distinct
-// sources); see README.md "Serving" for guidance.
+// CePS. Size it as budgetBytes ≈ 8·N·(expected distinct sources); see
+// README.md "Serving" for guidance.
 func WithCache(budgetBytes int64) Option {
 	return func(ec *engineConfig) error {
 		if budgetBytes <= 0 {
@@ -180,11 +179,11 @@ func WithArtifactDir(dir string) Option {
 
 // WithSlowQueryLog attaches a slow-query log: every call of every query
 // type — Do, QueryAutoK, ReplaceSubteam, TopCenterPieces and InferK,
-// including failed and refused calls — whose wall time meets
-// or exceeds threshold is written to w as one JSON line with the
-// per-stage breakdown and cache counters — see README.md "Observability"
-// for the field reference. Writes are serialized; w need not be safe for
-// concurrent use. A threshold of 0 logs every call.
+// including failed and refused calls — whose wall time meets or exceeds
+// threshold is written to w as one JSON line with the per-stage breakdown
+// and cache counters — see README.md "Observability" for the field
+// reference. Writes are serialized; w need not be safe for concurrent
+// use. A threshold of 0 logs every call.
 func WithSlowQueryLog(w io.Writer, threshold time.Duration) Option {
 	return func(ec *engineConfig) error {
 		if w == nil {
